@@ -8,6 +8,7 @@ finite-quotient separation witnesses.
 
 from .presentation import (
     GroupPresentation,
+    InvariantError,
     PresentationError,
     SimplicialGraph,
     Syllable,
@@ -39,6 +40,7 @@ __all__ = [
     "BudgetExceededError",
     "Element",
     "GroupPresentation",
+    "InvariantError",
     "PresentationError",
     "ShapeReport",
     "SimplicialGraph",

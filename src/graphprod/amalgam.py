@@ -17,6 +17,7 @@ from typing import Iterable, List, Optional, Tuple
 
 from .presentation import (
     GroupPresentation,
+    InvariantError,
     PresentationError,
     SimplicialGraph,
     Word,
@@ -64,6 +65,11 @@ def decompose_at(pres: GroupPresentation, apex: str) -> AmalgamView:
     return AmalgamView(pres, apex)
 
 
+def _supported_in(e: Element, ids) -> bool:
+    """True iff every syllable of e lies on a vertex with index in ids."""
+    return all(vi in ids for vi, _ in e.key)
+
+
 # ---------------------------------------------------------------------------
 # Alternating forms.
 # ---------------------------------------------------------------------------
@@ -105,9 +111,6 @@ def _general_form(pres, a_ids, c_ids, h_ids, key) -> Tuple[list, list]:
             cs.append(piece)
             xs.append(identity(pres))
 
-    def in_h(e: Element) -> bool:
-        return all(vi in h_ids for vi, _ in e.key)
-
     changed = True
     while changed:
         changed = False
@@ -121,7 +124,7 @@ def _general_form(pres, a_ids, c_ids, h_ids, key) -> Tuple[list, list]:
         if changed:
             continue
         for j in range(1, len(cs)):
-            if in_h(xs[j]):
+            if _supported_in(xs[j], h_ids):
                 xs[j - 1] = multiply(xs[j - 1], xs[j])
                 cs[j - 1] = multiply(cs[j - 1], cs[j])
                 del xs[j]
@@ -136,7 +139,8 @@ def _single_vertex_form(view: AmalgamView, key) -> AmalgamForm:
     group = view.pres.by_index[view.apex_index]
     values = []
     for c in cs:
-        assert len(c.key) == 1 and c.key[0][0] == view.apex_index
+        if len(c.key) != 1 or c.key[0][0] != view.apex_index:
+            raise InvariantError("a consonant is not a single apex syllable")
         values.append(group.decode(c.key[0][1]))
     return AmalgamForm(tuple(xs), tuple(values))
 
@@ -151,10 +155,6 @@ def amalgam_form(view: AmalgamView, e: Element) -> AmalgamForm:
 def amalgam_form_of_word(view: AmalgamView, word: Word) -> AmalgamForm:
     """Same, computed directly from an arbitrary (possibly unreduced) word."""
     return _single_vertex_form(view, key_of_word(view.pres, word))
-
-
-def form_in_h(view: AmalgamView, e: Element) -> bool:
-    return all(vi in view.h_ids for vi, _ in e.key)
 
 
 def multiply_out(view: AmalgamView, form: AmalgamForm) -> Element:
@@ -177,9 +177,9 @@ def is_amalgam_cyclically_reduced(view: AmalgamView, form: AmalgamForm) -> bool:
     n = form.consonant_length
     if n == 0:
         return False
-    if not form.x_pieces[0].is_identity and not form_in_h(view, form.x_pieces[0]):
+    if not form.x_pieces[0].is_identity and not _supported_in(form.x_pieces[0], view.h_ids):
         return False
-    if n >= 2 and form_in_h(view, form.x_pieces[-1]):
+    if n >= 2 and _supported_in(form.x_pieces[-1], view.h_ids):
         return False
     return True
 
@@ -192,7 +192,7 @@ def consonant_leading_form(view: AmalgamView, e: Element) -> AmalgamForm:
     x0 = form.x_pieces[0]
     if x0.is_identity:
         return form
-    if not form_in_h(view, x0):
+    if not _supported_in(x0, view.h_ids):
         raise AmalgamError("leading piece does not commute past the first consonant")
     pieces = (identity(view.pres), multiply(x0, form.x_pieces[1])) + form.x_pieces[2:]
     return AmalgamForm(pieces, form.consonants)
@@ -237,7 +237,7 @@ def conjugator_classify(
     for form in (g_form, f_form):
         if not is_amalgam_cyclically_reduced(view, form) or form.consonant_length < 1:
             raise AmalgamError("forms must be consonant-leading and cyclically reduced")
-    if form_in_h(view, g_form.x_pieces[-1]):
+    if _supported_in(g_form.x_pieces[-1], view.h_ids):
         raise AmalgamError("tail piece of g must leave the H-side")
     g = multiply_out(view, g_form)
     f = multiply_out(view, f_form)
@@ -246,24 +246,24 @@ def conjugator_classify(
     u_form = amalgam_form(view, u)
     m = u_form.consonant_length
     if m == 0:
-        if not form_in_h(view, u):
+        if not _supported_in(u, view.h_ids):
             raise AmalgamError("A-side conjugator outside the H-side: broken precondition")
         return ConjugatorClass("a", u, None, None)
     prefixes = _prefixes(view, g_form)
     z_last = u_form.x_pieces[-1]
     x_last = g_form.x_pieces[-1]
-    if form_in_h(view, z_last):
+    if _supported_in(z_last, view.h_ids):
         for p in prefixes:
             for l in range(m + 1):
                 h = multiply(multiply(u, power(g, l)), p)
-                if form_in_h(view, h):
+                if _supported_in(h, view.h_ids):
                     return ConjugatorClass("b", h, p, l)
-    elif form_in_h(view, multiply(x_last, invert(z_last))):
+    elif _supported_in(multiply(x_last, invert(z_last)), view.h_ids):
         for p in reversed(prefixes):  # longest prefix first = shortest suffix first
             s = multiply(invert(p), g)
             for l in range(m + 1):
                 h = multiply(multiply(u, power(g, -l)), invert(s))
-                if form_in_h(view, h):
+                if _supported_in(h, view.h_ids):
                     return ConjugatorClass("c", h, s, l)
     raise AmalgamError("no conjugator case matched within bounds: this is a bug")
 
@@ -334,30 +334,25 @@ def amalgam_conjugate_by(
         x_cum.append(multiply(x_cum[-1], gf.x_pieces[i]))
         y_cum.append(multiply(y_cum[-1], ff.x_pieces[i]))
 
-    def in_h(e: Element) -> bool:
-        return all(vi in view.h_ids for vi, _ in e.key)
-
-    def in_b(e: Element) -> bool:
-        return all(vi in b_ids for vi, _ in e.key)
-
     x0_inv = invert(gf.x_pieces[0])
     y0 = ff.x_pieces[0]
     b0_inv = invert(b0)
     for h in iter_ball(pres, radius, window=radius, vertices=view.h_vertices):
         b = multiply(multiply(y0, h), x0_inv)
-        if not in_b(b):
+        if not _supported_in(b, b_ids):
             continue
         t = multiply(b0_inv, b)
-        if not in_b(t) or conjugate(t, xp) != xp:
+        if not _supported_in(t, b_ids) or conjugate(t, xp) != xp:
             continue
         ok = True
         for i in range(1, n):
-            if not in_h(multiply(multiply(invert(y_cum[i]), b), x_cum[i])):
+            if not _supported_in(multiply(multiply(invert(y_cum[i]), b), x_cum[i]), view.h_ids):
                 ok = False
                 break
         if not ok:
             continue
-        assert conjugate(b, g) == f
+        if conjugate(b, g) != f:
+            raise InvariantError("the B-conjugator fails its re-check")
         return SubgroupConjugacy("yes", b, None)
     return SubgroupConjugacy("unknown", None, None)
 
@@ -405,7 +400,7 @@ def centralizer_check(view: AmalgamView, g: Element, radius: int) -> Centralizer
     violations = []
     elements = list(iter_ball(pres, radius, window=radius))
 
-    if n == 1 and form_in_h(view, form.x_pieces[-1]):
+    if n == 1 and _supported_in(form.x_pieces[-1], view.h_ids):
         group = pres.by_index[view.apex_index]
         c1 = Element(pres, ((view.apex_index, group.encode(form.consonants[0])),))
         x1 = form.x_pieces[-1]
@@ -414,7 +409,7 @@ def centralizer_check(view: AmalgamView, g: Element, radius: int) -> Centralizer
             centralizes = conjugate(u, g) == g
             if centralizes:
                 members.append(u)
-            if all(vi in star_ids for vi, _ in u.key):
+            if _supported_in(u, star_ids):
                 uc = retract_key(pres, u.key, view.c_ids)
                 uh = retract_key(pres, u.key, view.h_ids)
                 factored = (
@@ -439,7 +434,8 @@ def centralizer_check(view: AmalgamView, g: Element, radius: int) -> Centralizer
         if answer.status == "yes":
             h = answer.conjugator
             omega = multiply(h, invert(p))
-            assert conjugate(omega, g) == g
+            if conjugate(omega, g) != g:
+                raise InvariantError("omega does not centralize g")
             matched_prefixes.append(p)
             matched_h.append(h)
             omegas.append(omega)
@@ -456,7 +452,7 @@ def centralizer_check(view: AmalgamView, g: Element, radius: int) -> Centralizer
             base = multiply(u, invert(omega))
             for l in range(-radius, radius + 1):
                 h = multiply(base, powers[l])
-                if form_in_h(view, h) and conjugate(h, g) == g:
+                if _supported_in(h, view.h_ids) and conjugate(h, g) == g:
                     factored = True
                     break
             if factored:
@@ -537,7 +533,8 @@ class SigmaAmalgam:
         u = multiply(w, invert(retract_key(self.presentation, w.key, self.s_ids)))
         k = multiply(u, invert(retract_key(self.presentation, u.key, self.q_ids)))
         q_img, s_img = self.sigma(k)
-        assert q_img.is_identity and s_img.is_identity
+        if not (q_img.is_identity and s_img.is_identity):
+            raise InvariantError("the corrected element is not in the kernel of sigma")
         return k
 
     def kernel_sample_check(self, count: int, radius: int, seed: int = 0) -> KernelSampleReport:

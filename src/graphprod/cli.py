@@ -1,7 +1,8 @@
 """Command-line front end: one subcommand per decision procedure.
 
 Exit codes: 0 decided/pass, 1 meaningful negative (unequal, non-conjugate,
-non-member, failed check), 2 unknown/exhausted, 3 usage or input error.
+non-member, failed check), 2 unknown/exhausted, 3 usage or input error, or a
+certificate that failed its own re-check.
 Output is line-oriented, one fact per line; --json prints one object with
 sorted keys instead.
 """
@@ -12,16 +13,11 @@ import argparse
 import json
 import sys
 
-from .presentation import (
-    PresentationError,
-    WordError,
-    load_presentation,
-    parse_word,
-)
+from .presentation import InvariantError, load_presentation, parse_word
 from .words import BudgetExceededError, reduce, shape
 from .cyclic import cyclically_reduce, ps_decompose
 from .conjugacy import are_conjugate
-from .amalgam import AmalgamError, amalgam_form, centralizer_check, decompose_at
+from .amalgam import amalgam_form, centralizer_check, decompose_at
 from .parabolic import (
     ParabolicSubgroup,
     full_parabolic,
@@ -44,12 +40,6 @@ def _emit(args, lines, payload) -> None:
             print(line)
 
 
-def _load(args):
-    if not args.group:
-        raise UsageError("a presentation file is required (-g/--group)")
-    return load_presentation(args.group)
-
-
 def _element(pres, text):
     return reduce(pres, parse_word(pres, text))
 
@@ -59,7 +49,7 @@ def _render_set(values) -> str:
 
 
 def cmd_normalize(args) -> int:
-    pres = _load(args)
+    pres = load_presentation(args.group)
     e = _element(pres, args.word)
     report = shape(e)
     lines = [
@@ -81,14 +71,14 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_eq(args) -> int:
-    pres = _load(args)
+    pres = load_presentation(args.group)
     equal = _element(pres, args.left) == _element(pres, args.right)
     _emit(args, [f"equal: {'yes' if equal else 'no'}"], {"equal": equal})
     return 0 if equal else 1
 
 
 def cmd_conj(args) -> int:
-    pres = _load(args)
+    pres = load_presentation(args.group)
     verdict = are_conjugate(_element(pres, args.left), _element(pres, args.right))
     if verdict.conjugate:
         lines = ["conjugate: yes", f"conjugator: {verdict.conjugator.render()}"]
@@ -101,7 +91,7 @@ def cmd_conj(args) -> int:
 
 
 def cmd_cyc(args) -> int:
-    pres = _load(args)
+    pres = load_presentation(args.group)
     reduction = cyclically_reduce(_element(pres, args.word))
     lines = [
         f"reduced: {reduction.reduced.render()}",
@@ -116,7 +106,7 @@ def cmd_cyc(args) -> int:
 
 
 def cmd_ps(args) -> int:
-    pres = _load(args)
+    pres = load_presentation(args.group)
     ps = ps_decompose(_element(pres, args.word))
     lines = [
         f"s-part: {ps.s_part.render()}",
@@ -135,9 +125,7 @@ def cmd_ps(args) -> int:
 
 
 def cmd_amalgam(args) -> int:
-    pres = _load(args)
-    if not args.vertex:
-        raise UsageError("--vertex is required for the amalgam form")
+    pres = load_presentation(args.group)
     view = decompose_at(pres, args.vertex)
     form = amalgam_form(view, _element(pres, args.word))
     group = pres.groups[args.vertex]
@@ -158,9 +146,7 @@ def cmd_amalgam(args) -> int:
 
 
 def cmd_centralizer_check(args) -> int:
-    pres = _load(args)
-    if not args.vertex:
-        raise UsageError("--vertex is required for the centralizer check")
+    pres = load_presentation(args.group)
     view = decompose_at(pres, args.vertex)
     report = centralizer_check(view, _element(pres, args.word), args.radius)
     lines = [
@@ -184,7 +170,7 @@ def cmd_centralizer_check(args) -> int:
 
 
 def cmd_pc(args) -> int:
-    pres = _load(args)
+    pres = load_presentation(args.group)
     closure = parabolic_closure_of_cyclic(_element(pres, args.word))
     lines = [
         f"conjugator: {closure.conjugator.render()}",
@@ -196,9 +182,9 @@ def cmd_pc(args) -> int:
 
 
 def cmd_normalizer(args) -> int:
-    pres = _load(args)
+    pres = load_presentation(args.group)
     if not args.core:
-        raise UsageError("--core is required (comma-separated vertex names)")
+        raise UsageError("--core must not be empty (comma-separated vertex names)")
     core = [v for v in args.core.split(",") if v]
     conjugator = _element(pres, args.conjugator) if args.conjugator else identity(pres)
     subgroup = ParabolicSubgroup(conjugator, full_parabolic(pres, core).core)
@@ -208,7 +194,7 @@ def cmd_normalizer(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    pres = _load(args)
+    pres = load_presentation(args.group)
     mode = parse_mode(args.mode)
     if args.right is None:
         witness = residual_witness(_element(pres, args.left), mode)
@@ -219,7 +205,8 @@ def cmd_witness(args) -> int:
             print("inputs are conjugate; no witness exists", file=sys.stderr)
             return 1
         witness = conjugacy_witness(f, g, mode)
-    assert witness.verify()
+    if not witness.verify():
+        raise InvariantError("the separation witness fails its re-check")
     print(witness.to_json())
     return 0
 
@@ -230,22 +217,30 @@ def cmd_selftest(args) -> int:
     return run_selftest(seed=args.seed)
 
 
+# Each subcommand declares the options its handler reads, by these names.
+OPTIONS = {
+    "group": (("-g", "--group"), dict(required=True, help="presentation file (JSON)")),
+    "json": (("--json",), dict(action="store_true")),
+    "vertex": (("--vertex",), dict(required=True, help="apex vertex for amalgam commands")),
+    "radius": (("--radius",), dict(type=int, default=6, help="bounded-search radius")),
+    "mode": (("--mode",), dict(default="finite", help="finite or p:<prime>")),
+    "seed": (("--seed",), dict(type=int, default=0)),
+    "core": (("--core",), dict(required=True, help="comma-separated core vertices")),
+    "conjugator": (("--conjugator",), dict(help="conjugating word for parabolic commands")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gp", description="decision procedures for graph products of groups"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **words):
+    def add(name, handler, options, **words):
         p = sub.add_parser(name)
-        p.add_argument("-g", "--group", help="presentation file (JSON)")
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--vertex", help="apex vertex for amalgam commands")
-        p.add_argument("--radius", type=int, default=6, help="bounded-search radius")
-        p.add_argument("--mode", default="finite", help="finite or p:<prime>")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--core", help="comma-separated core vertices")
-        p.add_argument("--conjugator", help="conjugating word for parabolic commands")
+        for option in options:
+            flags, settings = OPTIONS[option]
+            p.add_argument(*flags, **settings)
         for arg_name, required in words.items():
             if required:
                 p.add_argument(arg_name)
@@ -254,17 +249,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    add("normalize", cmd_normalize, word=True)
-    add("eq", cmd_eq, left=True, right=True)
-    add("conj", cmd_conj, left=True, right=True)
-    add("cyc", cmd_cyc, word=True)
-    add("ps", cmd_ps, word=True)
-    add("amalgam", cmd_amalgam, word=True)
-    add("centralizer-check", cmd_centralizer_check, word=True)
-    add("pc", cmd_pc, word=True)
-    add("normalizer", cmd_normalizer, word=True)
-    add("witness", cmd_witness, left=True, right=False)
-    add("selftest", cmd_selftest)
+    common = ("group", "json")
+    add("normalize", cmd_normalize, common, word=True)
+    add("eq", cmd_eq, common, left=True, right=True)
+    add("conj", cmd_conj, common, left=True, right=True)
+    add("cyc", cmd_cyc, common, word=True)
+    add("ps", cmd_ps, common, word=True)
+    add("amalgam", cmd_amalgam, common + ("vertex",), word=True)
+    add("centralizer-check", cmd_centralizer_check, common + ("vertex", "radius"), word=True)
+    add("pc", cmd_pc, common, word=True)
+    add("normalizer", cmd_normalizer, common + ("core", "conjugator"), word=True)
+    add("witness", cmd_witness, ("group", "mode"), left=True, right=False)
+    add("selftest", cmd_selftest, ("seed",))
     return parser
 
 
@@ -276,7 +272,7 @@ def main(argv=None) -> int:
         return 3 if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except (PresentationError, WordError, AmalgamError, UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError, InvariantError) as exc:  # every input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except BudgetExceededError as exc:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Set, Tuple
 
-from .presentation import GroupPresentation, PresentationError
+from .presentation import GroupPresentation, InvariantError, PresentationError
 from .words import (
     Element,
     _check_same,
@@ -96,7 +96,8 @@ def are_conjugate(x: Element, y: Element) -> ConjugacyVerdict:
         return ConjugacyVerdict(False, None, "s-part-not-conjugate")
     core = multiply(t, invert(rotation))  # core x0 core^-1 = y0
     w = multiply(multiply(ry.conjugator, core), invert(rx.conjugator))
-    assert conjugate(w, x) == y
+    if conjugate(w, x) != y:
+        raise InvariantError("the conjugator fails its re-check")
     return ConjugacyVerdict(True, w, None)
 
 

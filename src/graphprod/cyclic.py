@@ -10,17 +10,16 @@ expression at the same time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-from .presentation import WordError
+from .presentation import InvariantError, WordError
 from .words import (
     Element,
-    _frontable_positions,
+    _front_letters,
     _make,
     _push,
     identity,
     multiply,
-    shape,
 )
 
 
@@ -38,16 +37,15 @@ class CyclicReduction:
     conjugator: Element  # input = conjugator * reduced * conjugator^-1
 
 
-def _s_indices(e: Element) -> set:
-    pres = e.pres
-    supp = {vi for vi, _ in e.key}
-    return {vi for vi in supp if all(u in pres.istar[vi] for u in supp)}
+def _s_indices(pres, key) -> set:
+    supp = {vi for vi, _ in key}
+    return {vi for vi in supp if supp <= pres.istar[vi]}
 
 
 def ps_decompose(e: Element) -> PSDecomposition:
     """The unique factorization e = s_part * p_part as a reduced product."""
     pres = e.pres
-    s_ids = _s_indices(e)
+    s_ids = _s_indices(pres, e.key)
     s_key = tuple(s for s in e.key if s[0] in s_ids)
     p_key = tuple(s for s in e.key if s[0] not in s_ids)
     names = pres.vertices
@@ -59,32 +57,24 @@ def ps_decompose(e: Element) -> PSDecomposition:
     )
 
 
+def _movable(pres, key) -> Dict[int, Tuple[int, int]]:
+    """FL & LL - S of a reduced key, each vertex mapped to its (front, back) positions.
+
+    The front syllable is the vertex's first and the back one its last: a
+    syllable readable at both ends would commute with the rest and lie in S.
+    """
+    front = _front_letters(pres, key)
+    back = _front_letters(pres, key[::-1])
+    s_ids = _s_indices(pres, key)
+    last = len(key) - 1
+    return {
+        vi: (pos, last - back[vi]) for vi, pos in front.items() if vi in back and vi not in s_ids
+    }
+
+
 def is_cyclically_reduced(e: Element) -> bool:
     """True iff no vertex outside S(e) lies in both FL(e) and LL(e)."""
-    report = shape(e)
-    ps = ps_decompose(e)
-    return not (report.first_letters & report.last_letters) - ps.s_vertices
-
-
-def _front_position(e: Element, vi: int) -> int:
-    pres = e.pres
-    seen: set = set()
-    for pos, (ui, _) in enumerate(e.key):
-        if ui == vi and seen <= pres.iadj[vi]:
-            return pos
-        seen.add(ui)
-    raise ValueError("syllable cannot be shuffled to the front")
-
-
-def _back_position(e: Element, vi: int) -> int:
-    pres = e.pres
-    seen: set = set()
-    n = len(e.key)
-    for offset, (ui, _) in enumerate(reversed(e.key)):
-        if ui == vi and seen <= pres.iadj[vi]:
-            return n - 1 - offset
-        seen.add(ui)
-    raise ValueError("syllable cannot be shuffled to the end")
+    return not _movable(e.pres, e.key)
 
 
 def cyclically_reduce(e: Element) -> CyclicReduction:
@@ -93,30 +83,25 @@ def cyclically_reduce(e: Element) -> CyclicReduction:
     Each step takes the least vertex v readable at both ends, rewrites
     e = a w b with a, b the two v-syllables, and replaces e by w b a,
     composing a onto the conjugator.  The length strictly drops because the
-    two v-syllables join, so the loop terminates.
+    two v-syllables join, so the loop terminates.  The movable vertices and
+    their end syllables depend only on the element, so the steps run on a
+    reduced syllable list that is linearized once at the end.
     """
     pres = e.pres
-    conj = identity(pres)
-    current = e
+    key = list(e.key)
+    conj: List[Tuple[int, int]] = []
     while True:
-        report = shape(current)
-        ps = ps_decompose(current)
-        movable = (report.first_letters & report.last_letters) - ps.s_vertices
+        movable = _movable(pres, key)
         if not movable:
-            return CyclicReduction(current, conj)
-        v = min(movable, key=pres.vertex_index)
-        vi = pres.vertex_index(v)
-        i = _front_position(current, vi)
-        j = _back_position(current, vi)
-        assert i != j
-        front = current.key[i]
-        back = current.key[j]
-        middle = [s for pos, s in enumerate(current.key) if pos not in (i, j)]
-        out = list(middle)
-        _push(pres, out, back[0], back[1])
-        _push(pres, out, front[0], front[1])
-        current = _make(pres, out)
-        conj = multiply(conj, Element(pres, (front,)))
+            return CyclicReduction(_make(pres, key), _make(pres, conj))
+        i, j = movable[min(movable)]
+        if i >= j:
+            raise InvariantError("the front and back syllables of a movable vertex coincide")
+        front, back = key[i], key[j]
+        del key[j], key[i]
+        _push(pres, key, *back)
+        _push(pres, key, *front)
+        _push(pres, conj, *front)
 
 
 def cyclic_permutation_conjugators(e: Element) -> Dict[Element, Element]:
@@ -134,7 +119,7 @@ def cyclic_permutation_conjugators(e: Element) -> Dict[Element, Element]:
     while queue:
         current = queue.pop(0)
         prefix = found[current]
-        for pos in _frontable_positions(pres, current.key):
+        for pos in _front_letters(pres, current.key).values():
             syl = current.key[pos]
             rest = current.key[:pos] + current.key[pos + 1 :]
             out = list(rest)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
-from .presentation import GroupPresentation, PresentationError, link_of
+from .presentation import GroupPresentation, InvariantError, PresentationError, link_of
 from .words import (
     Element,
     _check_same,
@@ -164,7 +164,8 @@ def maximal_full_avoiding(g: Element) -> AvoidingVertex:
     if len(pres.vertices) == 1:
         return AvoidingVertex(v, core, len(core))
     form = amalgam_form(AmalgamView(pres, v), core)
-    assert form.consonant_length >= 1
+    if form.consonant_length < 1:
+        raise InvariantError("the core has no consonant at a vertex of its support")
     return AvoidingVertex(v, core, form.consonant_length)
 
 

@@ -26,6 +26,10 @@ class WordError(ValueError):
     """Malformed word text or a syllable outside its vertex group."""
 
 
+class InvariantError(RuntimeError):
+    """A computed certificate or internal invariant failed its check: a bug, not bad input."""
+
+
 # ---------------------------------------------------------------------------
 # Vertex groups.  Element "keys" are the internal representation: table
 # indices for table groups, plain ints for the integers, residues in [0, n)
@@ -271,8 +275,7 @@ class SimplicialGraph:
             if not _NAME_RE.match(name):
                 raise PresentationError(f"bad vertex name {name!r}")
         index = {v: i for i, v in enumerate(names)}
-        seen = set()
-        pairs = []
+        pairs = set()
         for edge in edges:
             u, v = edge
             if u not in index or v not in index:
@@ -282,8 +285,7 @@ class SimplicialGraph:
             key = (min(u, v), max(u, v))
             if key in pairs:
                 raise PresentationError(f"duplicate edge {key!r}")
-            pairs.append(key)
-            seen.add(key)
+            pairs.add(key)
         self.vertices = names
         self.edges = frozenset(pairs)
         self._index = index

@@ -10,12 +10,14 @@ the target from the stored data alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence
 
 from .presentation import (
     GroupPresentation,
     IntegersModGroup,
+    InvariantError,
     PresentationError,
     SimplicialGraph,
     induced_presentation,
@@ -43,8 +45,8 @@ ALL_FINITE = ClassMode()
 
 
 def p_group_mode(p: int) -> ClassMode:
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"p must be a prime, got {p}")
     return ClassMode(p)
 
 
@@ -242,7 +244,8 @@ def residual_witness(g: Element, mode: ClassMode = ALL_FINITE) -> SeparationWitn
         raise ValueError("the identity cannot be separated from itself")
     family = shape_preserving_family([g], mode)
     image = apply_quotient(family, g)
-    assert not image.is_identity
+    if image.is_identity:
+        raise InvariantError("the element dies in its shape-preserving quotient")
     return SeparationWitness(family, (g,), (image,), "nontrivial-image")
 
 
@@ -290,5 +293,6 @@ def conjugacy_witness(f: Element, g: Element, mode: ClassMode = ALL_FINITE) -> S
     family = _family_from_constraints(sub, constraints, mode)
     images = (apply_quotient(family, f_sub), apply_quotient(family, g_sub))
     target_verdict = are_conjugate(images[0], images[1])
-    assert not target_verdict.conjugate
+    if target_verdict.conjugate:
+        raise InvariantError("the images are conjugate in the chosen quotient")
     return SeparationWitness(family, (f_sub, g_sub), images, target_verdict.refutation)

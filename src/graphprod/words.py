@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .presentation import (
     GroupPresentation,
@@ -134,16 +134,18 @@ def _reduce_key(pres: GroupPresentation, syllables: Iterable[Tuple[int, int]]) -
     return out
 
 
-def _frontable_positions(pres: GroupPresentation, key: Sequence[Tuple[int, int]]) -> List[int]:
-    """Positions whose syllable can be shuffled to the front."""
+def _front_letters(pres: GroupPresentation, key: Sequence[Tuple[int, int]]) -> Dict[int, int]:
+    """Each vertex with a front-readable syllable -> that position, in position order.
+
+    On the reversed key: the back-readable syllables, counted from the end."""
     seen: set = set()
-    positions = []
+    front = {}
     iadj = pres.iadj
     for pos, (vi, _) in enumerate(key):
         if seen <= iadj[vi]:
-            positions.append(pos)
+            front[vi] = pos
         seen.add(vi)
-    return positions
+    return front
 
 
 def _canonicalize(pres: GroupPresentation, key: Sequence[Tuple[int, int]]) -> Key:
@@ -214,9 +216,8 @@ def canonical_form(pres: GroupPresentation, word: Word) -> Word:
 
 def shape(e: Element) -> ShapeReport:
     names = e.pres.vertices
-    reversed_key = tuple(reversed(e.key))
-    fl = frozenset(names[e.key[p][0]] for p in _frontable_positions(e.pres, e.key))
-    ll = frozenset(names[reversed_key[p][0]] for p in _frontable_positions(e.pres, reversed_key))
+    fl = frozenset(names[vi] for vi in _front_letters(e.pres, e.key))
+    ll = frozenset(names[vi] for vi in _front_letters(e.pres, e.key[::-1]))
     return ShapeReport(len(e.key), e.support(), fl, ll)
 
 

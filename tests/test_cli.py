@@ -123,3 +123,22 @@ def test_unresolved_centralizer_check_exits_2(tmp_path):
     )
     assert code == 2
     assert "unresolved: 1" in out
+
+
+def test_witness_rejects_non_prime_mode():
+    code, _, err = gp("witness", "-g", str(DATA / "free-zz.json"), "--mode", "p:4", "x[1]", "x[2]")
+    assert code == 3 and "prime" in err
+
+
+def test_failed_conjugator_check_survives_optimize():
+    # Under python -O a bare assert would be skipped and the wrong conjugator
+    # printed; the explicit check must still reject it.
+    script = (
+        "import sys, graphprod.conjugacy as c, graphprod.cli as cli\n"
+        "c.conjugate = lambda w, x: c.identity(x.pres)\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    args = ["conj", "-g", str(DATA / "path-racg.json"), "a[1] c[1]", "c[1] a[1]"]
+    proc = subprocess.run([sys.executable, "-O", "-c", script, *args], capture_output=True, text=True)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "error: the conjugator fails its re-check" in proc.stderr

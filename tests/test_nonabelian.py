@@ -7,7 +7,7 @@ import pytest
 
 from graphprod import corpus, parse_presentation
 from graphprod.words import ball, conjugate, element_of, invert, multiply, power, reduce
-from graphprod.cyclic import cyclically_reduce
+from graphprod.cyclic import cyclically_reduce, is_cyclically_reduced
 from graphprod.conjugacy import are_conjugate, brute_force_conjugate, conjugacy_class_in_ball
 from graphprod.amalgam import (
     amalgam_conjugate_by,
@@ -159,3 +159,52 @@ def test_parabolics_and_witnesses(s3_path):
         element_of(s3_path, "g[s] m[1]"), element_of(s3_path, "g[r] m[1]"), ALL_FINITE
     )
     assert pair.verify() and pair.certificate_tag == "s-part-not-conjugate"
+
+
+def test_cyclic_reduction_of_long_conjugates():
+    # u c u^-1 with a 160-syllable core c over Z, Z/n and S3 vertices.  c is a
+    # walk in the complement graph (no two neighbours commute), so it is reduced,
+    # its only first letter is its first vertex and its only last letter its last
+    # vertex; these differ, so c is cyclically reduced.
+    doc = {
+        "vertices": [
+            {"name": "a", "group": "Z"},
+            {"name": "b", "group": "cyclic 5"},
+            {"name": "g", "group": s3_config()},
+            {"name": "d", "group": "Z"},
+            {"name": "e", "group": "cyclic 3"},
+            {"name": "f", "group": s3_config()},
+        ],
+        "edges": [["a", "b"], ["b", "g"], ["g", "d"], ["d", "e"], ["e", "a"], ["a", "f"], ["f", "d"]],
+    }
+    pres = parse_presentation(json.dumps(doc))
+    rng = random.Random(1)
+
+    def syllable(v):
+        group = pres.groups[v]
+        if group.kind == "table":
+            return f"{v}[{rng.choice(group.elements[1:])}]"
+        if group.kind == "mod":
+            return f"{v}[{rng.randint(1, 2)}]"
+        return f"{v}[{rng.choice([-2, -1, 1, 2])}]"
+
+    def apart(v, *others):
+        # vertices that neither equal nor commute with v
+        return [u for u in pres.vertices if u not in (v, *others) and u not in pres.graph.link(v)]
+
+    walk = [pres.vertices[0]]
+    while len(walk) < 159:
+        walk.append(rng.choice(apart(walk[-1])))
+    walk.append(rng.choice(apart(walk[-1], walk[0])))
+    c = element_of(pres, " ".join(syllable(v) for v in walk))
+    assert len(c) == 160 and {pres.groups[v].kind for v in c.support()} == {"Z", "mod", "table"}
+    u = element_of(pres, " ".join(syllable(rng.choice(pres.vertices)) for _ in range(60)))
+    assert len(u) >= 40
+    g = conjugate(u, c)
+
+    r = cyclically_reduce(g)
+    assert conjugate(r.conjugator, r.reduced) == g
+    assert is_cyclically_reduced(r.reduced)
+    assert len(r.reduced) == len(c)
+    assert len(g) - len(r.reduced) >= 80  # long peeling, not a few end syllables
+    assert are_conjugate(r.reduced, c).conjugate

@@ -114,8 +114,9 @@ def test_witness_serialization_is_stable(single_z):
     )
     assert parse_mode("p:2") == p_group_mode(2)
     assert parse_mode("finite") == ALL_FINITE
-    with pytest.raises(ValueError):
-        parse_mode("prime:2")
+    for text in ("prime:2", "p:4", "p:1"):
+        with pytest.raises(ValueError):
+            parse_mode(text)
 
 
 def test_retraction_examples(path_racg):
