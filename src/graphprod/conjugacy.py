@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Set, Tuple
 
-from .presentation import GroupPresentation, InvariantError, PresentationError
+from .presentation import GroupPresentation, InvariantError, PresentationError, WordError
 from .words import (
     Element,
     _check_same,
@@ -15,7 +15,13 @@ from .words import (
     iter_ball,
     multiply,
 )
-from .cyclic import cyclic_permutation_conjugators, cyclically_reduce, ps_decompose
+from .cyclic import (
+    commuting_factors,
+    cyclic_permutation_conjugators,
+    cyclically_reduce,
+    is_cyclically_reduced,
+    ps_decompose,
+)
 
 REFUTATION_TAGS = (
     "support-mismatch",
@@ -74,7 +80,8 @@ def are_conjugate(x: Element, y: Element) -> ConjugacyVerdict:
     Both inputs are cyclically reduced first; the reduced cores are conjugate
     iff they share support and length, their moving parts are cyclic
     permutations of each other, and their clique parts are conjugate
-    componentwise.
+    componentwise.  The moving parts are matched per commuting factor, so the
+    rotations enumerated are the sum, not the product, of the factor closures.
     """
     _check_same(x, y)
     pres = x.pres
@@ -87,10 +94,9 @@ def are_conjugate(x: Element, y: Element) -> ConjugacyVerdict:
         return ConjugacyVerdict(False, None, "length-mismatch")
     psx = ps_decompose(x0)
     psy = ps_decompose(y0)
-    perms = cyclic_permutation_conjugators(psx.p_part)
-    if psy.p_part not in perms:
+    rotation = _rotation_conjugator(psx.p_part, psy.p_part)  # rotation^-1 p(x0) rotation = p(y0)
+    if rotation is None:
         return ConjugacyVerdict(False, None, "p-part-not-cyclic-permutation")
-    rotation = perms[psy.p_part]  # rotation^-1 p(x0) rotation = p(y0)
     ok, t = conjugate_in_clique_subgroup(pres, psx.s_vertices, psx.s_part, psy.s_part)
     if not ok:
         return ConjugacyVerdict(False, None, "s-part-not-conjugate")
@@ -130,10 +136,38 @@ def conjugacy_class_in_ball(x: Element, radius: int) -> Set[Element]:
     return {conjugate(w, x) for w in iter_ball(x.pres, radius, window=radius)}
 
 
+def _rotation_conjugator(g: Element, g_prime: Element) -> Optional[Element]:
+    """The p with p^-1 g p = g_prime for a cyclically reduced g, or None if
+    g_prime is not a cyclic permutation of g.
+
+    Rotating one commuting factor leaves the others in place, so g_prime is a
+    cyclic permutation of g iff each factor of g_prime is a cyclic
+    permutation of the matching factor of g.  p is the product of the
+    per-factor conjugators: the same element that the closure of the whole of
+    g records.
+    """
+    factors = commuting_factors(g)
+    factors_prime = commuting_factors(g_prime)
+    if factors.keys() != factors_prime.keys():
+        return None
+    p = identity(g.pres)
+    for root, factor in factors.items():
+        target = factors_prime[root]
+        if len(target) != len(factor):
+            return None
+        table = cyclic_permutation_conjugators(factor)
+        if target not in table:
+            return None
+        p = multiply(p, table[target])
+    return p
+
+
 def conjugator_of_cyclic_permutation(g: Element, g_prime: Element) -> Element:
-    """The prefix p with p^-1 g p = g_prime, replayed from the rotation closure."""
+    """The prefix p with p^-1 g p = g_prime, replayed factor by factor."""
     _check_same(g, g_prime)
-    table = cyclic_permutation_conjugators(g)
-    if g_prime not in table:
+    if not is_cyclically_reduced(g):
+        raise WordError("element is not cyclically reduced")
+    p = _rotation_conjugator(g, g_prime)
+    if p is None:
         raise ValueError("second element is not a cyclic permutation of the first")
-    return table[g_prime]
+    return p

@@ -131,6 +131,35 @@ def cyclic_permutation_conjugators(e: Element) -> Dict[Element, Element]:
     return found
 
 
+def commuting_factors(e: Element) -> Dict[int, Element]:
+    """Split a reduced element into its commuting factors, keyed by least vertex.
+
+    A factor is the projection of e onto one connected component of the
+    non-commutation graph on its support.  Factors from different components
+    commute, and a vertex of S(e) is a component of its own, so e is the
+    product of its factors in any order and each factor of a cyclically
+    reduced element is cyclically reduced.
+    """
+    pres = e.pres
+    support = sorted({vi for vi, _ in e.key})
+    root_of: Dict[int, int] = {}
+    for root in support:
+        if root in root_of:
+            continue
+        root_of[root] = root
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v in support:
+                if v not in root_of and v not in pres.iadj[u]:
+                    root_of[v] = root
+                    stack.append(v)
+    parts: Dict[int, List[Tuple[int, int]]] = {}
+    for syl in e.key:
+        parts.setdefault(root_of[syl[0]], []).append(syl)
+    return {root: _make(pres, part) for root, part in sorted(parts.items())}
+
+
 def cyclic_permutations(e: Element) -> frozenset:
     """The set of cyclic permutations of a cyclically reduced element."""
     return frozenset(cyclic_permutation_conjugators(e))

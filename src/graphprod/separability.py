@@ -23,7 +23,7 @@ from .presentation import (
     induced_presentation,
 )
 from .words import Element, _check_same, invert, multiply, reduce, retract_key
-from .cyclic import cyclically_reduce, cyclic_permutations, ps_decompose
+from .cyclic import commuting_factors, cyclically_reduce, cyclic_permutations, ps_decompose
 from .conjugacy import are_conjugate
 
 
@@ -254,9 +254,11 @@ def conjugacy_witness(f: Element, g: Element, mode: ClassMode = ALL_FINITE) -> S
 
     The inputs are retracted to their joint support, cyclically reduced, and
     the quotient is chosen per the failing conjugacy test: shape preservation
-    for support/length failures, shape preservation of the moving parts and
-    all their rotations for rotation failures, and vertex-level separation of
-    the clique parts otherwise.  The certificate re-runs the target decision.
+    for support/length failures; for rotation failures, shape preservation
+    of each commuting factor of the moving parts and of all its rotations,
+    which stay distinct from each other and from the other input's factor;
+    and vertex-level separation of the clique parts otherwise.  The
+    certificate re-runs the target decision.
     """
     _check_same(f, g)
     verdict = are_conjugate(f, g)
@@ -273,10 +275,14 @@ def conjugacy_witness(f: Element, g: Element, mode: ClassMode = ALL_FINITE) -> S
     _collect_shape_constraints(constraints, [f0, g0])
     tag = verdict.refutation
     if tag == "p-part-not-cyclic-permutation":
-        pf = ps_decompose(f0).p_part
-        rotations = sorted(cyclic_permutations(ps_decompose(g0).p_part))
-        _collect_shape_constraints(constraints, [pf] + rotations)
-        _collect_distinctness(constraints, [pf] + rotations)
+        # Two whole rotations differ only in the factors where they differ,
+        # so the per-factor constraints give the values of the whole closure
+        # up to sign, which no modulus test d % m can see.
+        factors_f = commuting_factors(ps_decompose(f0).p_part)
+        for root, factor_g in commuting_factors(ps_decompose(g0).p_part).items():
+            elements = [factors_f[root]] + sorted(cyclic_permutations(factor_g))
+            _collect_shape_constraints(constraints, elements)
+            _collect_distinctness(constraints, elements)
     elif tag == "s-part-not-conjugate":
         psf, psg = ps_decompose(f0), ps_decompose(g0)
         values_f = {vi: val for vi, val in psf.s_part.key}

@@ -1,14 +1,30 @@
 """End-to-end checks over a presentation with a nonabelian table vertex group."""
 
 import json
+import math
 import random
 
 import pytest
 
 from graphprod import corpus, parse_presentation
+from graphprod import conjugacy
+from graphprod.presentation import WordError, induced_presentation
 from graphprod.words import ball, conjugate, element_of, invert, multiply, power, reduce
-from graphprod.cyclic import cyclically_reduce, is_cyclically_reduced
-from graphprod.conjugacy import are_conjugate, brute_force_conjugate, conjugacy_class_in_ball
+from graphprod.cyclic import (
+    commuting_factors,
+    cyclic_permutation_conjugators,
+    cyclic_permutations,
+    cyclically_reduce,
+    is_cyclically_reduced,
+    ps_decompose,
+)
+from graphprod.conjugacy import (
+    are_conjugate,
+    brute_force_conjugate,
+    conjugacy_class_in_ball,
+    conjugate_in_clique_subgroup,
+    conjugator_of_cyclic_permutation,
+)
 from graphprod.amalgam import (
     amalgam_conjugate_by,
     centralizer_check,
@@ -19,7 +35,14 @@ from graphprod.amalgam import (
     multiply_out,
 )
 from graphprod.parabolic import centralizer_structure_check, parabolic_closure_of_cyclic, parabolic_membership
-from graphprod.separability import ALL_FINITE, conjugacy_witness, residual_witness
+from graphprod.separability import (
+    ALL_FINITE,
+    _collect_distinctness,
+    _collect_shape_constraints,
+    _family_from_constraints,
+    conjugacy_witness,
+    residual_witness,
+)
 
 
 def s3_config():
@@ -208,3 +231,215 @@ def test_cyclic_reduction_of_long_conjugates():
     assert len(r.reduced) == len(c)
     assert len(g) - len(r.reduced) >= 80  # long peeling, not a few end syllables
     assert are_conjugate(r.reduced, c).conjugate
+
+
+# Blocks of two non-adjacent vertices, pairwise joined, and a central z: the
+# moving part of a word has one commuting factor per block it touches.
+BLOCK_GROUPS = [
+    ("Z", "S3"),
+    ("Z", "cyclic 3"),
+    ("cyclic 4", "Z"),
+    ("Z", "cyclic 5"),
+    ("cyclic 3", "Z"),
+]
+
+
+@pytest.fixture(scope="module")
+def blocks():
+    vertices = []
+    for b, pair in enumerate(BLOCK_GROUPS):
+        for prefix, group in zip("xt", pair):
+            vertices.append({"name": f"{prefix}{b}", "group": s3_config() if group == "S3" else group})
+    vertices.append({"name": "z", "group": "Z"})
+    names = [v["name"] for v in vertices]
+    edges = [
+        [u, v]
+        for i, u in enumerate(names)
+        for v in names[i + 1 :]
+        if "z" in (u, v) or u[1:] != v[1:]
+    ]
+    return parse_presentation(json.dumps({"vertices": vertices, "edges": edges}))
+
+
+def random_syllable(pres, v, rng, avoid=None):
+    group = pres.groups[v]
+    while True:
+        if group.kind == "table":
+            value = rng.choice(group.elements[1:])
+        elif group.kind == "mod":
+            value = rng.randrange(1, group.order)
+        else:
+            value = rng.choice([-3, -2, -1, 1, 2, 3])
+        text = f"{v}[{value}]"
+        if text != avoid:
+            return text
+
+
+def interleave(parts, rng):
+    """A random merge of syllable lists that keeps each list's order."""
+    queues = [list(p) for p in parts if p]
+    out = []
+    while queues:
+        q = rng.choice(queues)
+        out.append(q.pop(0))
+        if not q:
+            queues.remove(q)
+    return out
+
+
+def block_pair(pres, k, mode, rng, lengths):
+    """(x, y) with y a conjugate of a rotation of x, factor by factor; mode "p"
+    changes one syllable of one factor, mode "s" the central syllable."""
+    factors = []
+    for b, n in zip(rng.sample(range(len(BLOCK_GROUPS)), k), lengths):
+        order = [f"x{b}", f"t{b}"]
+        rng.shuffle(order)
+        factors.append([random_syllable(pres, order[i % 2], rng) for i in range(n)])
+    central = random_syllable(pres, "z", rng)
+    x = element_of(pres, " ".join(interleave(factors + [[central]], rng)))
+    rotated = []
+    for f in factors:
+        s = rng.randrange(len(f))
+        rotated.append(f[s:] + f[:s])
+    if mode == "p":
+        f = rng.choice(rotated)
+        i = rng.randrange(len(f))
+        f[i] = random_syllable(pres, f[i].split("[")[0], rng, avoid=f[i])
+    elif mode == "s":
+        central = random_syllable(pres, "z", rng, avoid=central)
+    w = element_of(pres, " ".join(random_syllable(pres, rng.choice(pres.vertices), rng) for _ in range(6)))
+    return x, conjugate(w, element_of(pres, " ".join(interleave(rotated + [[central]], rng))))
+
+
+def whole_closure_decision(x, y):
+    """The cyclic criterion over the rotation closure of the whole moving part:
+    (refutation tag or None, conjugator or None)."""
+    rx, ry = cyclically_reduce(x), cyclically_reduce(y)
+    x0, y0 = rx.reduced, ry.reduced
+    if x0.support() != y0.support():
+        return "support-mismatch", None
+    if len(x0) != len(y0):
+        return "length-mismatch", None
+    psx, psy = ps_decompose(x0), ps_decompose(y0)
+    table = cyclic_permutation_conjugators(psx.p_part)
+    if psy.p_part not in table:
+        return "p-part-not-cyclic-permutation", None
+    ok, t = conjugate_in_clique_subgroup(x.pres, psx.s_vertices, psx.s_part, psy.s_part)
+    if not ok:
+        return "s-part-not-conjugate", None
+    core = multiply(t, invert(table[psy.p_part]))
+    return None, multiply(multiply(ry.conjugator, core), invert(rx.conjugator))
+
+
+def test_factorwise_decision_matches_whole_closure(blocks):
+    rng = random.Random(7)
+    tags = set()
+    factor_counts = set()
+    for k in (1, 2, 3, 4):
+        for mode in ("", "p", "s"):
+            for _ in range(10):
+                x, y = block_pair(blocks, k, mode, rng, [rng.randint(2, 5) for _ in range(k)])
+                tag, expected = whole_closure_decision(x, y)
+                verdict = are_conjugate(x, y)
+                assert (verdict.conjugate, verdict.refutation) == (tag is None, tag)
+                assert verdict.conjugator == expected
+                if verdict.conjugate:
+                    assert conjugate(verdict.conjugator, x) == y
+                tags.add(tag)
+                # every rotation's conjugator is the whole closure's entry
+                g = ps_decompose(cyclically_reduce(x).reduced).p_part
+                table = cyclic_permutation_conjugators(g)
+                factor_counts.add(len(commuting_factors(g)))
+                for rotated in rng.sample(sorted(table), min(12, len(table))):
+                    p = conjugator_of_cyclic_permutation(g, rotated)
+                    assert p == table[rotated]
+                    assert conjugate(invert(p), g) == rotated
+    assert {None, "p-part-not-cyclic-permutation", "s-part-not-conjugate"} <= tags
+    assert {1, 2, 3, 4} <= factor_counts
+    # the whole element is checked for being cyclically reduced before any factor
+    with pytest.raises(WordError):
+        conjugator_of_cyclic_permutation(element_of(blocks, "x0[1] t0[r] x0[1]"), element_of(blocks, "z[1]"))
+    with pytest.raises(ValueError) as not_rotation:
+        conjugator_of_cyclic_permutation(element_of(blocks, "x0[1] t0[r]"), element_of(blocks, "z[1]"))
+    assert not_rotation.type is ValueError
+
+
+def test_witness_moduli_match_whole_closure(blocks):
+    rng = random.Random(11)
+    checked = 0
+    for k in (2, 3):
+        for _ in range(5):
+            f, g = block_pair(blocks, k, "p", rng, [rng.randint(2, 4) for _ in range(k)])
+            if are_conjugate(f, g).refutation != "p-part-not-cyclic-permutation":
+                continue
+            witness = conjugacy_witness(f, g, ALL_FINITE)
+            assert witness.verify()
+            # the moduli built from every rotation of the whole moving part
+            sub = induced_presentation(blocks, sorted(f.support() | g.support(), key=blocks.vertex_index))
+            f0 = cyclically_reduce(reduce(sub, f.word())).reduced
+            g0 = cyclically_reduce(reduce(sub, g.word())).reduced
+            constraints = {v: set() for v in sub.vertices}
+            _collect_shape_constraints(constraints, [f0, g0])
+            elements = [ps_decompose(f0).p_part] + sorted(cyclic_permutations(ps_decompose(g0).p_part))
+            _collect_shape_constraints(constraints, elements)
+            _collect_distinctness(constraints, elements)
+            reference = _family_from_constraints(sub, constraints, ALL_FINITE)
+            assert witness.family.moduli == reference.moduli
+            checked += 1
+    assert checked >= 8
+
+
+def test_rotation_closure_is_a_sum_not_a_product(blocks, monkeypatch):
+    # five factors of six syllables: the whole closure has 6^5 = 7776 rotations
+    enumerated = []
+
+    def counting(e):
+        table = cyclic_permutation_conjugators(e)
+        enumerated.append(len(table))
+        return table
+
+    monkeypatch.setattr(conjugacy, "cyclic_permutation_conjugators", counting)
+    rng = random.Random(3)
+    for mode in ("", "p"):
+        x, y = block_pair(blocks, 5, mode, rng, [6] * 5)
+        factors = commuting_factors(ps_decompose(cyclically_reduce(x).reduced).p_part)
+        sizes = [len(cyclic_permutations(f)) for f in factors.values()]
+        assert len(sizes) == 5 and math.prod(sizes) == 6**5
+        enumerated.clear()
+        verdict = are_conjugate(x, y)
+        assert verdict.conjugate == (mode == "")
+        if verdict.conjugate:
+            assert conjugate(verdict.conjugator, x) == y
+        assert sum(enumerated) <= sum(sizes)
+
+
+@pytest.mark.parametrize(
+    "groups, edges",
+    [
+        (["S3"], []),
+        (["Z", "cyclic 3", "S3"], [["v0", "v1"], ["v0", "v2"], ["v1", "v2"]]),
+        (["cyclic 2", "cyclic 3", "Z"], []),
+    ],
+    ids=["single-vertex", "complete", "edgeless"],
+)
+def test_degenerate_graphs_match_ball_oracle(groups, edges):
+    vertices = [
+        {"name": f"v{i}", "group": s3_config() if group == "S3" else group}
+        for i, group in enumerate(groups)
+    ]
+    pres = parse_presentation(json.dumps({"vertices": vertices, "edges": edges}))
+    rng = random.Random(13)
+    elements = corpus.corpus_elements(pres, max_len=2, z_window=1)
+    sample = rng.sample(elements, min(5, len(elements)))
+    conjugators = rng.sample(elements, min(3, len(elements)))
+    sample = sorted(set(sample) | {conjugate(w, x) for w in conjugators for x in sample[:2]})
+    yes = 0
+    for x in sample:
+        for y in sample:
+            verdict = are_conjugate(x, y)
+            if brute_force_conjugate(x, y, 3).found:
+                assert verdict.conjugate
+            if verdict.conjugate:
+                assert conjugate(verdict.conjugator, x) == y
+                yes += 1
+    assert len(sample) < yes < len(sample) ** 2
