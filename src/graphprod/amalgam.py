@@ -26,7 +26,6 @@ from .words import (
     Element,
     _check_same,
     _make,
-    _reduce_key,
     conjugate,
     identity,
     invert,
@@ -104,7 +103,7 @@ def _general_form(pres, a_ids, c_ids, h_ids, key) -> Tuple[list, list]:
     xs: List[Element] = [identity(pres)]
     cs: List[Element] = []
     for side, syls in blocks:
-        piece = _make(pres, _reduce_key(pres, syls))
+        piece = _make(pres, syls)
         if side == "A":
             xs[-1] = multiply(xs[-1], piece)
         else:
@@ -555,7 +554,7 @@ class SigmaAmalgam:
         for _ in range(count):
             length = rng.randint(0, max(1, radius))
             key = tuple(rng.choice(syllables) for _ in range(length))
-            w = _make(pres, _reduce_key(pres, key))
+            w = _make(pres, key)
             k = self.kernel_element_from(w)
             if k.is_identity:
                 continue

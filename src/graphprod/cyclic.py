@@ -121,10 +121,7 @@ def cyclic_permutation_conjugators(e: Element) -> Dict[Element, Element]:
         prefix = found[current]
         for pos in _front_letters(pres, current.key).values():
             syl = current.key[pos]
-            rest = current.key[:pos] + current.key[pos + 1 :]
-            out = list(rest)
-            _push(pres, out, syl[0], syl[1])
-            rotated = _make(pres, out)
+            rotated = _make(pres, current.key[:pos] + current.key[pos + 1 :] + (syl,))
             if rotated not in found:
                 found[rotated] = multiply(prefix, Element(pres, (syl,)))
                 queue.append(rotated)

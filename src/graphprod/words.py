@@ -5,6 +5,14 @@ wraps the canonical fully-reduced form: no trivial syllables, no two joinable
 syllables, linearized greedily so that the least available vertex always comes
 first.  Two elements are equal in the graph product iff their canonical forms
 are identical.
+
+Reduction produces that form in one pass: `_push` keeps a reduced list in
+least-vertex-first order after every syllable it multiplies on.  A new
+syllable is inserted where the greedy order of the longer word picks it, a
+join changes a value in place, and a cancellation deletes a syllable that
+commutes with everything after it, a maximal element of the trace, whose
+removal leaves the greedy order of the rest as it was.  Deleting syllables
+from the front breaks the order, so such keys go back through `_make`.
 """
 
 from __future__ import annotations
@@ -99,18 +107,26 @@ def key_of_word(pres: GroupPresentation, word: Word) -> Key:
 
 
 def _push(pres: GroupPresentation, out: List[Tuple[int, int]], vi: int, val: int) -> None:
-    """Multiply one syllable onto a reduced word, keeping it reduced.
+    """Multiply one syllable onto a reduced word in least-vertex-first order.
 
     Scans backwards over syllables that commute with vertex vi; joins with a
-    matching syllable if one is reachable, otherwise appends.  A join that
-    cancels deletes the syllable; by the commutation constraints no new join
-    can appear afterwards, so no fixpoint pass is needed.
+    matching syllable if one is reachable.  Otherwise the syllable is a new
+    maximal element of the trace.  It becomes available once the syllable
+    that stopped the scan is emitted, and the greedy order then emits it
+    before the first scanned syllable of a greater vertex, so it is inserted
+    there (or appended).  A join changes a value in place and keeps the
+    order.  A join that cancels deletes a syllable that commutes with
+    everything after it, a maximal element, and removing a maximal element
+    leaves the greedy order of the rest as it was; by the commutation
+    constraints no new join can appear afterwards, so no fixpoint pass is
+    needed.
     """
     group = pres.by_index[vi]
     if group.is_identity(val):
         return
     link = pres.iadj[vi]
     i = len(out) - 1
+    at = len(out)
     while i >= 0:
         ui, uval = out[i]
         if ui == vi:
@@ -120,11 +136,12 @@ def _push(pres: GroupPresentation, out: List[Tuple[int, int]], vi: int, val: int
             else:
                 out[i] = (vi, merged)
             return
-        if ui in link:
-            i -= 1
-            continue
-        break
-    out.append((vi, val))
+        if ui not in link:
+            break
+        if ui > vi:
+            at = i
+        i -= 1
+    out.insert(at, (vi, val))
 
 
 def _reduce_key(pres: GroupPresentation, syllables: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
@@ -148,25 +165,9 @@ def _front_letters(pres: GroupPresentation, key: Sequence[Tuple[int, int]]) -> D
     return front
 
 
-def _canonicalize(pres: GroupPresentation, key: Sequence[Tuple[int, int]]) -> Key:
-    """Greedy least-vertex-first linearization of a reduced word."""
-    remaining = list(key)
-    out = []
-    while remaining:
-        best_pos = None
-        best_vi = None
-        seen: set = set()
-        iadj = pres.iadj
-        for pos, (vi, _) in enumerate(remaining):
-            if seen <= iadj[vi] and (best_vi is None or vi < best_vi):
-                best_pos, best_vi = pos, vi
-            seen.add(vi)
-        out.append(remaining.pop(best_pos))
-    return tuple(out)
-
-
-def _make(pres: GroupPresentation, reduced: Sequence[Tuple[int, int]]) -> Element:
-    return Element(pres, _canonicalize(pres, reduced))
+def _make(pres: GroupPresentation, syllables: Iterable[Tuple[int, int]]) -> Element:
+    """The element of any syllable sequence, reduced and in canonical order."""
+    return Element(pres, tuple(_reduce_key(pres, syllables)))
 
 
 def identity(pres: GroupPresentation) -> Element:
@@ -175,7 +176,7 @@ def identity(pres: GroupPresentation) -> Element:
 
 def reduce(pres: GroupPresentation, word: Word) -> Element:
     """The canonical reduced element equal to the given word."""
-    return _make(pres, _reduce_key(pres, key_of_word(pres, word)))
+    return _make(pres, key_of_word(pres, word))
 
 
 def element_of(pres: GroupPresentation, text: str) -> Element:
@@ -193,15 +194,12 @@ def is_reduced_key(pres: GroupPresentation, key: Sequence[Tuple[int, int]]) -> b
     for i in range(len(key)):
         vi = key[i][0]
         link = pres.iadj[vi]
-        blocked = False
         for j in range(i + 1, len(key)):
             uj = key[j][0]
             if uj == vi:
-                if not blocked:
-                    return False
-                break
+                return False
             if uj not in link:
-                blocked = True
+                break
     return True
 
 
@@ -210,8 +208,7 @@ def canonical_form(pres: GroupPresentation, word: Word) -> Word:
     key = key_of_word(pres, word)
     if not is_reduced_key(pres, key):
         raise WordError("word is not reduced")
-    canon = _canonicalize(pres, key)
-    return Word(tuple(pres.decode_syllable(vi, val) for vi, val in canon))
+    return _make(pres, key).word()
 
 
 def shape(e: Element) -> ShapeReport:
@@ -226,7 +223,7 @@ def multiply(a: Element, b: Element) -> Element:
     out = list(a.key)
     for vi, val in b.key:
         _push(a.pres, out, vi, val)
-    return _make(a.pres, out)
+    return Element(a.pres, tuple(out))
 
 
 def invert(a: Element) -> Element:
@@ -361,7 +358,7 @@ def iter_ball(
                 _push(pres, out, vi, val)
                 if len(out) != len(e.key) + 1:
                     continue
-                candidate = _make(pres, out)
+                candidate = Element(pres, tuple(out))
                 if candidate.key not in seen:
                     seen.add(candidate.key)
                     grown.append(candidate)
@@ -380,4 +377,4 @@ def ball(pres, radius, window=None, vertices=None) -> List[Element]:
 def retract_key(pres: GroupPresentation, key: Key, vertex_indices) -> Element:
     """Drop syllables outside the vertex set, then reduce."""
     keep = set(vertex_indices)
-    return _make(pres, _reduce_key(pres, (s for s in key if s[0] in keep)))
+    return _make(pres, (s for s in key if s[0] in keep))

@@ -31,6 +31,25 @@ def lexicographic_least_shuffle(pres, key):
     return min(shuffle_class(pres, key), key=lambda w: tuple(vi for vi, _ in w))
 
 
+def greedy_least_vertex_first(pres, key):
+    """Linearize a reduced word by always emitting the least vertex that can come first.
+
+    A syllable can come first when every syllable before it commutes with it.
+    Rescans what is left for every syllable emitted, so it is quadratic.
+    """
+    remaining = list(key)
+    out = []
+    while remaining:
+        best_pos = best_vi = None
+        seen = set()
+        for pos, (vi, _) in enumerate(remaining):
+            if seen <= pres.iadj[vi] and (best_vi is None or vi < best_vi):
+                best_pos, best_vi = pos, vi
+            seen.add(vi)
+        out.append(remaining.pop(best_pos))
+    return tuple(out)
+
+
 def first_letters_by_enumeration(pres, element):
     names = pres.vertices
     return frozenset(names[w[0][0]] for w in shuffle_class(pres, element.key) if w)

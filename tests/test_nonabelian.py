@@ -5,11 +5,23 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphprod import corpus, parse_presentation
 from graphprod import conjugacy
-from graphprod.presentation import WordError, induced_presentation
-from graphprod.words import ball, conjugate, element_of, invert, multiply, power, reduce
+from graphprod.presentation import Word, WordError, induced_presentation
+from graphprod.words import (
+    ball,
+    canonical_form,
+    conjugate,
+    element_of,
+    invert,
+    iter_ball,
+    key_of_word,
+    multiply,
+    power,
+    reduce,
+)
 from graphprod.cyclic import (
     commuting_factors,
     cyclic_permutation_conjugators,
@@ -43,6 +55,8 @@ from graphprod.separability import (
     conjugacy_witness,
     residual_witness,
 )
+
+from oracles import greedy_least_vertex_first
 
 
 def s3_config():
@@ -184,11 +198,8 @@ def test_parabolics_and_witnesses(s3_path):
     assert pair.verify() and pair.certificate_tag == "s-part-not-conjugate"
 
 
-def test_cyclic_reduction_of_long_conjugates():
-    # u c u^-1 with a 160-syllable core c over Z, Z/n and S3 vertices.  c is a
-    # walk in the complement graph (no two neighbours commute), so it is reduced,
-    # its only first letter is its first vertex and its only last letter its last
-    # vertex; these differ, so c is cyclically reduced.
+def mixed_hexagon():
+    # Z, Z/5, S3, Z, Z/3, S3 on a hexagon-like graph with seven edges
     doc = {
         "vertices": [
             {"name": "a", "group": "Z"},
@@ -200,7 +211,15 @@ def test_cyclic_reduction_of_long_conjugates():
         ],
         "edges": [["a", "b"], ["b", "g"], ["g", "d"], ["d", "e"], ["e", "a"], ["a", "f"], ["f", "d"]],
     }
-    pres = parse_presentation(json.dumps(doc))
+    return parse_presentation(json.dumps(doc))
+
+
+def test_cyclic_reduction_of_long_conjugates():
+    # u c u^-1 with a 400-syllable core c over Z, Z/n and S3 vertices.  c is a
+    # walk in the complement graph (no two neighbours commute), so it is reduced,
+    # its only first letter is its first vertex and its only last letter its last
+    # vertex; these differ, so c is cyclically reduced.
+    pres = mixed_hexagon()
     rng = random.Random(1)
 
     def syllable(v):
@@ -216,11 +235,11 @@ def test_cyclic_reduction_of_long_conjugates():
         return [u for u in pres.vertices if u not in (v, *others) and u not in pres.graph.link(v)]
 
     walk = [pres.vertices[0]]
-    while len(walk) < 159:
+    while len(walk) < 399:
         walk.append(rng.choice(apart(walk[-1])))
     walk.append(rng.choice(apart(walk[-1], walk[0])))
     c = element_of(pres, " ".join(syllable(v) for v in walk))
-    assert len(c) == 160 and {pres.groups[v].kind for v in c.support()} == {"Z", "mod", "table"}
+    assert len(c) == 400 and {pres.groups[v].kind for v in c.support()} == {"Z", "mod", "table"}
     u = element_of(pres, " ".join(syllable(rng.choice(pres.vertices)) for _ in range(60)))
     assert len(u) >= 40
     g = conjugate(u, c)
@@ -231,6 +250,46 @@ def test_cyclic_reduction_of_long_conjugates():
     assert len(r.reduced) == len(c)
     assert len(g) - len(r.reduced) >= 80  # long peeling, not a few end syllables
     assert are_conjugate(r.reduced, c).conjugate
+
+
+NORMAL_FORM_PRESENTATIONS = {**corpus.corpus_presentations(), "mixed-hexagon": mixed_hexagon()}
+
+
+def assert_least_vertex_first(e):
+    assert e.key == greedy_least_vertex_first(e.pres, e.key)
+
+
+@pytest.mark.parametrize("name", sorted(NORMAL_FORM_PRESENTATIONS))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_outputs_match_greedy_least_vertex_first(name, data):
+    # every operation that returns an element returns the greedy linearization
+    pres = NORMAL_FORM_PRESENTATIONS[name]
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    alphabet = corpus.syllable_alphabet(pres)
+
+    def word():
+        return Word(tuple(rng.choice(alphabet) for _ in range(data.draw(st.integers(0, 300)))))
+
+    x, y, u = reduce(pres, word()), reduce(pres, word()), reduce(pres, word())
+    shuffled = corpus.shuffled_variant(pres, x.word(), rng, steps=4 * len(x))
+    assert canonical_form(pres, shuffled) == x.word()
+    assert x.key == greedy_least_vertex_first(pres, key_of_word(pres, shuffled))
+    ps = ps_decompose(x)
+    g = conjugate(u, x)
+    r = cyclically_reduce(g)
+    outputs = [x, y, multiply(x, y), invert(x), g, ps.s_part, ps.p_part, r.reduced, r.conjugator]
+    outputs += commuting_factors(x).values()
+    outputs += commuting_factors(r.reduced).values()
+    for e in outputs:
+        assert_least_vertex_first(e)
+
+
+@pytest.mark.parametrize("name", sorted(NORMAL_FORM_PRESENTATIONS))
+def test_ball_elements_match_greedy_least_vertex_first(name):
+    pres = NORMAL_FORM_PRESENTATIONS[name]
+    for e in iter_ball(pres, 3, window=1):
+        assert_least_vertex_first(e)
 
 
 # Blocks of two non-adjacent vertices, pairwise joined, and a central z: the
