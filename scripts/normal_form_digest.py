@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 digest per normal-form function over seeded random inputs.
+"""Print one SHA-256 digest per normal-form and search function over seeded inputs.
 
 Each seed builds a random graph (2-10 vertices over Z, Z/n and S3) and random
 words on it, and feeds the keys returned by reduce, multiply, invert,
 canonical_form, cyclically_reduce (core and conjugator), are_conjugate
-(verdict, tag and conjugator) and iter_ball (radius 3) into one hash per
-function.  Two checkouts that print the same digests return the same keys on
-every input, so a change that must keep the normal form is checked by running
+(verdict, tag and conjugator) and iter_ball (radius 3, and radius 3 with
+window 2 on a second vertex subset) into one hash per function.  A second,
+smaller random graph (2-4 vertices) feeds the bounded searches at radius 2-3:
+brute_force_conjugate, centralizer_structure_check, centralizer_check,
+amalgam_conjugate_by and parabolic_intersection_search.  Two checkouts that
+print the same digests return the same keys on every input, so a change that
+must keep the normal form and the search results is checked by running
 
     PYTHONPATH=src python3 scripts/normal_form_digest.py --seeds 20
 
@@ -19,9 +23,11 @@ import json
 import random
 from collections import Counter
 
-from graphprod import corpus, parse_presentation
-from graphprod.conjugacy import are_conjugate
+from graphprod import Word, corpus, parse_presentation
+from graphprod.amalgam import AmalgamError, amalgam_conjugate_by, centralizer_check, decompose_at
+from graphprod.conjugacy import are_conjugate, brute_force_conjugate
 from graphprod.cyclic import cyclically_reduce
+from graphprod.parabolic import ParabolicSubgroup, centralizer_structure_check, parabolic_intersection_search
 from graphprod.words import canonical_form, conjugate, invert, iter_ball, multiply, reduce
 
 FUNCTIONS = (
@@ -33,6 +39,12 @@ FUNCTIONS = (
     "cyclically_reduce.conjugator",
     "are_conjugate",
     "iter_ball",
+    "iter_ball.subset",
+    "brute_force_conjugate",
+    "centralizer_structure_check",
+    "centralizer_check",
+    "amalgam_conjugate_by",
+    "parabolic_intersection_search",
 )
 
 
@@ -43,8 +55,8 @@ def s3_table():
     return {"table": {"elements": ["e", "r", "r2", "s", "sr", "sr2"], "mul": table, "identity": 0}}
 
 
-def random_presentation(rng: random.Random):
-    n = rng.randint(2, 10)
+def random_presentation(rng: random.Random, max_vertices: int = 10):
+    n = rng.randint(2, max_vertices)
     density = rng.uniform(0.2, 0.8)
     groups = ["Z", "cyclic 2", "cyclic 3", "cyclic 5", s3_table()]
     vertices = [{"name": f"v{i}", "group": rng.choice(groups)} for i in range(n)]
@@ -83,6 +95,69 @@ def digest_seed(seed: int, hashes, counts) -> None:
     ball_vertices = rng.sample(pres.vertices, min(3, len(pres.vertices)))
     for e in iter_ball(pres, 3, window=1, vertices=ball_vertices):
         feed("iter_ball", e.key)
+    ball_vertices = rng.sample(pres.vertices, rng.randint(1, min(4, len(pres.vertices))))
+    for e in iter_ball(pres, 3, window=2, vertices=ball_vertices):
+        feed("iter_ball.subset", e.key)
+    digest_searches(random_presentation(rng, max_vertices=4), rng, feed)
+
+
+def keys(elements):
+    return tuple(e.key for e in elements)
+
+
+def digest_searches(pres, rng: random.Random, feed) -> None:
+    alphabet = corpus.syllable_alphabet(pres, z_window=2)
+
+    def element_on(vertices, max_len, min_len=0):
+        letters = [s for s in alphabet if s.vertex in vertices]
+        length = rng.randint(min_len, max_len) if letters else 0
+        return reduce(pres, Word(tuple(rng.choice(letters) for _ in range(length))))
+
+    everywhere = set(pres.vertices)
+    for _ in range(3):
+        x = element_on(everywhere, 4)
+        y = conjugate(element_on(everywhere, 2), x) if rng.random() < 0.5 else element_on(everywhere, 4)
+        found = brute_force_conjugate(x, y, 2)
+        feed("brute_force_conjugate", (found.status, found.conjugator and found.conjugator.key))
+
+    g = cyclically_reduce(element_on(everywhere, 5, 1)).reduced
+    report = centralizer_structure_check(g, 3)
+    feed("centralizer_structure_check", (report.ball_size, keys(report.centralizer), keys(report.violations)))
+
+    # c1 x1 ... cn xn at a random apex: consonants on the apex, pieces on the A-side
+    view = decompose_at(pres, rng.choice(pres.vertices))
+
+    def consonant_leading():
+        e = element_on(view.c_vertices, 1, 1)
+        for _ in range(rng.randint(0, 2)):
+            e = multiply(multiply(e, element_on(view.a_vertices, 2)), element_on(view.c_vertices, 1, 1))
+        return multiply(e, element_on(view.a_vertices, 2))
+
+    for _ in range(3):
+        g = consonant_leading()
+        try:
+            report = centralizer_check(view, g, 2)
+            feed("centralizer_check", (report.kind, report.unresolved, keys(report.centralizer), keys(report.violations)))
+        except AmalgamError as exc:
+            feed("centralizer_check", ("AmalgamError", str(exc)))
+        b_vertices = set(rng.sample(sorted(view.a_vertices), rng.randint(0, len(view.a_vertices))))
+        b = element_on(b_vertices, 2) if rng.random() < 0.5 else element_on(everywhere, 2)
+        f = conjugate(b, g) if rng.random() < 0.75 else consonant_leading()
+        try:
+            answer = amalgam_conjugate_by(view, b_vertices, f, g, 2)
+            conjugator = answer.conjugator and answer.conjugator.key
+            feed("amalgam_conjugate_by", (answer.status, conjugator, answer.failed_condition))
+        except AmalgamError as exc:
+            feed("amalgam_conjugate_by", ("AmalgamError", str(exc)))
+
+    def parabolic():
+        core = frozenset(rng.sample(pres.vertices, rng.randint(1, len(pres.vertices))))
+        return ParabolicSubgroup(element_on(everywhere, 2), core)
+
+    result = parabolic_intersection_search(parabolic(), parabolic(), 2)
+    found = result.parabolic
+    core = found and sorted(found.core, key=pres.vertex_index)
+    feed("parabolic_intersection_search", (result.status, found and found.conjugator.key, core))
 
 
 def main() -> None:

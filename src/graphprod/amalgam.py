@@ -321,7 +321,7 @@ def amalgam_conjugate_by(
     else:
         b0 = None
         for candidate in iter_ball(pres, radius, window=radius, vertices=b_set):
-            if conjugate(candidate, xp) == yp:
+            if multiply(candidate, xp) == multiply(yp, candidate):
                 b0 = candidate
                 break
         if b0 is None:
@@ -332,6 +332,7 @@ def amalgam_conjugate_by(
     for i in range(1, n):
         x_cum.append(multiply(x_cum[-1], gf.x_pieces[i]))
         y_cum.append(multiply(y_cum[-1], ff.x_pieces[i]))
+    y_cum_inv = [invert(y) for y in y_cum]
 
     x0_inv = invert(gf.x_pieces[0])
     y0 = ff.x_pieces[0]
@@ -341,11 +342,11 @@ def amalgam_conjugate_by(
         if not _supported_in(b, b_ids):
             continue
         t = multiply(b0_inv, b)
-        if not _supported_in(t, b_ids) or conjugate(t, xp) != xp:
+        if not _supported_in(t, b_ids) or multiply(t, xp) != multiply(xp, t):
             continue
         ok = True
         for i in range(1, n):
-            if not _supported_in(multiply(multiply(invert(y_cum[i]), b), x_cum[i]), view.h_ids):
+            if not _supported_in(multiply(multiply(y_cum_inv[i], b), x_cum[i]), view.h_ids):
                 ok = False
                 break
         if not ok:
@@ -405,7 +406,7 @@ def centralizer_check(view: AmalgamView, g: Element, radius: int) -> Centralizer
         x1 = form.x_pieces[-1]
         star_ids = view.c_ids | view.h_ids
         for u in elements:
-            centralizes = conjugate(u, g) == g
+            centralizes = multiply(u, g) == multiply(g, u)
             if centralizes:
                 members.append(u)
             if _supported_in(u, star_ids):
@@ -413,8 +414,8 @@ def centralizer_check(view: AmalgamView, g: Element, radius: int) -> Centralizer
                 uh = retract_key(pres, u.key, view.h_ids)
                 factored = (
                     multiply(uc, uh) == u
-                    and conjugate(uc, c1) == c1
-                    and conjugate(uh, x1) == x1
+                    and multiply(uc, c1) == multiply(c1, uc)
+                    and multiply(uh, x1) == multiply(x1, uh)
                 )
             else:
                 factored = False
@@ -441,17 +442,17 @@ def centralizer_check(view: AmalgamView, g: Element, radius: int) -> Centralizer
         elif answer.status == "unknown":
             unresolved.append(l)
     powers = {l: power(g, -l) for l in range(-radius, radius + 1)}
+    omega_invs = [invert(omega) for omega in omegas]
     for u in elements:
-        centralizes = conjugate(u, g) == g
-        if not centralizes:
+        if multiply(u, g) != multiply(g, u):
             continue
         members.append(u)
         factored = False
-        for omega in omegas:
-            base = multiply(u, invert(omega))
+        for omega_inv in omega_invs:
+            base = multiply(u, omega_inv)
             for l in range(-radius, radius + 1):
                 h = multiply(base, powers[l])
-                if _supported_in(h, view.h_ids) and conjugate(h, g) == g:
+                if _supported_in(h, view.h_ids) and multiply(h, g) == multiply(g, h):
                     factored = True
                     break
             if factored:

@@ -126,7 +126,7 @@ def brute_force_conjugate(x: Element, y: Element, radius: int) -> BruteForceConj
     """
     _check_same(x, y)
     for w in iter_ball(x.pres, radius, window=radius):
-        if conjugate(w, x) == y:
+        if multiply(w, x) == multiply(y, w):
             return BruteForceConjugacy("yes", w)
     return BruteForceConjugacy("exhausted", None)
 

@@ -8,6 +8,7 @@ subgroups are closed under taking canonical forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, List, Optional
 
 from .presentation import GroupPresentation, InvariantError, PresentationError, link_of
@@ -36,6 +37,10 @@ class ParabolicSubgroup:
     def pres(self) -> GroupPresentation:
         return self.conjugator.pres
 
+    @cached_property
+    def conjugator_inverse(self) -> Element:
+        return invert(self.conjugator)
+
 
 def full_parabolic(pres: GroupPresentation, core: Iterable[str]) -> ParabolicSubgroup:
     return ParabolicSubgroup(identity(pres), frozenset(core))
@@ -53,7 +58,7 @@ def parabolic_closure_of_cyclic(g: Element) -> ParabolicSubgroup:
 
 def parabolic_membership(p: ParabolicSubgroup, u: Element) -> bool:
     _check_same(p.conjugator, u)
-    moved = multiply(multiply(invert(p.conjugator), u), p.conjugator)
+    moved = multiply(multiply(p.conjugator_inverse, u), p.conjugator)
     return moved.support() <= p.core
 
 
@@ -62,7 +67,7 @@ def normalizer_membership(p: ParabolicSubgroup, u: Element) -> bool:
     _check_same(p.conjugator, u)
     pres = p.pres
     allowed = p.core | link_of(pres.graph, p.core)
-    moved = multiply(multiply(invert(p.conjugator), u), p.conjugator)
+    moved = multiply(multiply(p.conjugator_inverse, u), p.conjugator)
     return moved.support() <= allowed
 
 
@@ -123,11 +128,11 @@ def centralizer_structure_check(g: Element, radius: int) -> CentralizerStructure
     count = 0
     for u in iter_ball(pres, radius, window=radius):
         count += 1
-        centralizes = conjugate(u, g) == g
+        centralizes = multiply(u, g) == multiply(g, u)
         supported = all(vi in allowed_ids for vi, _ in u.key)
         if supported:
             u_core = retract_key(pres, u.key, core_ids)
-            factored = conjugate(u_core, g) == g
+            factored = multiply(u_core, g) == multiply(g, u_core)
         else:
             factored = False
         if centralizes:

@@ -318,16 +318,13 @@ def brute_force_equal(pres: GroupPresentation, w1: Word, w2: Word, budget: int) 
 
 def _generator_syllables(
     pres: GroupPresentation, window: int, vertices: Optional[Iterable[str]] = None
-) -> List[Tuple[int, int]]:
+) -> List[Tuple[int, List[int]]]:
+    """Each generating vertex index, ascending, with its sorted nontrivial values."""
     if vertices is None:
         indices = range(len(pres.vertices))
     else:
-        indices = sorted(pres.vertex_index(v) for v in vertices)
-    gens = []
-    for vi in indices:
-        for val in sorted(pres.by_index[vi].nontrivial_keys(window)):
-            gens.append((vi, val))
-    return gens
+        indices = sorted({pres.vertex_index(v) for v in vertices})
+    return [(vi, sorted(pres.by_index[vi].nontrivial_keys(window))) for vi in indices]
 
 
 def iter_ball(
@@ -336,38 +333,51 @@ def iter_ball(
     window: Optional[int] = None,
     vertices: Optional[Iterable[str]] = None,
 ):
-    """Yield all elements of length <= radius in a deterministic order.
+    """Yield all elements of length <= radius, sorted by (length, key).
 
     Integer-vertex syllable exponents range over [-window, window]; the window
     defaults to the radius.  With a vertex subset, enumerates the ball of the
     corresponding full subgroup.
+
+    Each element is generated once, from its canonical prefix (a reverse
+    search).  Deleting the last syllable of a least-vertex-first key deletes a
+    maximal element of the trace and leaves a least-vertex-first key, so an
+    element of length n + 1 has exactly one parent, key[:-1].  A parent is
+    therefore extended only by the syllables that `_push` would append: the
+    backward scan over syllables commuting with the new vertex must reach a
+    non-commuting syllable, or the start, before it meets the same vertex (a
+    join) or a greater one (an insertion).  Parents run in key order and
+    syllables in (vertex, value) order, so each level comes out sorted.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     window = radius if window is None else window
+    if window < 0:
+        raise ValueError("window must be nonnegative")
     gens = _generator_syllables(pres, window, vertices)
-    root = identity(pres)
-    yield root
-    seen = {root.key}
-    level = [root]
+    level = [identity(pres)]
+    yield level[0]
     for _ in range(radius):
         grown = []
         for e in level:
-            for vi, val in gens:
-                out = list(e.key)
-                _push(pres, out, vi, val)
-                if len(out) != len(e.key) + 1:
-                    continue
-                candidate = Element(pres, tuple(out))
-                if candidate.key not in seen:
-                    seen.add(candidate.key)
-                    grown.append(candidate)
-        grown.sort(key=Element.sort_key)
-        for e in grown:
-            yield e
+            key = e.key
+            for vi, vals in gens:
+                link = pres.iadj[vi]
+                for ui, _ in reversed(key):
+                    if ui not in link:
+                        appends = ui != vi  # a vertex is not in its own link
+                        break
+                    if ui > vi:  # _push would insert before ui
+                        appends = False
+                        break
+                else:
+                    appends = True
+                if appends:
+                    for val in vals:
+                        child = Element(pres, key + ((vi, val),))
+                        yield child
+                        grown.append(child)
         level = grown
-        if not level:
-            return
 
 
 def ball(pres, radius, window=None, vertices=None) -> List[Element]:

@@ -50,6 +50,34 @@ def greedy_least_vertex_first(pres, key):
     return tuple(out)
 
 
+def ball_by_enumeration(pres, radius, window, vertices=None):
+    """The keys of the radius ball, sorted by (length, key), from all short words.
+
+    Builds every syllable sequence of length <= radius over the generating
+    syllables, keeps the reduced ones, linearizes them greedily and removes
+    duplicates: two reduced words are the same element iff they are shuffles
+    of each other, so equal elements meet in one greedy linearization.
+    """
+    indices = range(len(pres.vertices)) if vertices is None else {pres.vertex_index(v) for v in vertices}
+    gens = [(vi, val) for vi in sorted(indices) for val in pres.by_index[vi].nontrivial_keys(window)]
+
+    def reduced(word):
+        # no two syllables of one vertex with only commuting syllables between them
+        for i, (vi, _) in enumerate(word):
+            for uj, _ in word[i + 1 :]:
+                if uj == vi:
+                    return False
+                if uj not in pres.iadj[vi]:
+                    break
+        return True
+
+    words = [()]
+    for length in range(radius):
+        words += [w + (g,) for w in words if len(w) == length for g in gens]
+    keys = {greedy_least_vertex_first(pres, w) for w in words if reduced(w)}
+    return sorted(keys, key=lambda key: (len(key), key))
+
+
 def first_letters_by_enumeration(pres, element):
     names = pres.vertices
     return frozenset(names[w[0][0]] for w in shuffle_class(pres, element.key) if w)

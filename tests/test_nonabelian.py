@@ -56,7 +56,7 @@ from graphprod.separability import (
     residual_witness,
 )
 
-from oracles import greedy_least_vertex_first
+from oracles import ball_by_enumeration, greedy_least_vertex_first
 
 
 def s3_config():
@@ -290,6 +290,19 @@ def test_ball_elements_match_greedy_least_vertex_first(name):
     pres = NORMAL_FORM_PRESENTATIONS[name]
     for e in iter_ball(pres, 3, window=1):
         assert_least_vertex_first(e)
+
+
+@pytest.mark.parametrize("subset", [False, True])
+@pytest.mark.parametrize("name", sorted(NORMAL_FORM_PRESENTATIONS))
+def test_ball_matches_enumeration(name, subset):
+    # the same keys in the same order as all short reduced words, linearized and sorted
+    pres = NORMAL_FORM_PRESENTATIONS[name]
+    window = 1 if len(pres.vertices) > 3 else 2
+    # every other vertex, listed twice: a repeated vertex adds no generators
+    vertices = pres.vertices[::2] * 2 if subset else None
+    for radius in range(4):
+        expected = ball_by_enumeration(pres, radius, window, vertices)
+        assert [e.key for e in iter_ball(pres, radius, window, vertices)] == expected
 
 
 # Blocks of two non-adjacent vertices, pairwise joined, and a central z: the

@@ -224,3 +224,13 @@ def test_ball_enumeration_census(edge_zz, free_zz, path_racg):
     b4 = ball(free_zz, 3, window=3, vertices={"x"})
     assert all(e.support() <= {"x"} for e in b4)
     assert len(b4) == 7  # x-exponents in [-3, 3]
+
+
+def test_ball_window_must_be_nonnegative(free_zz, path_racg):
+    from graphprod.words import ball
+
+    with pytest.raises(ValueError, match="window must be nonnegative"):
+        ball(free_zz, 2, window=-1)
+    # window 0 leaves no integer syllables; finite vertex groups keep theirs
+    assert ball(free_zz, 2, window=0) == [identity(free_zz)]
+    assert ball(path_racg, 6, window=0) == ball(path_racg, 6)
