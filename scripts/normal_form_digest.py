@@ -8,7 +8,9 @@ canonical_form, cyclically_reduce (core and conjugator), are_conjugate
 window 2 on a second vertex subset) into one hash per function.  A second,
 smaller random graph (2-4 vertices) feeds the bounded searches at radius 2-3:
 brute_force_conjugate, centralizer_structure_check, centralizer_check,
-amalgam_conjugate_by and parabolic_intersection_search.  Two checkouts that
+amalgam_conjugate_by and parabolic_intersection_search.  Last, words of at
+most 12 syllables on the first graph feed the JSON of residual_witness and
+of conjugacy_witness on non-conjugate pairs.  Two checkouts that
 print the same digests return the same keys on every input, so a change that
 must keep the normal form and the search results is checked by running
 
@@ -28,6 +30,7 @@ from graphprod.amalgam import AmalgamError, amalgam_conjugate_by, centralizer_ch
 from graphprod.conjugacy import are_conjugate, brute_force_conjugate
 from graphprod.cyclic import cyclically_reduce
 from graphprod.parabolic import ParabolicSubgroup, centralizer_structure_check, parabolic_intersection_search
+from graphprod.separability import conjugacy_witness, residual_witness
 from graphprod.words import canonical_form, conjugate, invert, iter_ball, multiply, reduce
 
 FUNCTIONS = (
@@ -45,6 +48,8 @@ FUNCTIONS = (
     "centralizer_check",
     "amalgam_conjugate_by",
     "parabolic_intersection_search",
+    "residual_witness",
+    "conjugacy_witness",
 )
 
 
@@ -99,6 +104,14 @@ def digest_seed(seed: int, hashes, counts) -> None:
     for e in iter_ball(pres, 3, window=2, vertices=ball_vertices):
         feed("iter_ball.subset", e.key)
     digest_searches(random_presentation(rng, max_vertices=4), rng, feed)
+    for _ in range(5):
+        x = element(12)
+        if not x.is_identity:
+            feed("residual_witness", residual_witness(x).to_json())
+        # a conjugate of x times one syllable often keeps the support and length
+        y = element(12) if rng.random() < 0.5 else conjugate(element(4), multiply(x, element(1)))
+        if not are_conjugate(x, y).conjugate:
+            feed("conjugacy_witness", conjugacy_witness(x, y).to_json())
 
 
 def keys(elements):

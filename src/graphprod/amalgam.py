@@ -157,13 +157,7 @@ def amalgam_form_of_word(view: AmalgamView, word: Word) -> AmalgamForm:
 
 
 def multiply_out(view: AmalgamView, form: AmalgamForm) -> Element:
-    pres = view.pres
-    group = pres.by_index[view.apex_index]
-    result = form.x_pieces[0]
-    for value, piece in zip(form.consonants, form.x_pieces[1:]):
-        c = Element(pres, ((view.apex_index, group.encode(value)),))
-        result = multiply(multiply(result, c), piece)
-    return result
+    return multiply(form.x_pieces[0], _prefixes(view, form)[-1])
 
 
 def is_amalgam_cyclically_reduced(view: AmalgamView, form: AmalgamForm) -> bool:

@@ -222,7 +222,7 @@ OPTIONS = {
     "group": (("-g", "--group"), dict(required=True, help="presentation file (JSON)")),
     "json": (("--json",), dict(action="store_true")),
     "vertex": (("--vertex",), dict(required=True, help="apex vertex for amalgam commands")),
-    "radius": (("--radius",), dict(type=int, default=6, help="bounded-search radius")),
+    "radius": (("--radius",), dict(type=int, default=4, help="bounded-search radius")),
     "mode": (("--mode",), dict(default="finite", help="finite or p:<prime>")),
     "seed": (("--seed",), dict(type=int, default=0)),
     "core": (("--core",), dict(required=True, help="comma-separated core vertices")),

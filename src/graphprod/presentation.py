@@ -104,9 +104,6 @@ class FiniteTableGroup:
     def is_identity(self, a: int) -> bool:
         return a == self.identity_key
 
-    def contains_key(self, a) -> bool:
-        return isinstance(a, int) and 0 <= a < len(self.elements)
-
     def nontrivial_keys(self, window: Optional[int] = None) -> list:
         return [i for i in range(len(self.elements)) if i != self.identity_key]
 
@@ -153,9 +150,6 @@ class IntegerGroup:
 
     def is_identity(self, a: int) -> bool:
         return a == 0
-
-    def contains_key(self, a) -> bool:
-        return isinstance(a, int)
 
     def nontrivial_keys(self, window: Optional[int] = None) -> list:
         if window is None:
@@ -205,9 +199,6 @@ class IntegersModGroup:
 
     def is_identity(self, a: int) -> bool:
         return a % self.modulus == 0
-
-    def contains_key(self, a) -> bool:
-        return isinstance(a, int) and 0 <= a < self.modulus
 
     def nontrivial_keys(self, window: Optional[int] = None) -> list:
         return list(range(1, self.modulus))

@@ -22,7 +22,7 @@ from .presentation import (
     SimplicialGraph,
     induced_presentation,
 )
-from .words import Element, _check_same, invert, multiply, reduce, retract_key
+from .words import Element, _check_same, _make, invert, multiply, reduce, retract_key
 from .cyclic import commuting_factors, cyclically_reduce, cyclic_permutations, ps_decompose
 from .conjugacy import are_conjugate
 
@@ -110,14 +110,8 @@ def apply_quotient(family: QuotientFamily, e: Element) -> Element:
     syllables = []
     for vi, val in e.key:
         group = target.by_index[vi]
-        if group.kind == "table":
-            syllables.append((vi, val))
-        else:
-            syllables.append((vi, val % group.order))
-    word = tuple(target.decode_syllable(vi, val) for vi, val in syllables)
-    from .presentation import Word
-
-    return reduce(target, Word(word))
+        syllables.append((vi, val if group.kind == "table" else val % group.order))
+    return _make(target, syllables)
 
 
 def _collect_shape_constraints(constraints: Dict[str, set], elements: Iterable[Element]) -> None:

@@ -6,7 +6,9 @@ that need an oracle run on deterministic seeded samples of corpus pairs,
 sized so each criterion stays inside its time budget; sampling choices are
 documented inline.  The rewriting-closure oracle gets the fixed budget of
 1e5 states, so sampled pairs are capped at 10 total syllables (8 where every
-vertex pair commutes), which is what that budget can exhaust.
+vertex pair commutes), which is what that budget can exhaust.  Criteria 1-8
+build their inputs here and run the checks of `graphprod.selftest`, which
+`gp selftest` runs on its own smaller inputs.
 """
 
 import itertools
@@ -19,55 +21,33 @@ from pathlib import Path
 import pytest
 
 from graphprod import corpus
-from graphprod.presentation import Word
-from graphprod.words import (
-    ball,
-    brute_force_equal,
-    conjugate,
-    element_of,
-    invert,
-    iter_ball,
-    multiply,
-    reduce,
-    shape,
-)
-from graphprod.cyclic import (
-    cyclically_reduce,
-    is_cyclically_reduced,
-    ps_decompose,
-)
-from graphprod.conjugacy import (
-    are_conjugate,
-    brute_force_conjugate,
-    conjugacy_class_in_ball,
-)
+from graphprod.words import ball, element_of, iter_ball, reduce
+from graphprod.cyclic import cyclically_reduce
+from graphprod.conjugacy import are_conjugate, brute_force_conjugate, conjugacy_class_in_ball
 from graphprod.amalgam import (
-    amalgam_form,
-    amalgam_form_of_word,
     centralizer_check,
     consonant_leading_form,
     decompose_at,
     is_amalgam_cyclically_reduced,
 )
-from graphprod.parabolic import (
-    ParabolicSubgroup,
-    full_parabolic,
-    maximal_full_avoiding,
-    normalizer_membership,
-    parabolic_closure_of_cyclic,
-    parabolic_generators,
-    parabolic_membership,
-)
-from graphprod.separability import (
-    apply_quotient,
-    ALL_FINITE,
-    conjugacy_witness,
-    p_group_mode,
-    residual_witness,
+from graphprod.parabolic import full_parabolic
+from graphprod.separability import ALL_FINITE, conjugacy_witness, p_group_mode, residual_witness
+from graphprod.selftest import (
+    check_centralizer,
+    check_centralizer_split,
+    check_confluence,
+    check_conjugacy,
+    check_consonants,
+    check_cyclic_reduction,
+    check_equality,
+    check_normalizer,
+    check_parabolic_closure,
+    check_ps_split,
+    check_reduction,
+    check_witness,
 )
 
 DATA = Path(__file__).parent / "data"
-BUDGET = 100_000
 RANDOM_WORDS = 500
 
 
@@ -100,28 +80,25 @@ def _complete_graph(pres):
 
 def test_criterion_1_normal_form_uniqueness(corpora, canonical_buckets):
     """Canonical-form equality agrees with the rewriting-closure oracle."""
-    disagreements = 0
     for name, (pres, words) in corpora.items():
         buckets = canonical_buckets[name]
         rng = random.Random(7)
+        strategy = random.Random(11)  # the confluence check's own choices
         cap = 8 if _complete_graph(pres) else 10
         # triviality agreement on a seeded word sample
         short = [w for w in words if len(w) <= 6]
         for w in (short[i] for i in sorted(rng.sample(range(len(short)), min(200, len(short))))):
-            if brute_force_equal(pres, w, Word(()), BUDGET) != reduce(pres, w).is_identity:
-                disagreements += 1
+            check_reduction(pres, w)
+            check_confluence(pres, w, strategy)
         # equal pairs: same canonical form, oracle must confirm
         multi = [b for b in buckets.values() if len(b) >= 2]
         checked = 0
         while multi and checked < 200:
             bucket = rng.choice(multi)
             w1, w2 = rng.sample(bucket, 2)
-            if len(w1) + len(w2) > cap:
-                checked += 1
-                continue
-            if not brute_force_equal(pres, w1, w2, BUDGET):
-                disagreements += 1
             checked += 1
+            if len(w1) + len(w2) <= cap:
+                check_equality(pres, w1, w2)
         # unequal pairs: different canonical forms, oracle must refute
         reps = list(buckets.values())
         checked = 0
@@ -131,11 +108,8 @@ def test_criterion_1_normal_form_uniqueness(corpora, canonical_buckets):
                 continue
             w1, w2 = rng.choice(b1), rng.choice(b2)
             checked += 1
-            if len(w1) + len(w2) > cap:
-                continue
-            if brute_force_equal(pres, w1, w2, BUDGET):
-                disagreements += 1
-    assert disagreements == 0
+            if len(w1) + len(w2) <= cap:
+                check_equality(pres, w1, w2)
     print("PASS criterion 1: normal-form uniqueness vs rewriting oracle")
 
 
@@ -161,7 +135,6 @@ def test_criterion_2_conjugacy_vs_oracle(corpora, canonical_buckets):
     presentation runs at radius 4 and criterion-positive pairs whose verified
     conjugator falls outside that ball are counted via the witness itself.
     """
-    disagreements = 0
     verified = 0
     for name, (pres, words) in corpora.items():
         radius = 4 if name == "free-zz" else 6
@@ -172,104 +145,41 @@ def test_criterion_2_conjugacy_vs_oracle(corpora, canonical_buckets):
         for x in xs:
             reachable = conjugacy_class_in_ball(x, radius)
             for y in ys:
-                verdict = are_conjugate(x, y)
-                oracle_found = y in reachable
-                if verdict.conjugate:
-                    w = verdict.conjugator
-                    if conjugate(w, x) != y:
-                        disagreements += 1
-                        continue
-                    verified += 1
-                    in_ball = len(w) <= radius and all(abs(v) <= radius for _, v in w.key)
-                    if in_ball and not oracle_found:
-                        disagreements += 1
-                else:
-                    if oracle_found:
-                        disagreements += 1
+                verdict = check_conjugacy(x, y, reachable, radius)
+                verified += verdict.conjugate
                 if spot_checks and not verdict.conjugate:
                     spot_checks -= 1
                     assert brute_force_conjugate(x, y, 2).status == "exhausted"
-    assert disagreements == 0
     assert verified > 0
     print("PASS criterion 2: conjugacy criterion vs ball oracle")
 
 
 def test_criterion_3_cyclic_reduction_contract(corpora, canonical_buckets):
-    failures = 0
-    for name, (pres, _) in corpora.items():
+    for name in corpora:
         for g in canonical_buckets[name]:
-            r = cyclically_reduce(g)
-            if not is_cyclically_reduced(r.reduced):
-                failures += 1
-            if conjugate(r.conjugator, r.reduced) != g:
-                failures += 1
-            if len(r.reduced) > len(g):
-                failures += 1
-    assert failures == 0
+            check_cyclic_reduction(g)
     print("PASS criterion 3: cyclic reduction contract on all corpus elements")
 
 
 def test_criterion_4_criterion_equivalences(corpora, canonical_buckets):
-    failures = 0
-    for name, (pres, _) in corpora.items():
+    for name in corpora:
         for g in canonical_buckets[name]:
-            ps = ps_decompose(g)
-            report = shape(g)
-            p_report = shape(ps.p_part)
-            conditions = (
-                is_cyclically_reduced(g),
-                not (report.first_letters & report.last_letters) - ps.s_vertices,
-                not p_report.first_letters & p_report.last_letters,
-                is_cyclically_reduced(ps.p_part),
-            )
-            if len(set(conditions)) != 1:
-                failures += 1
-            if report.first_letters != ps.s_vertices | p_report.first_letters:
-                failures += 1
-            if ps.s_vertices & p_report.first_letters:
-                failures += 1
-            if report.last_letters != ps.s_vertices | p_report.last_letters:
-                failures += 1
-            if ps.s_vertices & p_report.last_letters:
-                failures += 1
-    assert failures == 0
+            check_ps_split(g)
     print("PASS criterion 4: S/P and cyclic-reducedness equivalences")
 
 
 def test_criterion_5_consonant_invariance(corpora):
-    failures = 0
     for name, (pres, _) in corpora.items():
         rng = random.Random(19)
         for apex in pres.vertices:
             view = decompose_at(pres, apex)
             for _ in range(1000):
                 w = corpus.random_word(pres, rng, 7)
-                variant = corpus.shuffled_variant(pres, w, rng)
-                f1 = amalgam_form_of_word(view, w)
-                f2 = amalgam_form_of_word(view, variant)
-                if f1.consonants != f2.consonants:
-                    failures += 1
-                if f1.consonant_length >= 1 and reduce(pres, w).is_identity:
-                    failures += 1
-    assert failures == 0
+                check_consonants(view, w, corpus.shuffled_variant(pres, w, rng))
     print("PASS criterion 5: amalgam consonant invariance (1000 pairs/apex)")
 
 
-def _i_membership(view, b, x_cum, x_prod):
-    pres = view.pres
-    if not b.support() <= view.a_vertices:
-        return False
-    if conjugate(b, x_prod) != x_prod:
-        return False
-    for c in x_cum:
-        moved = multiply(multiply(invert(c), b), c)
-        if not moved.support() <= view.h_vertices:
-            return False
-    return True
-
-
 def test_criterion_6_centralizer_formulas():
-    failures = 0
     for config in (corpus.PATH_RACG, corpus.PATH_C3_END, corpus.PATH_C3_MID):
         pres = corpus.build(config)
         for apex in pres.vertices:
@@ -285,67 +195,33 @@ def test_criterion_6_centralizer_formulas():
                 if is_amalgam_cyclically_reduced(view, form):
                     candidates.append(g)
             for g in sorted(set(candidates), key=lambda e: e.sort_key())[:4]:
-                report = centralizer_check(view, g, 4)
-                if not report.ok or report.unresolved:
-                    failures += 1
-                # the coset-intersection description of A-side centralizers
-                gform = amalgam_form(view, g)
-                xs = gform.x_pieces
-                x_cum = [xs[0]]
-                for piece in xs[1:-1]:
-                    x_cum.append(multiply(x_cum[-1], piece))
-                x_prod = multiply(x_cum[-1], xs[-1])
-                for b in iter_ball(pres, 4, vertices=view.a_vertices):
-                    if _i_membership(view, b, x_cum, x_prod) != (conjugate(b, g) == g):
-                        failures += 1
+                check_centralizer(view, g, 4)
+                check_centralizer_split(g, 4)
     # the pinned value: the centralizer of c*b at apex c in the path
     pres = corpus.build(corpus.PATH_RACG)
     view = decompose_at(pres, "c")
     report = centralizer_check(view, element_of(pres, "c[1] b[1]"), 4)
     expected = {"1", "b[1]", "c[1]", "b[1] c[1]"}
     assert {e.render() for e in report.centralizer} == expected and report.ok
-    assert failures == 0
     print("PASS criterion 6: centralizer factorization and coset-intersection formulas")
 
 
 def test_criterion_7_parabolic_suite(corpora, canonical_buckets):
-    failures = 0
     for name, (pres, _) in corpora.items():
         rng = random.Random(37)
         elements = _element_samples(pres, canonical_buckets[name], rng, 12)
         small_conjugators = ball(pres, 3, window=3)
         for g in elements:
-            if g.is_identity:
-                continue
-            closure = parabolic_closure_of_cyclic(g)
-            if not parabolic_membership(closure, g):
-                failures += 1
-            for h in small_conjugators:
-                for drop in closure.core:
-                    if parabolic_membership(ParabolicSubgroup(h, closure.core - {drop}), g):
-                        failures += 1
-            cert = maximal_full_avoiding(g)
-            if cert.consonant_length < 1:
-                failures += 1
-        cores = [frozenset({pres.vertices[0]}), frozenset(pres.vertices[:2])]
-        for core in cores:
+            if not g.is_identity:
+                check_parabolic_closure(g, small_conjugators)
+        for core in (pres.vertices[:1], pres.vertices[:2]):
             p = full_parabolic(pres, core)
-            gens = parabolic_generators(p)
             for u in iter_ball(pres, 4, window=4):
-                formula = normalizer_membership(p, u)
-                direct = all(
-                    parabolic_membership(p, conjugate(u, gen))
-                    and parabolic_membership(p, conjugate(invert(u), gen))
-                    for gen in gens
-                )
-                if formula != direct:
-                    failures += 1
-    assert failures == 0
+                check_normalizer(p, u)
     print("PASS criterion 7: parabolic closures, normalizers, avoidance certificates")
 
 
 def test_criterion_8_witnesses(corpora, canonical_buckets):
-    failures = 0
     p_modes = {
         "path-racg": [p_group_mode(2)],
         "star-racg": [p_group_mode(2)],
@@ -360,35 +236,14 @@ def test_criterion_8_witnesses(corpora, canonical_buckets):
             built = 0
             for x in elements:
                 if not x.is_identity:
-                    w = residual_witness(x, mode)
-                    if not w.verify():
-                        failures += 1
+                    check_witness(residual_witness(x, mode))
             for x, y in itertools.combinations(elements, 2):
                 if built >= 20:
                     break
                 if are_conjugate(x, y).conjugate:
                     continue
-                w = conjugacy_witness(x, y, mode)
+                check_witness(conjugacy_witness(x, y, mode))
                 built += 1
-                if not w.verify():
-                    failures += 1
-                # shape preservation holds for the cyclically reduced cores,
-                # which are what the quotient family is built around
-                for e in w.inputs:
-                    core = cyclically_reduce(e).reduced
-                    img = apply_quotient(w.family, core)
-                    if len(img) != len(core) or img.support() != core.support():
-                        failures += 1
-                    if is_cyclically_reduced(core) and not is_cyclically_reduced(img):
-                        failures += 1
-                if mode.is_p_mode:
-                    for m in w.family.moduli.values():
-                        if m is None:
-                            continue
-                        while m % mode.p == 0:
-                            m //= mode.p
-                        if m != 1:
-                            failures += 1
             assert built > 0
     # pinned values
     free_zz = corpus.build(corpus.FREE_ZZ)
@@ -396,7 +251,6 @@ def test_criterion_8_witnesses(corpora, canonical_buckets):
     assert pair.family.moduli == {"x": 3} and pair.verify()
     res = residual_witness(element_of(free_zz, "x[6]"), p_group_mode(2))
     assert res.family.moduli["x"] == 4 and res.verify()
-    assert failures == 0
     print("PASS criterion 8: witness soundness, completeness, shape preservation")
 
 

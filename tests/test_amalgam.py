@@ -6,13 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from graphprod import corpus, parse_presentation
 from graphprod.presentation import Word
-from graphprod.words import conjugate, element_of, identity, invert, iter_ball, multiply, reduce
+from graphprod.words import conjugate, element_of, identity, invert, multiply, reduce
 from graphprod.cyclic import cyclically_reduce
 from graphprod.amalgam import (
     AmalgamError,
     amalgam_conjugate_by,
     amalgam_form,
-    amalgam_form_of_word,
     centralizer_check,
     conjugator_classify,
     consonant_leading_form,
@@ -21,6 +20,7 @@ from graphprod.amalgam import (
     multiply_out,
     sigma_map,
 )
+from graphprod.selftest import check_centralizer, check_consonants
 
 PRESENTATIONS = corpus.corpus_presentations()
 
@@ -214,22 +214,7 @@ def test_centralizer_check_c3_variants():
 
 def test_i_formula_on_ball(path_racg):
     # centralizing ball elements of the A-side coincide with the coset intersection
-    view = decompose_at(path_racg, "c")
-    g = element_of(path_racg, "c[1] a[1]")
-    form = amalgam_form(view, g)
-    xs = form.x_pieces
-    x_cum = [xs[0]]
-    for piece in xs[1:-1]:
-        x_cum.append(multiply(x_cum[-1], piece))
-    x_prod = multiply(x_cum[-1], xs[-1])
-    for b in iter_ball(path_racg, 4, vertices=view.a_vertices):
-        in_i = conjugate(b, x_prod) == x_prod and all(
-            conjugate(multiply(invert(c), b), identity(path_racg)) is not None
-            and (multiply(multiply(invert(c), b), c)).support() <= view.h_vertices
-            for c in x_cum
-        )
-        centralizes = conjugate(b, g) == g
-        assert in_i == centralizes
+    check_centralizer(decompose_at(path_racg, "c"), element_of(path_racg, "c[1] a[1]"), 4)
 
 
 def test_consonant_invariance_under_shuffles(all_presentations):
@@ -239,11 +224,7 @@ def test_consonant_invariance_under_shuffles(all_presentations):
             view = decompose_at(pres, apex)
             for _ in range(60):
                 w = corpus.random_word(pres, rng, 7)
-                variant = corpus.shuffled_variant(pres, w, rng)
-                assert (
-                    amalgam_form_of_word(view, w).consonants
-                    == amalgam_form_of_word(view, variant).consonants
-                )
+                check_consonants(view, w, corpus.shuffled_variant(pres, w, rng))
 
 
 @given(data=st.data())

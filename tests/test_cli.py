@@ -37,6 +37,13 @@ def test_conj_outputs():
     assert "refutation: support-mismatch" in out
 
 
+def test_centralizer_check_default_radius():
+    # radius 4 by default: the radius-4 ball on free-zz has 9,361 elements
+    code, out, _ = gp("centralizer-check", "-g", str(DATA / "free-zz.json"), "--vertex", "x", "x[1] y[1]")
+    assert code == 0
+    assert "ball: 9361\n" in out and "violations: 0\n" in out
+
+
 def test_witness_json_reverifies_in_fresh_process():
     code, out, _ = gp("witness", "-g", str(DATA / "free-zz.json"), "--mode", "p:2", "x[1]", "x[2]")
     assert code == 0

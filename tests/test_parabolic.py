@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphprod import corpus
 from graphprod.presentation import PresentationError, Word
-from graphprod.words import conjugate, element_of, identity, invert, iter_ball, multiply, reduce
+from graphprod.words import conjugate, element_of, identity, iter_ball, multiply, reduce
 from graphprod.cyclic import cyclically_reduce
 from graphprod.parabolic import (
     ParabolicSubgroup,
@@ -19,6 +19,7 @@ from graphprod.parabolic import (
     parabolic_membership,
     parabolics_equal,
 )
+from graphprod.selftest import check_normalizer, check_parabolic_closure
 
 PRESENTATIONS = corpus.corpus_presentations()
 
@@ -64,14 +65,8 @@ def test_normalizer_formula_matches_ball_action(name):
     cores = [frozenset({pres.vertices[0]}), frozenset(pres.vertices[:2])]
     for core in cores:
         p = full_parabolic(pres, core)
-        gens = parabolic_generators(p)
         for u in iter_ball(pres, 3, window=3):
-            formula = normalizer_membership(p, u)
-            direct = all(
-                parabolic_membership(p, conjugate(u, g)) and parabolic_membership(p, conjugate(invert(u), g))
-                for g in gens
-            )
-            assert formula == direct
+            check_normalizer(p, u)
 
 
 def test_centralizer_structure_examples(path_racg):
@@ -147,16 +142,8 @@ def test_closure_minimality(name):
     elements = [reduce(pres, corpus.random_word(pres, rng, 4)) for _ in range(12)]
     candidates = [h for h in iter_ball(pres, 3, window=3)]
     for g in elements:
-        if g.is_identity:
-            continue
-        closure = parabolic_closure_of_cyclic(g)
-        assert parabolic_membership(closure, g)
-        for h in candidates:
-            for drop in closure.core:
-                smaller = ParabolicSubgroup(h, closure.core - {drop})
-                assert not parabolic_membership(smaller, g), (
-                    f"{g.render()} fits inside a smaller parabolic than its closure"
-                )
+        if not g.is_identity:
+            check_parabolic_closure(g, candidates)
 
 
 @given(data=st.data())

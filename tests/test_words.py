@@ -12,13 +12,13 @@ from graphprod.words import (
     element_of,
     identity,
     invert,
-    is_reduced_key,
     is_reduced_product,
     key_of_word,
     multiply,
     reduce,
     shape,
 )
+from graphprod.selftest import check_equality, check_reduction
 
 from oracles import (
     first_letters_by_enumeration,
@@ -131,13 +131,7 @@ def test_reduce_contracts_on_random_words(name):
     pres = PRESENTATIONS[name]
     rng = random.Random(11)
     for _ in range(150):
-        w = corpus.random_word(pres, rng, 9)
-        e = reduce(pres, w)
-        assert len(e) <= len(w)
-        assert is_reduced_key(pres, e.key)
-        assert reduce(pres, e.word()) == e
-        if len(w) <= 6:
-            assert e.is_identity == brute_force_equal(pres, w, Word(()), 100_000)
+        check_reduction(pres, corpus.random_word(pres, rng, 9))
 
 
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
@@ -146,9 +140,7 @@ def test_equality_agrees_with_rewriting_closure(name):
     rng = random.Random(23)
     words = [corpus.random_word(pres, rng, 5) for _ in range(60)]
     for _ in range(120):
-        w1, w2 = rng.choice(words), rng.choice(words)
-        expected = reduce(pres, w1) == reduce(pres, w2)
-        assert brute_force_equal(pres, w1, w2, 100_000) == expected
+        check_equality(pres, rng.choice(words), rng.choice(words))
 
 
 @given(data=st.data())
