@@ -10,8 +10,10 @@ smaller random graph (2-4 vertices) feeds the bounded searches at radius 2-3:
 brute_force_conjugate, centralizer_structure_check, centralizer_check,
 amalgam_conjugate_by and parabolic_intersection_search.  Last, words of at
 most 12 syllables on the first graph feed the JSON of residual_witness and
-of conjugacy_witness on non-conjugate pairs.  Two checkouts that
-print the same digests return the same keys on every input, so a change that
+of conjugacy_witness on non-conjugate pairs.  The "render" line hashes the
+text Element.render prints for the 40 reduced words of each seed (Z
+exponents of both signs, Z/n residues, S3 names).  Two checkouts that print
+the same digests return the same keys on every input, so a change that
 must keep the normal form and the search results is checked by running
 
     PYTHONPATH=src python3 scripts/normal_form_digest.py --seeds 20
@@ -50,6 +52,7 @@ FUNCTIONS = (
     "parabolic_intersection_search",
     "residual_witness",
     "conjugacy_witness",
+    "render",
 )
 
 
@@ -83,6 +86,7 @@ def digest_seed(seed: int, hashes, counts) -> None:
     elements = [element(200) for _ in range(40)]
     for e in elements:
         feed("reduce", e.key)
+        feed("render", e.render())
         feed("invert", invert(e).key)
         shuffled = corpus.shuffled_variant(pres, e.word(), rng, steps=4 * len(e))
         feed("canonical_form", canonical_form(pres, shuffled))

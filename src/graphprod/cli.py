@@ -3,8 +3,11 @@
 Exit codes: 0 decided/pass, 1 meaningful negative (unequal, non-conjugate,
 non-member, failed check), 2 unknown/exhausted, 3 usage or input error, or a
 certificate that failed its own re-check.
-Output is line-oriented, one fact per line; --json prints one object with
-sorted keys instead.
+Each subcommand builds one payload.  --json prints it as one object with
+sorted keys; otherwise every field prints as a `label: value` line, in order:
+the label is the key with `_` read as `-`, a bool prints as yes/no and a list
+as its items, or `-` when empty.  Only amalgam writes its own lines, to
+interleave its pieces and consonants.
 """
 
 from __future__ import annotations
@@ -13,194 +16,138 @@ import argparse
 import json
 import sys
 
-from .presentation import InvariantError, load_presentation, parse_word
-from .words import BudgetExceededError, reduce, shape
+from .presentation import InvariantError, load_presentation
+from .words import BudgetExceededError, element_of, identity, shape
 from .cyclic import cyclically_reduce, ps_decompose
 from .conjugacy import are_conjugate
 from .amalgam import amalgam_form, centralizer_check, decompose_at
 from .parabolic import (
     ParabolicSubgroup,
-    full_parabolic,
     normalizer_membership,
     parabolic_closure_of_cyclic,
 )
 from .separability import conjugacy_witness, parse_mode, residual_witness
-from .words import identity
 
 
 class UsageError(ValueError):
     pass
 
 
-def _emit(args, lines, payload) -> None:
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, list):
+        return " ".join(value) if value else "-"
+    return str(value)
+
+
+def _emit(args, payload, lines=None) -> None:
+    """Print the payload as sorted JSON, or as one `label: value` line per field."""
     if args.json:
         print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+        return
+    if lines is None:
+        lines = [f"{key.replace('_', '-')}: {_text(value)}" for key, value in payload.items()]
+    for line in lines:
+        print(line)
 
 
-def _element(pres, text):
-    return reduce(pres, parse_word(pres, text))
-
-
-def _render_set(values) -> str:
-    return " ".join(sorted(values)) if values else "-"
-
-
-def cmd_normalize(args) -> int:
-    pres = load_presentation(args.group)
-    e = _element(pres, args.word)
+def cmd_normalize(pres, args) -> int:
+    e = element_of(pres, args.word)
     report = shape(e)
-    lines = [
-        f"normal: {e.render()}",
-        f"length: {report.length}",
-        f"support: {_render_set(report.support)}",
-        f"FL: {_render_set(report.first_letters)}",
-        f"LL: {_render_set(report.last_letters)}",
-    ]
-    payload = {
+    _emit(args, {
         "normal": e.render(),
         "length": report.length,
         "support": sorted(report.support),
         "FL": sorted(report.first_letters),
         "LL": sorted(report.last_letters),
-    }
-    _emit(args, lines, payload)
+    })
     return 0
 
 
-def cmd_eq(args) -> int:
-    pres = load_presentation(args.group)
-    equal = _element(pres, args.left) == _element(pres, args.right)
-    _emit(args, [f"equal: {'yes' if equal else 'no'}"], {"equal": equal})
+def cmd_eq(pres, args) -> int:
+    equal = element_of(pres, args.left) == element_of(pres, args.right)
+    _emit(args, {"equal": equal})
     return 0 if equal else 1
 
 
-def cmd_conj(args) -> int:
-    pres = load_presentation(args.group)
-    verdict = are_conjugate(_element(pres, args.left), _element(pres, args.right))
+def cmd_conj(pres, args) -> int:
+    verdict = are_conjugate(element_of(pres, args.left), element_of(pres, args.right))
     if verdict.conjugate:
-        lines = ["conjugate: yes", f"conjugator: {verdict.conjugator.render()}"]
-        payload = {"conjugate": True, "conjugator": verdict.conjugator.render()}
+        _emit(args, {"conjugate": True, "conjugator": verdict.conjugator.render()})
     else:
-        lines = ["conjugate: no", f"refutation: {verdict.refutation}"]
-        payload = {"conjugate": False, "refutation": verdict.refutation}
-    _emit(args, lines, payload)
+        _emit(args, {"conjugate": False, "refutation": verdict.refutation})
     return 0 if verdict.conjugate else 1
 
 
-def cmd_cyc(args) -> int:
-    pres = load_presentation(args.group)
-    reduction = cyclically_reduce(_element(pres, args.word))
-    lines = [
-        f"reduced: {reduction.reduced.render()}",
-        f"conjugator: {reduction.conjugator.render()}",
-    ]
-    payload = {
-        "reduced": reduction.reduced.render(),
-        "conjugator": reduction.conjugator.render(),
-    }
-    _emit(args, lines, payload)
+def cmd_cyc(pres, args) -> int:
+    reduction = cyclically_reduce(element_of(pres, args.word))
+    _emit(args, {"reduced": reduction.reduced.render(), "conjugator": reduction.conjugator.render()})
     return 0
 
 
-def cmd_ps(args) -> int:
-    pres = load_presentation(args.group)
-    ps = ps_decompose(_element(pres, args.word))
-    lines = [
-        f"s-part: {ps.s_part.render()}",
-        f"p-part: {ps.p_part.render()}",
-        f"S: {_render_set(ps.s_vertices)}",
-        f"P: {_render_set(ps.p_vertices)}",
-    ]
-    payload = {
+def cmd_ps(pres, args) -> int:
+    ps = ps_decompose(element_of(pres, args.word))
+    _emit(args, {
         "s_part": ps.s_part.render(),
         "p_part": ps.p_part.render(),
         "S": sorted(ps.s_vertices),
         "P": sorted(ps.p_vertices),
-    }
-    _emit(args, lines, payload)
+    })
     return 0
 
 
-def cmd_amalgam(args) -> int:
-    pres = load_presentation(args.group)
-    view = decompose_at(pres, args.vertex)
-    form = amalgam_form(view, _element(pres, args.word))
-    group = pres.groups[args.vertex]
-    rendered_consonants = [group.render_key(group.encode(c)) for c in form.consonants]
-    lines = []
-    for i, piece in enumerate(form.x_pieces):
-        lines.append(f"x{i}: {piece.render()}")
-        if i < len(rendered_consonants):
-            lines.append(f"c{i + 1}: {args.vertex}[{rendered_consonants[i]}]")
+def cmd_amalgam(pres, args) -> int:
+    form = amalgam_form(decompose_at(pres, args.vertex), element_of(pres, args.word))
+    pieces = [p.render() for p in form.x_pieces]
+    consonants = [str(c) for c in form.consonants]
+    lines = [f"x0: {pieces[0]}"]
+    for i, (c, piece) in enumerate(zip(consonants, pieces[1:]), 1):
+        lines += [f"c{i}: {args.vertex}[{c}]", f"x{i}: {piece}"]
     lines.append(f"consonant-length: {form.consonant_length}")
-    payload = {
-        "x_pieces": [p.render() for p in form.x_pieces],
-        "consonants": rendered_consonants,
-        "consonant_length": form.consonant_length,
-    }
-    _emit(args, lines, payload)
+    payload = {"x_pieces": pieces, "consonants": consonants, "consonant_length": form.consonant_length}
+    _emit(args, payload, lines)
     return 0
 
 
-def cmd_centralizer_check(args) -> int:
-    pres = load_presentation(args.group)
+def cmd_centralizer_check(pres, args) -> int:
     view = decompose_at(pres, args.vertex)
-    report = centralizer_check(view, _element(pres, args.word), args.radius)
-    lines = [
-        f"kind: {report.kind}",
-        f"ball: {report.ball_size}",
-        f"centralizer-size: {len(report.centralizer)}",
-        f"unresolved: {len(report.unresolved)}",
-        f"violations: {len(report.violations)}",
-    ]
-    payload = {
+    report = centralizer_check(view, element_of(pres, args.word), args.radius)
+    _emit(args, {
         "kind": report.kind,
         "ball": report.ball_size,
         "centralizer_size": len(report.centralizer),
         "unresolved": len(report.unresolved),
         "violations": len(report.violations),
-    }
-    _emit(args, lines, payload)
+    })
     if report.violations:
         return 1
     return 2 if report.unresolved else 0
 
 
-def cmd_pc(args) -> int:
-    pres = load_presentation(args.group)
-    closure = parabolic_closure_of_cyclic(_element(pres, args.word))
-    lines = [
-        f"conjugator: {closure.conjugator.render()}",
-        f"core: {_render_set(closure.core)}",
-    ]
-    payload = {"conjugator": closure.conjugator.render(), "core": sorted(closure.core)}
-    _emit(args, lines, payload)
+def cmd_pc(pres, args) -> int:
+    closure = parabolic_closure_of_cyclic(element_of(pres, args.word))
+    _emit(args, {"conjugator": closure.conjugator.render(), "core": sorted(closure.core)})
     return 0
 
 
-def cmd_normalizer(args) -> int:
-    pres = load_presentation(args.group)
+def cmd_normalizer(pres, args) -> int:
     if not args.core:
         raise UsageError("--core must not be empty (comma-separated vertex names)")
-    core = [v for v in args.core.split(",") if v]
-    conjugator = _element(pres, args.conjugator) if args.conjugator else identity(pres)
-    subgroup = ParabolicSubgroup(conjugator, full_parabolic(pres, core).core)
-    member = normalizer_membership(subgroup, _element(pres, args.word))
-    _emit(args, [f"member: {'yes' if member else 'no'}"], {"member": member})
+    core = frozenset(v for v in args.core.split(",") if v)
+    conjugator = element_of(pres, args.conjugator) if args.conjugator else identity(pres)
+    member = normalizer_membership(ParabolicSubgroup(conjugator, core), element_of(pres, args.word))
+    _emit(args, {"member": member})
     return 0 if member else 1
 
 
-def cmd_witness(args) -> int:
-    pres = load_presentation(args.group)
+def cmd_witness(pres, args) -> int:
     mode = parse_mode(args.mode)
     if args.right is None:
-        witness = residual_witness(_element(pres, args.left), mode)
+        witness = residual_witness(element_of(pres, args.left), mode)
     else:
-        f = _element(pres, args.left)
-        g = _element(pres, args.right)
+        f = element_of(pres, args.left)
+        g = element_of(pres, args.right)
         if are_conjugate(f, g).conjugate:
             print("inputs are conjugate; no witness exists", file=sys.stderr)
             return 1
@@ -211,7 +158,7 @@ def cmd_witness(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(pres, args) -> int:
     from .selftest import run_selftest
 
     return run_selftest(seed=args.seed)
@@ -271,7 +218,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 3 if exc.code not in (0, None) else 0
     try:
-        return args.handler(args)
+        pres = load_presentation(args.group) if "group" in args else None
+        return args.handler(pres, args)
     except (ValueError, OSError, InvariantError) as exc:  # every input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 3

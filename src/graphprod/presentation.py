@@ -121,9 +121,6 @@ class FiniteTableGroup:
             raise WordError(f"unknown table element {text!r}")
         return self._index[text]
 
-    def render_key(self, key: int) -> str:
-        return self.elements[key]
-
     def conjugator_key(self, a: int, b: int) -> Optional[int]:
         """First t (in table order) with t a t^-1 == b, or None."""
         if a == b:
@@ -169,9 +166,6 @@ class IntegerGroup:
             raise WordError(f"expected an integer exponent, got {text!r}")
         return int(text)
 
-    def render_key(self, key: int) -> str:
-        return str(key)
-
     def conjugator_key(self, a: int, b: int) -> Optional[int]:
         return 0 if a == b else None
 
@@ -215,9 +209,6 @@ class IntegersModGroup:
         if not _INT_RE.match(text):
             raise WordError(f"expected an integer residue, got {text!r}")
         return int(text) % self.modulus
-
-    def render_key(self, key: int) -> str:
-        return str(key)
 
     def conjugator_key(self, a: int, b: int) -> Optional[int]:
         return 0 if (a - b) % self.modulus == 0 else None
@@ -440,7 +431,7 @@ def render_word(pres: GroupPresentation, word: Word) -> str:
     parts = []
     for syl in word.syllables:
         group = pres.group(syl.vertex)
-        parts.append(f"{syl.vertex}[{group.render_key(group.encode(syl.value))}]")
+        parts.append(f"{syl.vertex}[{group.decode(group.encode(syl.value))}]")
     return " ".join(parts)
 
 

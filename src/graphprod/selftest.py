@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import time
+import traceback
 from typing import Callable, List
 
 from . import corpus
@@ -396,5 +397,9 @@ def run_selftest(seed: int = 0, out=None) -> int:
         except SelfTestFailure as exc:
             failures += 1
             print(f"FAIL {name}: {exc}", file=out)
+        except Exception as exc:  # a library error fails its suite; the rest still run
+            failures += 1
+            print(f"FAIL {name}: {type(exc).__name__}: {exc}", file=out)
+            traceback.print_exc(file=sys.stderr)
     print(("selftest passed" if not failures else f"selftest failed ({failures} suites)"), file=out)
     return 0 if failures == 0 else 1

@@ -183,13 +183,7 @@ def shape_preserving_family(elements: Sequence[Element], mode: ClassMode) -> Quo
         _check_same(elements[0], e)
     constraints: Dict[str, set] = {v: set() for v in pres.vertices}
     _collect_shape_constraints(constraints, elements)
-    distinct = []
-    seen = set()
-    for e in elements:
-        if e not in seen:
-            seen.add(e)
-            distinct.append(e)
-    _collect_distinctness(constraints, distinct)
+    _collect_distinctness(constraints, list(dict.fromkeys(elements)))
     return _family_from_constraints(pres, constraints, mode)
 
 

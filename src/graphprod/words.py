@@ -25,6 +25,7 @@ from .presentation import (
     GroupPresentation,
     Word,
     WordError,
+    parse_word,
 )
 
 Key = Tuple[Tuple[int, int], ...]
@@ -79,9 +80,11 @@ class Element:
         return Word(tuple(self.pres.decode_syllable(vi, val) for vi, val in self.key))
 
     def render(self) -> str:
-        from .presentation import render_word
-
-        return render_word(self.pres, self.word())
+        """The word text of the normal form, as parse_word reads it; "1" when empty."""
+        if not self.key:
+            return "1"
+        names, groups = self.pres.vertices, self.pres.by_index
+        return " ".join(f"{names[vi]}[{groups[vi].decode(val)}]" for vi, val in self.key)
 
     def __repr__(self) -> str:
         return f"<{self.render()}>"
@@ -181,8 +184,6 @@ def reduce(pres: GroupPresentation, word: Word) -> Element:
 
 def element_of(pres: GroupPresentation, text: str) -> Element:
     """Parse a word string and reduce it."""
-    from .presentation import parse_word
-
     return reduce(pres, parse_word(pres, text))
 
 

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -149,3 +151,56 @@ def test_failed_conjugator_check_survives_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script, *args], capture_output=True, text=True)
     assert proc.returncode == 3 and proc.stdout == ""
     assert "error: the conjugator fails its re-check" in proc.stderr
+
+
+# Exact stdout and exit code of every subcommand that takes --json, in both
+# output forms: empty sets print "-", table and Z/n values print by name and
+# residue, and amalgam interleaves its pieces and consonants.
+PINNED_OUTPUTS = [
+    (["normalize", "-g", "triangle-mixed.json", "w[-1] v[5] u[t]"], 0,
+     "normal: u[t] v[2] w[3]\nlength: 3\nsupport: u v w\nFL: u v w\nLL: u v w\n"),
+    (["normalize", "-g", "triangle-mixed.json", "w[-1] v[5] u[t]", "--json"], 0,
+     '{"FL": ["u", "v", "w"], "LL": ["u", "v", "w"], "length": 3, "normal": "u[t] v[2] w[3]", '
+     '"support": ["u", "v", "w"]}\n'),
+    (["normalize", "-g", "free-zz.json", "1"], 0, "normal: 1\nlength: 0\nsupport: -\nFL: -\nLL: -\n"),
+    (["normalize", "-g", "free-zz.json", "1", "--json"], 0,
+     '{"FL": [], "LL": [], "length": 0, "normal": "1", "support": []}\n'),
+    (["eq", "-g", "path-racg.json", "a[1] b[1]", "b[1] a[1]"], 0, "equal: yes\n"),
+    (["eq", "-g", "path-racg.json", "a[1] c[1]", "c[1] a[1]", "--json"], 1, '{"equal": false}\n'),
+    (["conj", "-g", "free-zz.json", "x[1] y[1]", "y[1] x[1]"], 0, "conjugate: yes\nconjugator: x[-1]\n"),
+    (["conj", "-g", "path-racg.json", "a[1] c[1]", "b[1]", "--json"], 1,
+     '{"conjugate": false, "refutation": "support-mismatch"}\n'),
+    (["cyc", "-g", "free-zz.json", "x[2] y[-3] x[-2]"], 0, "reduced: y[-3]\nconjugator: x[2]\n"),
+    (["cyc", "-g", "free-zz.json", "x[2] y[-3] x[-2]", "--json"], 0,
+     '{"conjugator": "x[2]", "reduced": "y[-3]"}\n'),
+    (["ps", "-g", "star-racg.json", "1"], 0, "s-part: 1\np-part: 1\nS: -\nP: -\n"),
+    (["ps", "-g", "star-racg.json", "1", "--json"], 0, '{"P": [], "S": [], "p_part": "1", "s_part": "1"}\n'),
+    (["ps", "-g", "star-racg.json", "c[1] l1[1]", "--json"], 0,
+     '{"P": [], "S": ["c", "l1"], "p_part": "1", "s_part": "c[1] l1[1]"}\n'),
+    (["amalgam", "-g", "triangle-mixed.json", "--vertex", "u", "u[t] v[1]"], 0,
+     "x0: 1\nc1: u[t]\nx1: v[1]\nconsonant-length: 1\n"),
+    (["amalgam", "-g", "triangle-mixed.json", "--vertex", "u", "u[t] v[1]", "--json"], 0,
+     '{"consonant_length": 1, "consonants": ["t"], "x_pieces": ["1", "v[1]"]}\n'),
+    (["amalgam", "-g", "path-racg.json", "--vertex", "c", "a[1] c[1] a[1] c[1]", "--json"], 0,
+     '{"consonant_length": 2, "consonants": ["1", "1"], "x_pieces": ["a[1]", "a[1]", "1"]}\n'),
+    (["centralizer-check", "-g", "path-racg.json", "--vertex", "c", "--radius", "4", "c[1] b[1]", "--json"], 0,
+     '{"ball": 16, "centralizer_size": 4, "kind": "product", "unresolved": 0, "violations": 0}\n'),
+    (["pc", "-g", "path-racg.json", "1"], 0, "conjugator: 1\ncore: -\n"),
+    (["pc", "-g", "path-racg.json", "a[1] c[1] a[1]", "--json"], 0, '{"conjugator": "a[1]", "core": ["c"]}\n'),
+    (["normalizer", "-g", "path-racg.json", "--core", "a", "c[1]"], 1, "member: no\n"),
+    (["normalizer", "-g", "path-racg.json", "--core", "a", "--conjugator", "c[1]", "b[1]", "--json"], 0,
+     '{"member": true}\n'),
+    (["normalizer", "-g", "path-racg.json", "--core", "", "c[1]", "--json"], 3, ""),
+    (["eq", "-g", "missing.json", "a[1]", "a[1]"], 3, ""),
+]
+
+
+@pytest.mark.parametrize(
+    "args,expected_code,expected_out",
+    PINNED_OUTPUTS,
+    ids=[f"{i}-{args[0]}" for i, (args, _, _) in enumerate(PINNED_OUTPUTS)],
+)
+def test_pinned_outputs(args, expected_code, expected_out):
+    args = [str(DATA / a) if a.endswith(".json") else a for a in args]
+    code, out, _ = gp(*args)
+    assert (code, out) == (expected_code, expected_out)
