@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 digest per normal-form and search function over seeded inputs.
+"""Print one SHA-256 digest per normal-form, search and amalgam function over seeded inputs.
 
 Each seed builds a random graph (2-10 vertices over Z, Z/n and S3) and random
 words on it, and feeds the keys returned by reduce, multiply, invert,
@@ -12,13 +12,24 @@ amalgam_conjugate_by and parabolic_intersection_search.  Last, words of at
 most 12 syllables on the first graph feed the JSON of residual_witness and
 of conjugacy_witness on non-conjugate pairs.  The "render" line hashes the
 text Element.render prints for the 40 reduced words of each seed (Z
-exponents of both signs, Z/n residues, S3 names).  Two checkouts that print
-the same digests return the same keys on every input, so a change that
-must keep the normal form and the search results is checked by running
+exponents of both signs, Z/n residues, S3 names).
+
+Three lines draw from random generators of their own, so the lines above keep
+their inputs.  "amalgam_form" splits reduced elements of a random graph (2-6
+vertices) at every apex; "amalgam_form_of_word" splits unreduced random words
+of up to 40 syllables and shuffles of them, which exercise the merging of
+pieces across cancelled consonants; "sigma" builds the amalgam of two random
+finite graph products (Z/2, Z/3 and S3 vertices) over a random vertex subset
+and digests SigmaAmalgam.sigma and kernel_sample_check.
+
+Two checkouts that print the same digests return the same keys on every
+input, so a change that must keep the normal form and the search results is
+checked by running
 
     PYTHONPATH=src python3 scripts/normal_form_digest.py --seeds 20
 
-in both checkouts and comparing the output.
+in both checkouts and comparing the output.  tests/test_digest.py pins the
+output at --seeds 20.
 """
 
 import argparse
@@ -28,7 +39,15 @@ import random
 from collections import Counter
 
 from graphprod import Word, corpus, parse_presentation
-from graphprod.amalgam import AmalgamError, amalgam_conjugate_by, centralizer_check, decompose_at
+from graphprod.amalgam import (
+    AmalgamError,
+    amalgam_conjugate_by,
+    amalgam_form,
+    amalgam_form_of_word,
+    centralizer_check,
+    decompose_at,
+    sigma_map,
+)
 from graphprod.conjugacy import are_conjugate, brute_force_conjugate
 from graphprod.cyclic import cyclically_reduce
 from graphprod.parabolic import ParabolicSubgroup, centralizer_structure_check, parabolic_intersection_search
@@ -53,6 +72,9 @@ FUNCTIONS = (
     "residual_witness",
     "conjugacy_witness",
     "render",
+    "amalgam_form",
+    "amalgam_form_of_word",
+    "sigma",
 )
 
 
@@ -63,12 +85,15 @@ def s3_table():
     return {"table": {"elements": ["e", "r", "r2", "s", "sr", "sr2"], "mul": table, "identity": 0}}
 
 
-def random_presentation(rng: random.Random, max_vertices: int = 10):
-    n = rng.randint(2, max_vertices)
+def random_presentation(rng: random.Random, max_vertices=10, min_vertices=2, finite=False, prefix="v"):
+    n = rng.randint(min_vertices, max_vertices)
     density = rng.uniform(0.2, 0.8)
-    groups = ["Z", "cyclic 2", "cyclic 3", "cyclic 5", s3_table()]
-    vertices = [{"name": f"v{i}", "group": rng.choice(groups)} for i in range(n)]
-    edges = [[f"v{i}", f"v{j}"] for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    if finite:
+        groups = ["cyclic 2", "cyclic 3", s3_table()]
+    else:
+        groups = ["Z", "cyclic 2", "cyclic 3", "cyclic 5", s3_table()]
+    vertices = [{"name": f"{prefix}{i}", "group": rng.choice(groups)} for i in range(n)]
+    edges = [[f"{prefix}{i}", f"{prefix}{j}"] for i in range(n) for j in range(i + 1, n) if rng.random() < density]
     return parse_presentation(json.dumps({"vertices": vertices, "edges": edges}))
 
 
@@ -116,6 +141,7 @@ def digest_seed(seed: int, hashes, counts) -> None:
         y = element(12) if rng.random() < 0.5 else conjugate(element(4), multiply(x, element(1)))
         if not are_conjugate(x, y).conjugate:
             feed("conjugacy_witness", conjugacy_witness(x, y).to_json())
+    digest_amalgams(seed, feed)
 
 
 def keys(elements):
@@ -175,6 +201,41 @@ def digest_searches(pres, rng: random.Random, feed) -> None:
     found = result.parabolic
     core = found and sorted(found.core, key=pres.vertex_index)
     feed("parabolic_intersection_search", (result.status, found and found.conjugator.key, core))
+
+
+def digest_amalgams(seed: int, feed) -> None:
+    """The amalgam_form, amalgam_form_of_word and sigma lines, one generator each."""
+
+    def form_parts(form):
+        return keys(form.x_pieces), form.consonants
+
+    rng = random.Random(f"amalgam_form {seed}")
+    pres = random_presentation(rng, max_vertices=6)
+    views = [decompose_at(pres, v) for v in pres.vertices]
+    for _ in range(10):
+        e = reduce(pres, corpus.random_word(pres, rng, 40))
+        for view in views:
+            feed("amalgam_form", form_parts(amalgam_form(view, e)))
+
+    rng = random.Random(f"amalgam_form_of_word {seed}")
+    pres = random_presentation(rng, max_vertices=6)
+    views = [decompose_at(pres, v) for v in pres.vertices]
+    for _ in range(10):
+        w = corpus.random_word(pres, rng, 40)
+        for word in (w, corpus.shuffled_variant(pres, w, rng, steps=4 * len(w))):
+            for view in views:
+                feed("amalgam_form_of_word", form_parts(amalgam_form_of_word(view, word)))
+
+    rng = random.Random(f"sigma {seed}")
+    q_pres = random_presentation(rng, max_vertices=3, min_vertices=1, finite=True, prefix="q")
+    s_pres = random_presentation(rng, max_vertices=3, min_vertices=1, finite=True, prefix="s")
+    r_vertices = rng.sample(q_pres.vertices, rng.randint(0, len(q_pres.vertices)))
+    amalgam = sigma_map(q_pres, s_pres, r_vertices)
+    for _ in range(10):
+        e = reduce(amalgam.presentation, corpus.random_word(amalgam.presentation, rng, 20))
+        feed("sigma", keys(amalgam.sigma(e)))
+    report = amalgam.kernel_sample_check(20, 12, seed=rng.randrange(1 << 30))
+    feed("sigma", (report.samples, report.nontrivial, keys(report.failures)))
 
 
 def main() -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, List, Optional, Tuple
 
 from .presentation import (
@@ -37,6 +38,7 @@ from .words import (
     retract_key,
 )
 from .cyclic import cyclically_reduce
+from .conjugacy import are_conjugate
 
 
 class AmalgamError(ValueError):
@@ -86,55 +88,41 @@ class AmalgamForm:
         return len(self.consonants)
 
 
-def _general_form(pres, a_ids, c_ids, h_ids, key) -> Tuple[list, list]:
+def _general_form(pres, c_ids, h_ids, key) -> Tuple[list, list]:
     """Alternating x/c pieces with interior x-pieces pushed out of the H-side.
 
     Returns (xs, cs): len(xs) == len(cs) + 1, consonants nontrivial, and every
     interior x-piece has support outside the H-side.  The consonant list
     depends only on the group element represented by the key.
+
+    One left-to-right pass over the runs of A- and C-syllables.  An A-run
+    multiplies into the last x-piece.  A C-run that reduces to the identity
+    is skipped, so the pieces on either side of it merge.  Any other C-run
+    first absorbs the previous consonant when the x-piece between them lies
+    in the H-side, which commutes with the C-side, and is pushed unless that
+    cancelled it.
     """
-    blocks: List[Tuple[str, list]] = []
-    for syl in key:
-        side = "C" if syl[0] in c_ids else "A"
-        if blocks and blocks[-1][0] == side:
-            blocks[-1][1].append(syl)
-        else:
-            blocks.append((side, [syl]))
     xs: List[Element] = [identity(pres)]
     cs: List[Element] = []
-    for side, syls in blocks:
-        piece = _make(pres, syls)
-        if side == "A":
+    for on_c, run in groupby(key, lambda s: s[0] in c_ids):
+        piece = _make(pres, run)
+        if not on_c:
             xs[-1] = multiply(xs[-1], piece)
-        else:
+            continue
+        if piece.is_identity:
+            continue
+        if cs and _supported_in(xs[-1], h_ids):
+            x = xs.pop()
+            xs[-1] = multiply(xs[-1], x)
+            piece = multiply(cs.pop(), piece)
+        if not piece.is_identity:
             cs.append(piece)
             xs.append(identity(pres))
-
-    changed = True
-    while changed:
-        changed = False
-        for i, c in enumerate(cs):
-            if c.is_identity:
-                xs[i] = multiply(xs[i], xs[i + 1])
-                del xs[i + 1]
-                del cs[i]
-                changed = True
-                break
-        if changed:
-            continue
-        for j in range(1, len(cs)):
-            if _supported_in(xs[j], h_ids):
-                xs[j - 1] = multiply(xs[j - 1], xs[j])
-                cs[j - 1] = multiply(cs[j - 1], cs[j])
-                del xs[j]
-                del cs[j]
-                changed = True
-                break
     return xs, cs
 
 
 def _single_vertex_form(view: AmalgamView, key) -> AmalgamForm:
-    xs, cs = _general_form(view.pres, view.a_ids, view.c_ids, view.h_ids, key)
+    xs, cs = _general_form(view.pres, view.c_ids, view.h_ids, key)
     group = view.pres.by_index[view.apex_index]
     values = []
     for c in cs:
@@ -303,7 +291,6 @@ def amalgam_conjugate_by(
         return SubgroupConjugacy("no", None, 1)
     xp = retract_key(pres, g.key, view.a_ids)
     yp = retract_key(pres, f.key, view.a_ids)
-    from .conjugacy import are_conjugate
 
     # Conjugacy of A-side elements is intrinsic to the A-side, so a negative
     # ambient verdict certifies failure for every subgroup B.
@@ -314,7 +301,7 @@ def amalgam_conjugate_by(
         b0 = ambient.conjugator
     else:
         b0 = None
-        for candidate in iter_ball(pres, radius, window=radius, vertices=b_set):
+        for candidate in iter_ball(pres, radius, vertices=b_set):
             if multiply(candidate, xp) == multiply(yp, candidate):
                 b0 = candidate
                 break
@@ -331,7 +318,7 @@ def amalgam_conjugate_by(
     x0_inv = invert(gf.x_pieces[0])
     y0 = ff.x_pieces[0]
     b0_inv = invert(b0)
-    for h in iter_ball(pres, radius, window=radius, vertices=view.h_vertices):
+    for h in iter_ball(pres, radius, vertices=view.h_vertices):
         b = multiply(multiply(y0, h), x0_inv)
         if not _supported_in(b, b_ids):
             continue
@@ -392,7 +379,7 @@ def centralizer_check(view: AmalgamView, g: Element, radius: int) -> Centralizer
     n = form.consonant_length
     members = []
     violations = []
-    elements = list(iter_ball(pres, radius, window=radius))
+    elements = list(iter_ball(pres, radius))
 
     if n == 1 and _supported_in(form.x_pieces[-1], view.h_ids):
         group = pres.by_index[view.apex_index]
@@ -416,7 +403,7 @@ def centralizer_check(view: AmalgamView, g: Element, radius: int) -> Centralizer
             if centralizes != factored:
                 violations.append(u)
         return CentralizerReport(
-            "product", None, (), len(elements), tuple(sorted(members)), tuple(violations)
+            "product", None, (), len(elements), tuple(members), tuple(violations)
         )
 
     prefixes = _prefixes(view, form)
@@ -459,7 +446,7 @@ def centralizer_check(view: AmalgamView, g: Element, radius: int) -> Centralizer
         description,
         tuple(unresolved),
         len(elements),
-        tuple(sorted(members)),
+        tuple(members),
         tuple(violations),
     )
 
@@ -505,12 +492,9 @@ class SigmaAmalgam:
         self.q_pres = q_pres
         self.s_pres = s_pres
         self.presentation = GroupPresentation(SimplicialGraph(names, edges), groups)
-        self.q_vertices = frozenset(q_pres.vertices)
-        self.s_vertices = frozenset(s_pres.vertices)
-        self.r_vertices = r_set
         pres = self.presentation
-        self.q_ids = frozenset(pres.vertex_index(v) for v in self.q_vertices)
-        self.s_ids = frozenset(pres.vertex_index(v) for v in self.s_vertices)
+        self.q_ids = frozenset(pres.vertex_index(v) for v in q_pres.vertices)
+        self.s_ids = frozenset(pres.vertex_index(v) for v in s_pres.vertices)
         self.r_ids = frozenset(pres.vertex_index(v) for v in r_set)
 
     def _transfer(self, e: Element, target: GroupPresentation) -> Element:
@@ -555,7 +539,7 @@ class SigmaAmalgam:
                 continue
             nontrivial += 1
             core = cyclically_reduce(k).reduced
-            _, cs = _general_form(pres, self.q_ids, self.s_ids, self.r_ids, core.key)
+            _, cs = _general_form(pres, self.s_ids, self.r_ids, core.key)
             consonant_count = len(cs)
             core_ids = {vi for vi, _ in core.key}
             conjugate_into_q = core_ids <= self.q_ids

@@ -1,8 +1,8 @@
 """Command-line front end: one subcommand per decision procedure.
 
 Exit codes: 0 decided/pass, 1 meaningful negative (unequal, non-conjugate,
-non-member, failed check), 2 unknown/exhausted, 3 usage or input error, or a
-certificate that failed its own re-check.
+non-member, failed check), 2 an "unknown" answer from a bounded search, 3
+usage or input error, or a certificate that failed its own re-check.
 Each subcommand builds one payload.  --json prints it as one object with
 sorted keys; otherwise every field prints as a `label: value` line, in order:
 the label is the key with `_` read as `-`, a bool prints as yes/no and a list
@@ -17,7 +17,7 @@ import json
 import sys
 
 from .presentation import InvariantError, load_presentation
-from .words import BudgetExceededError, element_of, identity, shape
+from .words import element_of, identity, shape
 from .cyclic import cyclically_reduce, ps_decompose
 from .conjugacy import are_conjugate
 from .amalgam import amalgam_form, centralizer_check, decompose_at
@@ -223,9 +223,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError, InvariantError) as exc:  # every input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except BudgetExceededError as exc:
-        print(f"exhausted: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

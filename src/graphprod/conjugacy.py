@@ -125,7 +125,7 @@ def brute_force_conjugate(x: Element, y: Element, radius: int) -> BruteForceConj
     reported as "exhausted", which is weaker than a non-conjugacy proof.
     """
     _check_same(x, y)
-    for w in iter_ball(x.pres, radius, window=radius):
+    for w in iter_ball(x.pres, radius):
         if multiply(w, x) == multiply(y, w):
             return BruteForceConjugacy("yes", w)
     return BruteForceConjugacy("exhausted", None)
@@ -133,7 +133,7 @@ def brute_force_conjugate(x: Element, y: Element, radius: int) -> BruteForceConj
 
 def conjugacy_class_in_ball(x: Element, radius: int) -> Set[Element]:
     """All conjugates of x under conjugators from the radius ball."""
-    return {conjugate(w, x) for w in iter_ball(x.pres, radius, window=radius)}
+    return {conjugate(w, x) for w in iter_ball(x.pres, radius)}
 
 
 def _rotation_conjugator(g: Element, g_prime: Element) -> Optional[Element]:

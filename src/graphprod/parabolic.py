@@ -126,7 +126,7 @@ def centralizer_structure_check(g: Element, radius: int) -> CentralizerStructure
     core_ids = {pres.vertex_index(v) for v in core}
     members, violations = [], []
     count = 0
-    for u in iter_ball(pres, radius, window=radius):
+    for u in iter_ball(pres, radius):
         count += 1
         centralizes = multiply(u, g) == multiply(g, u)
         supported = all(vi in allowed_ids for vi, _ in u.key)
@@ -140,7 +140,7 @@ def centralizer_structure_check(g: Element, radius: int) -> CentralizerStructure
         if centralizes != factored:
             violations.append(u)
     return CentralizerStructureReport(
-        core, halo, count, tuple(sorted(members)), tuple(violations)
+        core, halo, count, tuple(members), tuple(violations)
     )
 
 
@@ -192,7 +192,7 @@ def parabolic_intersection_search(
     """
     _check_same(p1.conjugator, p2.conjugator)
     pres = p1.pres
-    ball_elements = list(iter_ball(pres, radius, window=radius))
+    ball_elements = list(iter_ball(pres, radius))
     in_both = [u for u in ball_elements if parabolic_membership(p1, u) and parabolic_membership(p2, u)]
     common = sorted(p1.core & p2.core, key=pres.vertex_index)
     subsets: List[tuple] = [()]

@@ -14,7 +14,7 @@ import traceback
 from typing import Callable, List
 
 from . import corpus
-from .presentation import Word
+from .presentation import Word, render_word
 from .words import (
     ball,
     brute_force_equal,
@@ -61,33 +61,30 @@ class SelfTestFailure(AssertionError):
     pass
 
 
-def _name(x) -> str:
-    if isinstance(x, Word):
-        return " ".join(f"{s.vertex}[{s.value}]" for s in x.syllables) or "1"
-    return repr(x)
-
-
-def _ensure(ok: bool, message: str, *inputs) -> None:
+def _ensure(ok: bool, message: str, *inputs, pres=None) -> None:
+    """Fail naming the inputs: a Word as pres renders it, anything else by repr."""
     if not ok:
-        raise SelfTestFailure(f"{message}: " + ", ".join(map(_name, inputs)))
+        names = (render_word(pres, x) if isinstance(x, Word) else repr(x) for x in inputs)
+        raise SelfTestFailure(f"{message}: " + ", ".join(names))
 
 
 def check_reduction(pres, w: Word) -> None:
     """Reduction contracts and is idempotent; short words agree with the
     rewriting-closure oracle on triviality."""
     e = reduce(pres, w)
-    _ensure(len(e) <= len(w), "reduction grew a word", w)
-    _ensure(reduce(pres, e.word()) == e, "reduction not idempotent", w)
-    _ensure(is_reduced_key(pres, e.key), "reduced form not reduced", w)
+    _ensure(len(e) <= len(w), "reduction grew a word", w, pres=pres)
+    _ensure(reduce(pres, e.word()) == e, "reduction not idempotent", w, pres=pres)
+    _ensure(is_reduced_key(pres, e.key), "reduced form not reduced", w, pres=pres)
     if len(w) <= 6:
         trivial = brute_force_equal(pres, w, Word(()), ORACLE_BUDGET)
-        _ensure(trivial == e.is_identity, "triviality oracle disagrees", w)
+        _ensure(trivial == e.is_identity, "triviality oracle disagrees", w, pres=pres)
 
 
 def check_equality(pres, w1: Word, w2: Word) -> None:
     """Equal normal forms iff the rewriting-closure oracle joins the words."""
     agrees = brute_force_equal(pres, w1, w2, ORACLE_BUDGET)
-    _ensure(agrees == (reduce(pres, w1) == reduce(pres, w2)), "equality oracle disagrees", w1, w2)
+    equal = reduce(pres, w1) == reduce(pres, w2)
+    _ensure(agrees == equal, "equality oracle disagrees", w1, w2, pres=pres)
 
 
 def check_confluence(pres, w: Word, rng: random.Random) -> None:
@@ -116,6 +113,7 @@ def check_confluence(pres, w: Word, rng: random.Random) -> None:
         canonical_form(pres, survivors) == reduce(pres, w).word(),
         "random-strategy reduction missed the canonical form",
         w,
+        pres=pres,
     )
 
 
@@ -167,12 +165,14 @@ def check_ps_split(g) -> None:
 
 def check_consonants(view, w: Word, variant: Word) -> None:
     """The consonants at the view's apex depend only on the element."""
+    pres = view.pres
     f1 = amalgam_form_of_word(view, w)
     f2 = amalgam_form_of_word(view, variant)
-    _ensure(f1.consonants == f2.consonants, "consonants changed under shuffling", view.apex, w, variant)
-    e = reduce(view.pres, w)
-    _ensure(f1.consonants == amalgam_form(view, e).consonants, "consonants depend on the expression", view.apex, w)
-    _ensure(f1.consonant_length == 0 or not e.is_identity, "the identity has a consonant", view.apex, w)
+    _ensure(f1.consonants == f2.consonants, "consonants changed under shuffling", view.apex, w, variant, pres=pres)
+    e = reduce(pres, w)
+    same = f1.consonants == amalgam_form(view, e).consonants
+    _ensure(same, "consonants depend on the expression", view.apex, w, pres=pres)
+    _ensure(f1.consonant_length == 0 or not e.is_identity, "the identity has a consonant", view.apex, w, pres=pres)
 
 
 def check_centralizer(view, g, radius: int) -> None:
@@ -185,7 +185,7 @@ def check_centralizer(view, g, radius: int) -> None:
     for piece in xs[1:-1]:
         x_cum.append(multiply(x_cum[-1], piece))
     x_prod = multiply(x_cum[-1], xs[-1])
-    for b in iter_ball(view.pres, radius, window=radius, vertices=view.a_vertices):
+    for b in iter_ball(view.pres, radius, vertices=view.a_vertices):
         in_cosets = conjugate(b, x_prod) == x_prod and all(
             multiply(multiply(invert(c), b), c).support() <= view.h_vertices for c in x_cum
         )
@@ -329,7 +329,7 @@ def _suite_parabolics(seed: int) -> str:
         elements = corpus.corpus_elements(pres, max_len=3)
         sample = [e for e in elements if not e.is_identity]
         rng.shuffle(sample)
-        small = ball(pres, 2, window=2)
+        small = ball(pres, 2)
         for g in sample[:6]:
             check_parabolic_closure(g, small)
             checked += 1

@@ -146,14 +146,9 @@ def _family_from_constraints(
 def _smallest_modulus(group, needed: set, mode: ClassMode, vertex: str) -> int:
     """Least admissible modulus keeping every constraint value nonzero."""
     if group.kind == "Z":
-        if mode.is_p_mode:
-            m = 1
-            while any(d % m == 0 for d in needed):
-                m *= mode.p
-            return m
         m = 1
         while any(d % m == 0 for d in needed):
-            m += 1
+            m = m * mode.p if mode.is_p_mode else m + 1
         return m
     # integers mod n: admissible moduli are divisors of n; an unconstrained
     # vertex keeps its group whenever the mode allows, so already-finite

@@ -7,7 +7,7 @@ never calls the reduction engine's internals.
 from collections import deque
 
 from graphprod.presentation import Word
-from graphprod.words import reduce
+from graphprod.words import identity, multiply, reduce
 
 
 def shuffle_class(pres, key):
@@ -109,3 +109,56 @@ def all_rotations_reduced(pres, element, is_reduced):
             if not is_reduced(pres, word[j:] + word[:j]):
                 return False
     return True
+
+
+def alternating_form_by_restarts(pres, c_ids, h_ids, key):
+    """The x-pieces and consonants of a key, merged by a loop that restarts.
+
+    Splits the key into maximal runs on and off c_ids, then repeats until
+    nothing changes: drop the leftmost identity consonant and merge the pieces
+    around it, or else fold the leftmost interior piece that lies in h_ids
+    into the piece before it, and its consonant into the consonant before it.
+    """
+
+    def element(syllables):
+        return reduce(pres, word_of_key(pres, syllables))
+
+    def in_h(x):
+        return all(vi in h_ids for vi, _ in x.key)
+
+    blocks = []
+    for syl in key:
+        on_c = syl[0] in c_ids
+        if blocks and blocks[-1][0] == on_c:
+            blocks[-1][1].append(syl)
+        else:
+            blocks.append((on_c, [syl]))
+    xs, cs = [identity(pres)], []
+    for on_c, syls in blocks:
+        if on_c:
+            cs.append(element(syls))
+            xs.append(identity(pres))
+        else:
+            xs[-1] = multiply(xs[-1], element(syls))
+
+    changed = True
+    while changed:
+        changed = False
+        for i, c in enumerate(cs):
+            if c.is_identity:
+                xs[i] = multiply(xs[i], xs[i + 1])
+                del xs[i + 1]
+                del cs[i]
+                changed = True
+                break
+        if changed:
+            continue
+        for j in range(1, len(cs)):
+            if in_h(xs[j]):
+                xs[j - 1] = multiply(xs[j - 1], xs[j])
+                cs[j - 1] = multiply(cs[j - 1], cs[j])
+                del xs[j]
+                del cs[j]
+                changed = True
+                break
+    return xs, cs

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphprod import corpus, parse_presentation
-from graphprod.presentation import Word
+from graphprod.presentation import Word, parse_word
 from graphprod.words import conjugate, element_of, identity, invert, multiply, reduce
 from graphprod.cyclic import cyclically_reduce
 from graphprod.amalgam import (
     AmalgamError,
     amalgam_conjugate_by,
     amalgam_form,
+    amalgam_form_of_word,
     centralizer_check,
     conjugator_classify,
     consonant_leading_form,
@@ -68,6 +69,17 @@ def test_amalgam_form_examples(path_racg):
     inside = amalgam_form(view, element_of(path_racg, "a[1] b[1]"))
     assert inside.consonant_length == 0
     assert inside.x_pieces[0].render() == "a[1] b[1]"
+
+
+def test_cancelled_consonant_merges_its_neighbours_first():
+    # the middle apex run cancels, so v1[2] and v1[1] meet in one piece and
+    # cancel too; folding v1[2] into x0 first would leave x-pieces v1[2], v1[1]
+    doc = {"vertices": [{"name": "v0", "group": "Z"}, {"name": "v1", "group": "cyclic 3"}], "edges": [["v0", "v1"]]}
+    pres = parse_presentation(json.dumps(doc))
+    word = parse_word(pres, "v0[2] v0[1] v1[1] v1[1] v0[-1] v0[1] v1[1]")
+    form = amalgam_form_of_word(decompose_at(pres, "v0"), word)
+    assert [p.render() for p in form.x_pieces] == ["1", "1"]
+    assert form.consonants == (3,)
 
 
 def test_cyclically_reduced_form_examples(path_racg):

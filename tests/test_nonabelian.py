@@ -38,6 +38,7 @@ from graphprod.conjugacy import (
     conjugator_of_cyclic_permutation,
 )
 from graphprod.amalgam import (
+    _general_form,
     amalgam_conjugate_by,
     centralizer_check,
     conjugator_classify,
@@ -56,7 +57,7 @@ from graphprod.separability import (
     residual_witness,
 )
 
-from oracles import ball_by_enumeration, greedy_least_vertex_first
+from oracles import alternating_form_by_restarts, ball_by_enumeration, greedy_least_vertex_first
 
 
 def s3_config():
@@ -68,8 +69,7 @@ def s3_config():
     return {"table": {"elements": names, "mul": table, "identity": 0}}
 
 
-@pytest.fixture(scope="module")
-def s3_path():
+def build_s3_path():
     # g -- m -- z: S3 at one end, Z at the other, C2 in the middle
     doc = {
         "vertices": [
@@ -80,6 +80,11 @@ def s3_path():
         "edges": [["g", "m"], ["m", "z"]],
     }
     return parse_presentation(json.dumps(doc))
+
+
+@pytest.fixture(scope="module")
+def s3_path():
+    return build_s3_path()
 
 
 def test_words_and_shapes(s3_path):
@@ -303,6 +308,33 @@ def test_ball_matches_enumeration(name, subset):
     for radius in range(4):
         expected = ball_by_enumeration(pres, radius, window, vertices)
         assert [e.key for e in iter_ball(pres, radius, window, vertices)] == expected
+
+
+FORM_PRESENTATIONS = {**NORMAL_FORM_PRESENTATIONS, "s3-path": build_s3_path()}
+
+
+@pytest.mark.parametrize("subset", [False, True])
+@pytest.mark.parametrize("name", sorted(FORM_PRESENTATIONS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_alternating_forms_match_restarts(name, subset, data):
+    # the one-pass form has the pieces of the restart loop, on unreduced words;
+    # the C-side is one apex with its link, or a vertex subset with its common link
+    pres = FORM_PRESENTATIONS[name]
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    if subset:
+        c = set(rng.sample(pres.vertices, rng.randint(1, len(pres.vertices) - 1)))
+    else:
+        c = {rng.choice(pres.vertices)}
+    h = [v for v in pres.vertices if v not in c and all(v in pres.graph.link(u) for u in c)]
+    c_ids = {pres.vertex_index(v) for v in c}
+    h_ids = {pres.vertex_index(v) for v in h}
+    alphabet = corpus.syllable_alphabet(pres)
+    key = key_of_word(pres, Word(tuple(rng.choice(alphabet) for _ in range(data.draw(st.integers(0, 40))))))
+    xs, cs = _general_form(pres, c_ids, h_ids, key)
+    expected_xs, expected_cs = alternating_form_by_restarts(pres, c_ids, h_ids, key)
+    assert [x.key for x in xs] == [x.key for x in expected_xs]
+    assert [c.key for c in cs] == [c.key for c in expected_cs]
 
 
 # Blocks of two non-adjacent vertices, pairwise joined, and a central z: the

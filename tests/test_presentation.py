@@ -1,9 +1,11 @@
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
 from graphprod import (
+    corpus,
     PresentationError,
     WordError,
     link_of,
@@ -177,3 +179,12 @@ def test_link_star_antitone(triangle_mixed, star_racg):
             larger = set(vertices[: i + 1])
             assert link_of(g, larger) <= link_of(g, smaller)
             assert star_of(g, larger) <= star_of(g, smaller)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_data_files_match_corpus_configs():
+    # the goldens and the benchmark read these files; gp selftest builds the configs
+    files = {path.stem: json.loads(path.read_text()) for path in DATA.glob("*.json")}
+    assert files == {**corpus.CORPUS_CONFIGS, **corpus.VARIANT_CONFIGS}

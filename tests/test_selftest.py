@@ -1,7 +1,9 @@
 import io
 
+import pytest
+
 from graphprod import selftest
-from graphprod.presentation import InvariantError
+from graphprod.presentation import InvariantError, Syllable, Word
 
 
 def _run_with_failing_cyclic_check(monkeypatch, error) -> list:
@@ -31,3 +33,12 @@ def test_failing_check_fails_only_its_suite(monkeypatch):
 def test_library_error_fails_only_its_suite(monkeypatch):
     lines = _run_with_failing_cyclic_check(monkeypatch, InvariantError)
     assert lines[1].startswith("FAIL cyclic: InvariantError: planted failure: <")
+
+
+def test_failure_names_a_word_as_its_presentation_renders_it(monkeypatch, triangle_mixed):
+    # the Word keeps the raw value 5 at the Z/4 vertex w; the message prints its residue
+    monkeypatch.setattr(selftest, "brute_force_equal", lambda pres, w1, w2, budget: False)
+    w = Word((Syllable("w", 5),))
+    with pytest.raises(selftest.SelfTestFailure) as failure:
+        selftest.check_equality(triangle_mixed, w, w)
+    assert str(failure.value) == "equality oracle disagrees: w[1], w[1]"
