@@ -14,13 +14,17 @@ of conjugacy_witness on non-conjugate pairs.  The "render" line hashes the
 text Element.render prints for the 40 reduced words of each seed (Z
 exponents of both signs, Z/n residues, S3 names).
 
-Three lines draw from random generators of their own, so the lines above keep
-their inputs.  "amalgam_form" splits reduced elements of a random graph (2-6
+The remaining lines draw from random generators of their own, so the lines
+above keep their inputs.  "amalgam_form" splits reduced elements of a random graph (2-6
 vertices) at every apex; "amalgam_form_of_word" splits unreduced random words
 of up to 40 syllables and shuffles of them, which exercise the merging of
 pieces across cancelled consonants; "sigma" builds the amalgam of two random
 finite graph products (Z/2, Z/3 and S3 vertices) over a random vertex subset
-and digests SigmaAmalgam.sigma and kernel_sample_check.
+and digests SigmaAmalgam.sigma and kernel_sample_check.  "shape" (length,
+support, FL and LL), "ps_decompose" and "commuting_factors" take elements of
+up to 40 syllables on 1-4 random vertices of a random graph (2-10 vertices),
+and "parabolic_closure_of_cyclic" takes conjugates u c u^-1 of such elements
+by words of up to 30 syllables.
 
 Two checkouts that print the same digests return the same keys on every
 input, so a change that must keep the normal form and the search results is
@@ -49,10 +53,15 @@ from graphprod.amalgam import (
     sigma_map,
 )
 from graphprod.conjugacy import are_conjugate, brute_force_conjugate
-from graphprod.cyclic import cyclically_reduce
-from graphprod.parabolic import ParabolicSubgroup, centralizer_structure_check, parabolic_intersection_search
+from graphprod.cyclic import commuting_factors, cyclically_reduce, ps_decompose
+from graphprod.parabolic import (
+    ParabolicSubgroup,
+    centralizer_structure_check,
+    parabolic_closure_of_cyclic,
+    parabolic_intersection_search,
+)
 from graphprod.separability import conjugacy_witness, residual_witness
-from graphprod.words import canonical_form, conjugate, invert, iter_ball, multiply, reduce
+from graphprod.words import canonical_form, conjugate, invert, iter_ball, multiply, reduce, shape
 
 FUNCTIONS = (
     "reduce",
@@ -75,6 +84,10 @@ FUNCTIONS = (
     "amalgam_form",
     "amalgam_form_of_word",
     "sigma",
+    "shape",
+    "ps_decompose",
+    "commuting_factors",
+    "parabolic_closure_of_cyclic",
 )
 
 
@@ -142,6 +155,7 @@ def digest_seed(seed: int, hashes, counts) -> None:
         if not are_conjugate(x, y).conjugate:
             feed("conjugacy_witness", conjugacy_witness(x, y).to_json())
     digest_amalgams(seed, feed)
+    digest_structure(seed, feed)
 
 
 def keys(elements):
@@ -236,6 +250,42 @@ def digest_amalgams(seed: int, feed) -> None:
         feed("sigma", keys(amalgam.sigma(e)))
     report = amalgam.kernel_sample_check(20, 12, seed=rng.randrange(1 << 30))
     feed("sigma", (report.samples, report.nontrivial, keys(report.failures)))
+
+
+def digest_structure(seed: int, feed) -> None:
+    """The shape, ps_decompose, commuting_factors and parabolic_closure_of_cyclic lines."""
+
+    def setup(name):
+        rng = random.Random(f"{name} {seed}")
+        pres = random_presentation(rng)
+        alphabet = corpus.syllable_alphabet(pres, z_window=3)
+
+        def element_on_few_vertices():
+            vertices = rng.sample(pres.vertices, rng.randint(1, min(4, len(pres.vertices))))
+            letters = [s for s in alphabet if s.vertex in vertices]
+            return reduce(pres, Word(tuple(rng.choice(letters) for _ in range(rng.randint(0, 40)))))
+
+        return rng, pres, element_on_few_vertices
+
+    _, _, element = setup("shape")
+    for _ in range(40):
+        report = shape(element())
+        feed("shape", (report.length, sorted(report.support), sorted(report.first_letters), sorted(report.last_letters)))
+
+    _, _, element = setup("ps_decompose")
+    for _ in range(40):
+        ps = ps_decompose(element())
+        feed("ps_decompose", (ps.s_part.key, ps.p_part.key, sorted(ps.s_vertices), sorted(ps.p_vertices)))
+
+    _, _, element = setup("commuting_factors")
+    for _ in range(40):
+        feed("commuting_factors", tuple((root, e.key) for root, e in commuting_factors(element()).items()))
+
+    rng, pres, element = setup("parabolic_closure_of_cyclic")
+    for _ in range(40):
+        u = reduce(pres, corpus.random_word(pres, rng, 30, z_window=3))
+        closure = parabolic_closure_of_cyclic(conjugate(u, element()))
+        feed("parabolic_closure_of_cyclic", (closure.conjugator.key, sorted(closure.core)))
 
 
 def main() -> None:

@@ -3,11 +3,13 @@
 
 For seeded samples of non-conjugate element pairs, build conjugacy witnesses
 in each admissible class mode and tabulate which certificate fired and how
-large the chosen moduli were.
+large the chosen moduli were.  A witness that fails its own verify() stops
+the survey with exit status 1, also under python -O.
 """
 
 import argparse
 import random
+import sys
 from collections import Counter
 
 from graphprod import corpus
@@ -36,7 +38,8 @@ def survey(seed: int, pairs_per_presentation: int) -> None:
                 if are_conjugate(x, y).conjugate:
                     continue
                 witness = conjugacy_witness(x, y, mode)
-                assert witness.verify()
+                if not witness.verify():
+                    sys.exit(f"{name}: the {mode.render()} witness for {x.render()} and {y.render()} fails verify()")
                 tags[witness.certificate_tag] += 1
                 for m in witness.family.moduli.values():
                     if m is not None:

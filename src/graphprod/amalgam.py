@@ -27,6 +27,7 @@ from .words import (
     Element,
     _check_same,
     _make,
+    _supported_in,
     conjugate,
     identity,
     invert,
@@ -64,11 +65,6 @@ class AmalgamView:
 
 def decompose_at(pres: GroupPresentation, apex: str) -> AmalgamView:
     return AmalgamView(pres, apex)
-
-
-def _supported_in(e: Element, ids) -> bool:
-    """True iff every syllable of e lies on a vertex with index in ids."""
-    return all(vi in ids for vi, _ in e.key)
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +266,13 @@ def amalgam_conjugate_by(
 ) -> SubgroupConjugacy:
     """Decide f in g^B for the full subgroup B of the A-side.
 
-    Consonant sequences must match (certified refutation otherwise); the
-    A-side products must be conjugate under B (decided exactly when B is the
-    whole A-side, by bounded search otherwise); finally an element of the
-    coset intersection is searched for with H-side factors up to the radius.
-    Exhaustion of a bounded search yields "unknown", never a false "no".
+    Consonant sequences must match, and the A-side retractions must be
+    conjugate in the A-side; either failure is a certified refutation.  By
+    the normal form theorem for amalgams, every conjugator b in the A-side
+    has the form y0 h x0^-1, where x0 and y0 are the leading pieces of g and
+    f and h lies in the H-side.  So h runs over the H-side ball up to the
+    radius, and the first b supported in B with b g = f b is the certified
+    "yes".  Exhaustion yields "unknown", never a false "no".
     """
     pres = view.pres
     _check_same(f, g)
@@ -283,8 +281,7 @@ def amalgam_conjugate_by(
         raise AmalgamError("B must be a vertex subset of the A-side")
     b_ids = frozenset(pres.vertex_index(v) for v in b_set)
     gf = amalgam_form(view, g)
-    n = gf.consonant_length
-    if n < 1:
+    if gf.consonant_length < 1:
         raise AmalgamError("g must have at least one consonant")
     ff = amalgam_form(view, f)
     if ff.consonants != gf.consonants:
@@ -294,47 +291,15 @@ def amalgam_conjugate_by(
 
     # Conjugacy of A-side elements is intrinsic to the A-side, so a negative
     # ambient verdict certifies failure for every subgroup B.
-    ambient = are_conjugate(xp, yp)
-    if not ambient.conjugate:
+    if not are_conjugate(xp, yp).conjugate:
         return SubgroupConjugacy("no", None, 2)
-    if b_set == view.a_vertices:
-        b0 = ambient.conjugator
-    else:
-        b0 = None
-        for candidate in iter_ball(pres, radius, vertices=b_set):
-            if multiply(candidate, xp) == multiply(yp, candidate):
-                b0 = candidate
-                break
-        if b0 is None:
-            return SubgroupConjugacy("unknown", None, None)
-
-    x_cum = [gf.x_pieces[0]]
-    y_cum = [ff.x_pieces[0]]
-    for i in range(1, n):
-        x_cum.append(multiply(x_cum[-1], gf.x_pieces[i]))
-        y_cum.append(multiply(y_cum[-1], ff.x_pieces[i]))
-    y_cum_inv = [invert(y) for y in y_cum]
 
     x0_inv = invert(gf.x_pieces[0])
     y0 = ff.x_pieces[0]
-    b0_inv = invert(b0)
     for h in iter_ball(pres, radius, vertices=view.h_vertices):
         b = multiply(multiply(y0, h), x0_inv)
-        if not _supported_in(b, b_ids):
-            continue
-        t = multiply(b0_inv, b)
-        if not _supported_in(t, b_ids) or multiply(t, xp) != multiply(xp, t):
-            continue
-        ok = True
-        for i in range(1, n):
-            if not _supported_in(multiply(multiply(y_cum_inv[i], b), x_cum[i]), view.h_ids):
-                ok = False
-                break
-        if not ok:
-            continue
-        if conjugate(b, g) != f:
-            raise InvariantError("the B-conjugator fails its re-check")
-        return SubgroupConjugacy("yes", b, None)
+        if _supported_in(b, b_ids) and multiply(b, g) == multiply(f, b):
+            return SubgroupConjugacy("yes", b, None)
     return SubgroupConjugacy("unknown", None, None)
 
 

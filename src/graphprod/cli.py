@@ -132,9 +132,9 @@ def cmd_pc(pres, args) -> int:
 
 
 def cmd_normalizer(pres, args) -> int:
-    if not args.core:
-        raise UsageError("--core must not be empty (comma-separated vertex names)")
     core = frozenset(v for v in args.core.split(",") if v)
+    if not core:
+        raise UsageError("--core must not be empty (comma-separated vertex names)")
     conjugator = element_of(pres, args.conjugator) if args.conjugator else identity(pres)
     member = normalizer_membership(ParabolicSubgroup(conjugator, core), element_of(pres, args.word))
     _emit(args, {"member": member})

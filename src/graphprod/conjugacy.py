@@ -9,6 +9,7 @@ from .presentation import GroupPresentation, InvariantError, PresentationError, 
 from .words import (
     Element,
     _check_same,
+    _supported_in,
     conjugate,
     identity,
     invert,
@@ -53,7 +54,7 @@ def conjugate_in_clique_subgroup(
                 raise PresentationError(f"{u!r} and {v!r} are not adjacent: not a clique")
     allowed = {pres.vertex_index(v) for v in vertices}
     for e in (a, b):
-        if any(vi not in allowed for vi, _ in e.key):
+        if not _supported_in(e, allowed):
             raise PresentationError("element not supported in the clique")
     values_a = {vi: val for vi, val in a.key}
     values_b = {vi: val for vi, val in b.key}

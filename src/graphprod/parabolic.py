@@ -15,6 +15,7 @@ from .presentation import GroupPresentation, InvariantError, PresentationError, 
 from .words import (
     Element,
     _check_same,
+    _supported_in,
     conjugate,
     identity,
     invert,
@@ -129,8 +130,7 @@ def centralizer_structure_check(g: Element, radius: int) -> CentralizerStructure
     for u in iter_ball(pres, radius):
         count += 1
         centralizes = multiply(u, g) == multiply(g, u)
-        supported = all(vi in allowed_ids for vi, _ in u.key)
-        if supported:
+        if _supported_in(u, allowed_ids):
             u_core = retract_key(pres, u.key, core_ids)
             factored = multiply(u_core, g) == multiply(g, u_core)
         else:

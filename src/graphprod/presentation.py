@@ -30,6 +30,11 @@ class InvariantError(RuntimeError):
     """A computed certificate or internal invariant failed its check: a bug, not bad input."""
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: JSON true and false load as the bools 1 and 0."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # Vertex groups.  Element "keys" are the internal representation: table
 # indices for table groups, plain ints for the integers, residues in [0, n)
@@ -48,6 +53,8 @@ class FiniteTableGroup:
     kind = "table"
 
     def __init__(self, elements: Sequence[str], table: Sequence[Sequence[int]], identity: int):
+        if not isinstance(table, (list, tuple)) or not all(isinstance(x, (list, tuple)) for x in (elements, *table)):
+            raise PresentationError("table group needs a list of elements and a list of rows")
         names = tuple(str(e) for e in elements)
         n = len(names)
         if n == 0:
@@ -57,14 +64,14 @@ class FiniteTableGroup:
         for name in names:
             if not name or "[" in name or "]" in name or any(c.isspace() for c in name):
                 raise PresentationError(f"bad element name {name!r}")
-        if not isinstance(identity, int) or not 0 <= identity < n:
+        if not _is_int(identity) or not 0 <= identity < n:
             raise PresentationError("identity index out of range")
         rows = tuple(tuple(row) for row in table)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise PresentationError("multiplication table must be square")
         for r in rows:
             for x in r:
-                if not isinstance(x, int) or not 0 <= x < n:
+                if not _is_int(x) or not 0 <= x < n:
                     raise PresentationError("table entry out of range")
         for i in range(n):
             if sorted(rows[i]) != list(range(n)) or sorted(r[i] for r in rows) != list(range(n)):
@@ -154,7 +161,7 @@ class IntegerGroup:
         return [e for e in range(-window, window + 1) if e != 0]
 
     def encode(self, value) -> int:
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_int(value):
             raise WordError(f"{value!r} is not an integer exponent")
         return value
 
@@ -176,7 +183,7 @@ class IntegersModGroup:
     kind = "mod"
 
     def __init__(self, modulus: int):
-        if not isinstance(modulus, int) or modulus < 1:
+        if not _is_int(modulus) or modulus < 1:
             raise PresentationError("modulus must be a positive integer")
         self.modulus = modulus
         self.identity_key = 0
@@ -198,7 +205,7 @@ class IntegersModGroup:
         return list(range(1, self.modulus))
 
     def encode(self, value) -> int:
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_int(value):
             raise WordError(f"{value!r} is not an integer residue")
         return value % self.modulus
 
@@ -227,7 +234,7 @@ def vertex_group_from_config(config) -> VertexGroup:
         return IntegerGroup()
     if isinstance(config, str):
         parts = config.split()
-        if len(parts) == 2 and parts[0] == "cyclic" and parts[1].isdigit():
+        if len(parts) == 2 and parts[0] == "cyclic" and parts[1].isdecimal():
             return IntegersModGroup(int(parts[1]))
         raise PresentationError(f"unknown vertex group {config!r}")
     if isinstance(config, dict):
@@ -359,7 +366,9 @@ def presentation_from_config(config) -> GroupPresentation:
         names.append(name)
         groups[name] = vertex_group_from_config(entry["group"])
     edges = config.get("edges", [])
-    if not isinstance(edges, list) or any(not isinstance(e, (list, tuple)) or len(e) != 2 for e in edges):
+    if not isinstance(edges, list) or not all(
+        isinstance(e, (list, tuple)) and len(e) == 2 and all(isinstance(v, str) for v in e) for e in edges
+    ):
         raise PresentationError("edges must be a list of vertex pairs")
     graph = SimplicialGraph(names, edges)
     return GroupPresentation(graph, groups)
@@ -369,7 +378,7 @@ def parse_presentation(text: str) -> GroupPresentation:
     """Parse and validate the JSON presentation document."""
     try:
         config = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep to decode
         raise PresentationError(f"not valid JSON: {exc}") from None
     return presentation_from_config(config)
 

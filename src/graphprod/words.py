@@ -105,6 +105,11 @@ def _check_same(a: Element, b: Element) -> None:
         raise PresentationMismatchError("elements come from different presentations")
 
 
+def _supported_in(e: Element, ids) -> bool:
+    """True iff every syllable of e lies on a vertex with index in ids."""
+    return all(vi in ids for vi, _ in e.key)
+
+
 def key_of_word(pres: GroupPresentation, word: Word) -> Key:
     return tuple(pres.encode_syllable(s) for s in word.syllables)
 

@@ -6,8 +6,10 @@ never calls the reduction engine's internals.
 
 from collections import deque
 
+from graphprod.amalgam import AmalgamError, SubgroupConjugacy, amalgam_form
+from graphprod.conjugacy import are_conjugate
 from graphprod.presentation import Word
-from graphprod.words import identity, multiply, reduce
+from graphprod.words import conjugate, identity, invert, iter_ball, multiply, reduce, retract_key
 
 
 def shuffle_class(pres, key):
@@ -162,3 +164,58 @@ def alternating_form_by_restarts(pres, c_ids, h_ids, key):
                 changed = True
                 break
     return xs, cs
+
+
+def conjugate_by_coset_criterion(view, b_vertices, f, g, radius):
+    """Decide f in g^B with an anchor in the B-ball and the prefix coset conditions.
+
+    Refutes on different consonant sequences (condition 1) or A-side
+    retractions that are not conjugate (condition 2).  Otherwise it needs an
+    anchor b0 in B with b0 xp = yp b0 on the retractions: the ambient
+    conjugator when B is the whole A-side, else the first one in the B-ball,
+    and "unknown" when that ball has none.  Then b = y0 h x0^-1 runs over the
+    H-side ball, and b is accepted when it is supported in B, b0^-1 b
+    centralizes xp, and every (y0 ... yi)^-1 b (x0 ... xi) for 0 < i < n lies
+    in the H-side.  The accepted b is re-checked to conjugate g to f.
+    """
+    pres = view.pres
+    b_set = frozenset(b_vertices)
+    if not b_set <= view.a_vertices:
+        raise AmalgamError("B must be a vertex subset of the A-side")
+    gf, ff = amalgam_form(view, g), amalgam_form(view, f)
+    n = gf.consonant_length
+    if n < 1:
+        raise AmalgamError("g must have at least one consonant")
+    if ff.consonants != gf.consonants:
+        return SubgroupConjugacy("no", None, 1)
+    xp = retract_key(pres, g.key, view.a_ids)
+    yp = retract_key(pres, f.key, view.a_ids)
+    ambient = are_conjugate(xp, yp)
+    if not ambient.conjugate:
+        return SubgroupConjugacy("no", None, 2)
+    if b_set == view.a_vertices:
+        b0 = ambient.conjugator
+    else:
+        b0 = next(
+            (c for c in iter_ball(pres, radius, vertices=b_set) if multiply(c, xp) == multiply(yp, c)), None
+        )
+        if b0 is None:
+            return SubgroupConjugacy("unknown", None, None)
+
+    x_cum, y_cum = [gf.x_pieces[0]], [ff.x_pieces[0]]
+    for i in range(1, n):
+        x_cum.append(multiply(x_cum[-1], gf.x_pieces[i]))
+        y_cum.append(multiply(y_cum[-1], ff.x_pieces[i]))
+    for h in iter_ball(pres, radius, vertices=view.h_vertices):
+        b = multiply(multiply(ff.x_pieces[0], h), invert(gf.x_pieces[0]))
+        if not b.support() <= b_set:
+            continue
+        t = multiply(invert(b0), b)
+        if not t.support() <= b_set or multiply(t, xp) != multiply(xp, t):
+            continue
+        if all(
+            multiply(multiply(invert(y_cum[i]), b), x_cum[i]).support() <= view.h_vertices for i in range(1, n)
+        ):
+            assert conjugate(b, g) == f, "the coset criterion accepted a non-conjugator"
+            return SubgroupConjugacy("yes", b, None)
+    return SubgroupConjugacy("unknown", None, None)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphprod import corpus, parse_presentation
-from graphprod.presentation import Word, parse_word
+from graphprod.presentation import Syllable, Word, parse_word
 from graphprod.words import conjugate, element_of, identity, invert, multiply, reduce
 from graphprod.cyclic import cyclically_reduce
 from graphprod.amalgam import (
@@ -22,6 +22,9 @@ from graphprod.amalgam import (
     sigma_map,
 )
 from graphprod.selftest import check_centralizer, check_consonants
+
+from oracles import conjugate_by_coset_criterion
+from test_nonabelian import s3_config
 
 PRESENTATIONS = corpus.corpus_presentations()
 
@@ -351,3 +354,95 @@ def test_centralizer_check_reports_unresolved_prefixes(wide_h):
     assert report.unresolved  # the middle rotation cannot be settled at this radius
     for omega in report.omega.omega:
         assert conjugate(omega, g) == g
+
+
+def test_conjugate_by_reaches_b_conjugators_beyond_the_radius():
+    # H = link(z) is empty, so the only candidate is b = y0 x0^-1 = x[4],
+    # which a B-ball of radius 1-3 (exponents up to 3) cannot reach
+    doc = {"vertices": [{"name": v, "group": "Z"} for v in "xyz"], "edges": []}
+    pres = parse_presentation(json.dumps(doc))
+    view = decompose_at(pres, "z")
+    g = element_of(pres, "y[3] z[2]")
+    f = element_of(pres, "x[4] y[3] z[2] x[-4]")
+    for radius in (1, 2, 3):
+        assert conjugate_by_coset_criterion(view, {"x"}, f, g, radius).status == "unknown"
+        answer = amalgam_conjugate_by(view, {"x"}, f, g, radius)
+        assert answer.status == "yes" and answer.conjugator.render() == "x[4]"
+
+
+def _random_element(rng, pres, vertices, length, reach):
+    """A product of `length` random syllables on the vertices, Z exponents in [-reach, reach]."""
+    syllables = []
+    for v in rng.choices(sorted(vertices), k=length if vertices else 0):
+        group = pres.groups[v]
+        if group.kind == "Z":
+            value = rng.choice([e for e in range(-reach, reach + 1) if e])
+        else:
+            value = group.decode(rng.choice(group.nontrivial_keys()))
+        syllables.append(Syllable(v, value))
+    return reduce(pres, Word(tuple(syllables)))
+
+
+def _alternating_element(rng, pres, view):
+    """x0 c1 x1 ... cn xn with 1-3 random apex syllables; cancellation may leave fewer consonants."""
+    a_side = view.a_vertices
+    e = _random_element(rng, pres, a_side, rng.randint(0, 2), 2)
+    for _ in range(rng.randint(1, 3)):
+        e = multiply(e, _random_element(rng, pres, view.c_vertices, 1, 2))
+        e = multiply(e, _random_element(rng, pres, a_side, rng.randint(0, 3), 2))
+    return e
+
+
+def test_conjugate_by_matches_coset_criterion():
+    """amalgam_conjugate_by against the oracle with a B-ball anchor and prefix coset conditions.
+
+    Random 3-5-vertex graphs over Z, Z/2, Z/3 and S3, with B the whole A-side
+    or a proper subset of it.  f is g conjugated by an element of G_B whose Z
+    exponents reach past the radius, by an element of the A-side, by any
+    element, or an unrelated element.  Every refutation and every oracle
+    "yes" must come back unchanged; every "yes" must be supported in B and
+    satisfy b g = f b.
+    """
+    rng = random.Random(9)
+    groups = ["Z", "cyclic 2", "cyclic 3", s3_config()]
+    tally = {"no": 0, "same yes": 0, "new yes": 0, "unknown": 0}
+    for trial in range(1000):
+        n = rng.randint(3, 5)
+        names = [f"v{i}" for i in range(n)]
+        doc = {
+            "vertices": [{"name": v, "group": rng.choice(groups)} for v in names],
+            "edges": [[u, v] for i, u in enumerate(names) for v in names[i + 1 :] if rng.random() < 0.5],
+        }
+        pres = parse_presentation(json.dumps(doc))
+        view = decompose_at(pres, rng.choice(names))
+        a_side = sorted(view.a_vertices)
+        b_set = set(a_side) if rng.random() < 0.3 else set(rng.sample(a_side, rng.randint(0, len(a_side) - 1)))
+        radius = rng.randint(1, 3)
+        g = _alternating_element(rng, pres, view)
+        if amalgam_form(view, g).consonant_length < 1:
+            continue
+        kind = rng.random()
+        if kind < 0.45:
+            f = conjugate(_random_element(rng, pres, b_set, rng.randint(1, 3), radius + 2), g)
+        elif kind < 0.7:
+            f = conjugate(_random_element(rng, pres, a_side, rng.randint(1, 3), radius + 2), g)
+        elif kind < 0.85:
+            f = conjugate(_random_element(rng, pres, names, rng.randint(1, 3), 2), g)
+        else:
+            f = _alternating_element(rng, pres, view)
+        expected = conjugate_by_coset_criterion(view, b_set, f, g, radius)
+        answer = amalgam_conjugate_by(view, b_set, f, g, radius)
+        context = f"trial {trial}: {doc}, apex {view.apex}, B {sorted(b_set)}, g {g}, f {f}, radius {radius}"
+        if "no" in (expected.status, answer.status):
+            assert (answer.status, answer.failed_condition) == ("no", expected.failed_condition), context
+            tally["no"] += 1
+            continue
+        if expected.status == "yes":
+            assert answer.status == "yes" and answer.conjugator == expected.conjugator, context
+        if answer.status == "yes":
+            b = answer.conjugator
+            assert b.support() <= b_set and multiply(b, g) == multiply(f, b), context
+            tally["same yes" if expected.status == "yes" else "new yes"] += 1
+        else:
+            tally["unknown"] += 1
+    assert min(tally.values()) > 0, tally

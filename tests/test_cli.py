@@ -79,6 +79,22 @@ def test_missing_file_is_usage_error():
     assert code == 3 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"vertices": [{"name": "u", "group": "Z"}, {"name": "v", "group": "Z"}], "edges": [[["u"], "v"]]}),
+        json.dumps({"vertices": [{"name": "u", "group": {"table": {"elements": ["e"], "mul": [0], "identity": 0}}}]}),
+        "[" * 100000,
+    ],
+    ids=["edge-endpoint", "table-row", "deep-nesting"],
+)
+def test_malformed_presentation_is_usage_error(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = gp("eq", "-g", str(path), "1", "1")
+    assert code == 3 and out == "" and "error:" in err
+
+
 def test_bad_word_is_usage_error():
     code, _, err = gp("normalize", "-g", str(DATA / "path-racg.json"), "zz[1]")
     assert code == 3 and "unknown vertex" in err
@@ -192,6 +208,7 @@ PINNED_OUTPUTS = [
      '{"member": true}\n'),
     (["normalizer", "-g", "path-racg.json", "--core", "", "c[1]", "--json"], 3, ""),
     (["eq", "-g", "missing.json", "a[1]", "a[1]"], 3, ""),
+    (["normalizer", "-g", "path-racg.json", "--core", ",", "c[1]"], 3, ""),
 ]
 
 

@@ -1,9 +1,9 @@
 """The normal-form digest over 20 seeds, pinned.
 
 scripts/normal_form_digest.py hashes the outputs of the normal-form, search,
-witness, rendering and amalgam functions over seeded random inputs.  A change
-that must keep those outputs keeps these bytes; a change that means to alter
-them updates the pin and says why.
+witness, rendering, amalgam and shape functions over seeded random inputs.  A
+change that must keep those outputs keeps these bytes; a change that means to
+alter them updates the pin and says why.
 """
 
 import subprocess
@@ -33,6 +33,10 @@ DIGEST_AT_20_SEEDS = (
     "amalgam_form                       750 29277e0578f9a4ec0ac65512b57919275332ea5e64e33e192194fc590d55723a\n"
     "amalgam_form_of_word              1740 1ae52ddbd70363ca4e5da79c8c18f98e9a99c733c4a41cd2bf3f42e371a1bcd3\n"
     "sigma                              220 d39313095dd2a230d19e39c5997f71bbeedb9999f870a43a43ec5410e8685d6e\n"
+    "shape                              800 7e23f3dbc9f60292c3fb5c5b862fd4274df3f92a8a8deb7ed445c6bab152fa7f\n"
+    "ps_decompose                       800 ac87a3f092e983a6a032ceae20516d6b413977f0d537dc9a8ef20736470063db\n"
+    "commuting_factors                  800 58c0b5b91a275ae6ae7b4b1e78c6bf6622157430e397d22b7101235eea5edcd8\n"
+    "parabolic_closure_of_cyclic        800 00f66a5897dc9ab435a0eb75b8fb9bd62524c3733f7b75ff3157a292636bd2dc\n"
 )
 
 

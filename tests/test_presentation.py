@@ -80,6 +80,65 @@ def test_nonassociative_loop_rejected():
         parse_presentation(doc([{"name": "a", "group": bad}], []))
 
 
+def test_edge_endpoint_that_is_not_a_name_rejected():
+    vertices = [{"name": "u", "group": "Z"}, {"name": "v", "group": "Z"}]
+    with pytest.raises(PresentationError, match="edges"):
+        parse_presentation(doc(vertices, [[["u"], "v"]]))
+
+
+def test_table_elements_that_are_not_a_list_rejected():
+    bad = {"table": {"elements": 5, "mul": [[0]], "identity": 0}}
+    with pytest.raises(PresentationError, match="list of elements"):
+        parse_presentation(doc([{"name": "a", "group": bad}], []))
+
+
+def test_table_elements_that_are_a_string_rejected():
+    bad = {"table": {"elements": "eg", "mul": [[0, 1], [1, 0]], "identity": 0}}
+    with pytest.raises(PresentationError, match="list of elements"):
+        parse_presentation(doc([{"name": "a", "group": bad}], []))
+
+
+def test_table_mul_that_is_not_a_list_rejected():
+    bad = {"table": {"elements": ["e"], "mul": 0, "identity": 0}}
+    with pytest.raises(PresentationError, match="list of rows"):
+        parse_presentation(doc([{"name": "a", "group": bad}], []))
+
+
+def test_table_mul_row_that_is_not_a_list_rejected():
+    bad = {"table": {"elements": ["e", "g"], "mul": [0, 1], "identity": 0}}
+    with pytest.raises(PresentationError, match="list of rows"):
+        parse_presentation(doc([{"name": "a", "group": bad}], []))
+
+
+def test_boolean_identity_rejected():
+    # element 1 is the identity, so true read as the int 1 would load a valid group
+    bad = {"table": {"elements": ["g", "e"], "mul": [[1, 0], [0, 1]], "identity": True}}
+    with pytest.raises(PresentationError, match="identity index"):
+        parse_presentation(doc([{"name": "a", "group": bad}], []))
+
+
+def test_boolean_table_entry_rejected():
+    bad = {"table": {"elements": ["e", "g"], "mul": [[False, True], [True, False]], "identity": 0}}
+    with pytest.raises(PresentationError, match="table entry"):
+        parse_presentation(doc([{"name": "a", "group": bad}], []))
+
+
+def test_boolean_modulus_rejected():
+    with pytest.raises(PresentationError, match="modulus"):
+        parse_presentation(doc([{"name": "a", "group": {"mod": True}}], []))
+
+
+def test_cyclic_with_a_non_decimal_digit_rejected():
+    # "\u00b2".isdigit() holds, but int() cannot read it
+    with pytest.raises(PresentationError, match="unknown vertex group"):
+        parse_presentation(doc([{"name": "a", "group": "cyclic \u00b2"}], []))
+
+
+def test_json_nested_too_deep_to_decode_rejected():
+    with pytest.raises(PresentationError, match="not valid JSON"):
+        parse_presentation("[" * 100000)
+
+
 def test_table_group_axioms_hold_after_load():
     names, table, _ = s3_table()
     group = FiniteTableGroup(names, table, 0)
