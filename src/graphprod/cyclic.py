@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .presentation import InvariantError, WordError
+from .presentation import WordError
 from .words import (
     Element,
     _front_letters,
@@ -37,15 +37,11 @@ class CyclicReduction:
     conjugator: Element  # input = conjugator * reduced * conjugator^-1
 
 
-def _s_indices(pres, key) -> set:
-    supp = {vi for vi, _ in key}
-    return {vi for vi in supp if supp <= pres.istar[vi]}
-
-
 def ps_decompose(e: Element) -> PSDecomposition:
     """The unique factorization e = s_part * p_part as a reduced product."""
     pres = e.pres
-    s_ids = _s_indices(pres, e.key)
+    supp = {vi for vi, _ in e.key}
+    s_ids = {vi for vi in supp if supp <= pres.istar[vi]}
     s_key = tuple(s for s in e.key if s[0] in s_ids)
     p_key = tuple(s for s in e.key if s[0] not in s_ids)
     names = pres.vertices
@@ -60,15 +56,17 @@ def ps_decompose(e: Element) -> PSDecomposition:
 def _movable(pres, key) -> Dict[int, Tuple[int, int]]:
     """FL & LL - S of a reduced key, each vertex mapped to its (front, back) positions.
 
-    The front syllable is the vertex's first and the back one its last: a
-    syllable readable at both ends would commute with the rest and lie in S.
+    The front syllable is the vertex's first and the back one its last.  A
+    vertex lies in S exactly when the two coincide: one syllable readable at
+    both ends commutes with the rest, and a vertex of S has one syllable.
     """
     front = _front_letters(pres, key)
     back = _front_letters(pres, key[::-1])
-    s_ids = _s_indices(pres, key)
     last = len(key) - 1
     return {
-        vi: (pos, last - back[vi]) for vi, pos in front.items() if vi in back and vi not in s_ids
+        vi: (pos, last - back[vi])
+        for vi, pos in front.items()
+        if vi in back and pos < last - back[vi]
     }
 
 
@@ -95,8 +93,6 @@ def cyclically_reduce(e: Element) -> CyclicReduction:
         if not movable:
             return CyclicReduction(_make(pres, key), _make(pres, conj))
         i, j = movable[min(movable)]
-        if i >= j:
-            raise InvariantError("the front and back syllables of a movable vertex coincide")
         front, back = key[i], key[j]
         del key[j], key[i]
         _push(pres, key, *back)

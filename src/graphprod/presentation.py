@@ -55,15 +55,15 @@ class FiniteTableGroup:
     def __init__(self, elements: Sequence[str], table: Sequence[Sequence[int]], identity: int):
         if not isinstance(table, (list, tuple)) or not all(isinstance(x, (list, tuple)) for x in (elements, *table)):
             raise PresentationError("table group needs a list of elements and a list of rows")
-        names = tuple(str(e) for e in elements)
+        names = tuple(elements)
+        for name in names:
+            if not isinstance(name, str) or not name or any(c in "[]" or c.isspace() for c in name):
+                raise PresentationError(f"bad element name {name!r}")
         n = len(names)
         if n == 0:
             raise PresentationError("table group needs at least one element")
         if len(set(names)) != n:
             raise PresentationError("duplicate element names in table group")
-        for name in names:
-            if not name or "[" in name or "]" in name or any(c.isspace() for c in name):
-                raise PresentationError(f"bad element name {name!r}")
         if not _is_int(identity) or not 0 <= identity < n:
             raise PresentationError("identity index out of range")
         rows = tuple(tuple(row) for row in table)

@@ -23,7 +23,7 @@ from .presentation import (
     induced_presentation,
 )
 from .words import Element, _check_same, _make, invert, multiply, reduce, retract_key
-from .cyclic import commuting_factors, cyclically_reduce, cyclic_permutations, ps_decompose
+from .cyclic import commuting_factors, cyclic_permutation_conjugators, cyclically_reduce
 from .conjugacy import are_conjugate
 
 
@@ -53,7 +53,7 @@ def p_group_mode(p: int) -> ClassMode:
 def parse_mode(text: str) -> ClassMode:
     if text == "finite":
         return ALL_FINITE
-    if text.startswith("p:") and text[2:].isdigit():
+    if text.startswith("p:") and text[2:].isdecimal():
         return p_group_mode(int(text[2:]))
     raise ValueError(f"unknown class mode {text!r} (expected finite or p:<prime>)")
 
@@ -118,8 +118,7 @@ def _collect_shape_constraints(constraints: Dict[str, set], elements: Iterable[E
     for e in elements:
         pres = e.pres
         for vi, val in e.key:
-            if pres.by_index[vi].kind != "table":
-                constraints[pres.vertices[vi]].add(val)
+            constraints[pres.vertices[vi]].add(val)
 
 
 def _collect_distinctness(constraints: Dict[str, set], elements: Sequence[Element]) -> None:
@@ -237,11 +236,11 @@ def conjugacy_witness(f: Element, g: Element, mode: ClassMode = ALL_FINITE) -> S
 
     The inputs are retracted to their joint support, cyclically reduced, and
     the quotient is chosen per the failing conjugacy test: shape preservation
-    for support/length failures; for rotation failures, shape preservation
-    of each commuting factor of the moving parts and of all its rotations,
-    which stay distinct from each other and from the other input's factor;
-    and vertex-level separation of the clique parts otherwise.  The
-    certificate re-runs the target decision.
+    for support/length failures; for rotation failures, also the rotations of
+    each commuting factor of more than one syllable stay distinct from each
+    other and from the other input's factor; and for clique-part failures,
+    vertex-level separation of the one-syllable factors, which are the
+    clique part.  The certificate re-runs the target decision.
     """
     _check_same(f, g)
     verdict = are_conjugate(f, g)
@@ -257,28 +256,20 @@ def conjugacy_witness(f: Element, g: Element, mode: ClassMode = ALL_FINITE) -> S
     constraints: Dict[str, set] = {v: set() for v in sub.vertices}
     _collect_shape_constraints(constraints, [f0, g0])
     tag = verdict.refutation
-    if tag == "p-part-not-cyclic-permutation":
-        # Two whole rotations differ only in the factors where they differ,
-        # so the per-factor constraints give the values of the whole closure
-        # up to sign, which no modulus test d % m can see.
-        factors_f = commuting_factors(ps_decompose(f0).p_part)
-        for root, factor_g in commuting_factors(ps_decompose(g0).p_part).items():
-            elements = [factors_f[root]] + sorted(cyclic_permutations(factor_g))
-            _collect_shape_constraints(constraints, elements)
-            _collect_distinctness(constraints, elements)
-    elif tag == "s-part-not-conjugate":
-        psf, psg = ps_decompose(f0), ps_decompose(g0)
-        values_f = {vi: val for vi, val in psf.s_part.key}
-        values_g = {vi: val for vi, val in psg.s_part.key}
-        for v in sorted(psf.s_vertices, key=sub.vertex_index):
-            vi = sub.vertex_index(v)
-            group = sub.by_index[vi]
-            if group.kind == "table":
-                continue
-            a = values_f.get(vi, 0)
-            b = values_g.get(vi, 0)
-            if group.conjugator_key(a, b) is None:
-                constraints[v].update(x for x in (a, b, a - b) if x != 0)
+    factors_f = commuting_factors(f0)
+    for root, factor_g in commuting_factors(g0).items():
+        if len(factor_g) > 1 and tag == "p-part-not-cyclic-permutation":
+            # A rotation only permutes the syllables of a cyclically reduced
+            # factor, so [f0, g0] already gave its values.  Two whole
+            # rotations differ only in the factors where they differ, so the
+            # per-factor products give the values of the whole closure up to
+            # sign, which no modulus test d % m can see.
+            rotations = sorted(cyclic_permutation_conjugators(factor_g))
+            _collect_distinctness(constraints, [factors_f[root], *rotations])
+        elif len(factor_g) == 1 and tag == "s-part-not-conjugate":
+            (vi, a), (_, b) = factors_f[root].key[0], factor_g.key[0]
+            if sub.by_index[vi].conjugator_key(a, b) is None:
+                constraints[sub.vertices[vi]].update(x for x in (a, b, a - b) if x != 0)
     family = _family_from_constraints(sub, constraints, mode)
     images = (apply_quotient(family, f_sub), apply_quotient(family, g_sub))
     target_verdict = are_conjugate(images[0], images[1])

@@ -8,7 +8,8 @@ from collections import deque
 
 from graphprod.amalgam import AmalgamError, SubgroupConjugacy, amalgam_form
 from graphprod.conjugacy import are_conjugate
-from graphprod.presentation import Word
+from graphprod.cyclic import commuting_factors, cyclic_permutations, cyclically_reduce, ps_decompose
+from graphprod.presentation import Word, induced_presentation
 from graphprod.words import conjugate, identity, invert, iter_ball, multiply, reduce, retract_key
 
 
@@ -219,3 +220,47 @@ def conjugate_by_coset_criterion(view, b_vertices, f, g, radius):
             assert conjugate(b, g) == f, "the coset criterion accepted a non-conjugator"
             return SubgroupConjugacy("yes", b, None)
     return SubgroupConjugacy("unknown", None, None)
+
+
+def witness_constraints_by_parts(f, g):
+    """The values a conjugacy witness for f and g must keep nonzero, part by part.
+
+    Returns the presentation induced on the joint support and a map from each
+    of its vertices to the values that the quotient of that vertex group must
+    keep nonzero.  Both inputs are cyclically reduced there, and their
+    integer-type syllables give the shape values.  On a rotation failure, each
+    commuting factor of the moving parts adds the values of all rotations of
+    g's factor and of every product r_i r_j^-1 (i < j) over f's factor
+    followed by those rotations in sorted order.  On a clique-part failure,
+    each vertex of the clique part whose two values a, b are not conjugate in
+    its group adds a, b and a - b.
+    """
+    pres = f.pres
+    sub = induced_presentation(pres, sorted(f.support() | g.support(), key=pres.vertex_index))
+    f0 = cyclically_reduce(reduce(sub, f.word())).reduced
+    g0 = cyclically_reduce(reduce(sub, g.word())).reduced
+    constraints = {v: set() for v in sub.vertices}
+
+    def collect(elements):
+        for e in elements:
+            for vi, val in e.key:
+                if sub.by_index[vi].kind != "table":
+                    constraints[sub.vertices[vi]].add(val)
+
+    collect([f0, g0])
+    tag = are_conjugate(f, g).refutation
+    if tag == "p-part-not-cyclic-permutation":
+        factors_f = commuting_factors(ps_decompose(f0).p_part)
+        for root, factor_g in commuting_factors(ps_decompose(g0).p_part).items():
+            rs = [factors_f[root]] + sorted(cyclic_permutations(factor_g))
+            collect(rs)
+            collect(multiply(rs[i], invert(rs[j])) for i in range(len(rs)) for j in range(i + 1, len(rs)))
+    elif tag == "s-part-not-conjugate":
+        psf, psg = ps_decompose(f0), ps_decompose(g0)
+        values_f, values_g = dict(psf.s_part.key), dict(psg.s_part.key)
+        for v in sorted(psf.s_vertices, key=sub.vertex_index):
+            vi = sub.vertex_index(v)
+            group, a, b = sub.by_index[vi], values_f[vi], values_g[vi]
+            if group.kind != "table" and group.conjugator_key(a, b) is None:
+                constraints[v].update(x for x in (a, b, a - b) if x != 0)
+    return sub, constraints

@@ -84,9 +84,10 @@ def test_missing_file_is_usage_error():
     [
         json.dumps({"vertices": [{"name": "u", "group": "Z"}, {"name": "v", "group": "Z"}], "edges": [[["u"], "v"]]}),
         json.dumps({"vertices": [{"name": "u", "group": {"table": {"elements": ["e"], "mul": [0], "identity": 0}}}]}),
+        json.dumps({"vertices": [{"name": "u", "group": {"table": {"elements": [None], "mul": [[0]], "identity": 0}}}]}),
         "[" * 100000,
     ],
-    ids=["edge-endpoint", "table-row", "deep-nesting"],
+    ids=["edge-endpoint", "table-row", "table-name", "deep-nesting"],
 )
 def test_malformed_presentation_is_usage_error(tmp_path, text):
     path = tmp_path / "bad.json"

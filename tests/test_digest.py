@@ -1,9 +1,11 @@
-"""The normal-form digest over 20 seeds, pinned.
+"""The normal-form digest over 20 seeds and the witness survey, pinned.
 
 scripts/normal_form_digest.py hashes the outputs of the normal-form, search,
-witness, rendering, amalgam and shape functions over seeded random inputs.  A
-change that must keep those outputs keeps these bytes; a change that means to
-alter them updates the pin and says why.
+witness, rendering, amalgam and shape functions over seeded random inputs, and
+scripts/witness_survey.py tabulates the certificate tags and largest moduli of
+the witnesses over the reference presentations.  A change that must keep
+those outputs keeps these bytes; a change that means to alter them updates the
+pin and says why.
 """
 
 import subprocess
@@ -39,13 +41,35 @@ DIGEST_AT_20_SEEDS = (
     "parabolic_closure_of_cyclic        800 00f66a5897dc9ab435a0eb75b8fb9bd62524c3733f7b75ff3157a292636bd2dc\n"
 )
 
+WITNESS_SURVEY_AT_40_PAIRS = (
+    "path-racg        mode=finite  pairs= 40 max_modulus=  2  support-mismatch=40\n"
+    "path-racg        mode=p:2     pairs= 40 max_modulus=  2  length-mismatch=3, support-mismatch=37\n"
+    "star-racg        mode=finite  pairs= 40 max_modulus=  2  support-mismatch=40\n"
+    "star-racg        mode=p:2     pairs= 40 max_modulus=  2  length-mismatch=2, support-mismatch=38\n"
+    "free-zz          mode=finite  pairs= 40 max_modulus=  5  length-mismatch=18, p-part-not-cyclic-permutation=17, support-mismatch=5\n"
+    "free-zz          mode=p:2     pairs= 40 max_modulus= 16  length-mismatch=12, p-part-not-cyclic-permutation=26, support-mismatch=2\n"
+    "free-zz          mode=p:3     pairs= 40 max_modulus= 27  length-mismatch=13, p-part-not-cyclic-permutation=22, s-part-not-conjugate=1, support-mismatch=4\n"
+    "edge-zz          mode=finite  pairs= 40 max_modulus=  7  s-part-not-conjugate=23, support-mismatch=17\n"
+    "edge-zz          mode=p:2     pairs= 40 max_modulus= 16  s-part-not-conjugate=16, support-mismatch=24\n"
+    "edge-zz          mode=p:3     pairs= 40 max_modulus= 27  s-part-not-conjugate=20, support-mismatch=20\n"
+    "triangle-mixed   mode=finite  pairs= 40 max_modulus=  4  s-part-not-conjugate=7, support-mismatch=33\n"
+)
 
-def test_digest_at_20_seeds_is_pinned():
+
+def run_script(name, *args):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "normal_form_digest.py"), "--seeds", "20"],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
         cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == DIGEST_AT_20_SEEDS
+    return proc.stdout
+
+
+def test_digest_at_20_seeds_is_pinned():
+    assert run_script("normal_form_digest.py", "--seeds", "20") == DIGEST_AT_20_SEEDS
+
+
+def test_witness_survey_at_40_pairs_is_pinned():
+    assert run_script("witness_survey.py", "--pairs", "40") == WITNESS_SURVEY_AT_40_PAIRS

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphprod import corpus, parse_presentation
 from graphprod import conjugacy
-from graphprod.presentation import Word, WordError, induced_presentation
+from graphprod.presentation import PresentationError, Word, WordError, induced_presentation
 from graphprod.words import (
     ball,
     canonical_form,
@@ -50,14 +50,22 @@ from graphprod.amalgam import (
 from graphprod.parabolic import centralizer_structure_check, parabolic_closure_of_cyclic, parabolic_membership
 from graphprod.separability import (
     ALL_FINITE,
+    SeparationWitness,
     _collect_distinctness,
     _collect_shape_constraints,
     _family_from_constraints,
+    apply_quotient,
     conjugacy_witness,
+    p_group_mode,
     residual_witness,
 )
 
-from oracles import alternating_form_by_restarts, ball_by_enumeration, greedy_least_vertex_first
+from oracles import (
+    alternating_form_by_restarts,
+    ball_by_enumeration,
+    greedy_least_vertex_first,
+    witness_constraints_by_parts,
+)
 
 
 def s3_config():
@@ -515,6 +523,68 @@ def test_rotation_closure_is_a_sum_not_a_product(blocks, monkeypatch):
         if verdict.conjugate:
             assert conjugate(verdict.conjugator, x) == y
         assert sum(enumerated) <= sum(sizes)
+
+
+WITNESS_GROUPS = ["Z", "cyclic 2", "cyclic 3", "cyclic 5", "S3"]
+WITNESS_MODES = {"finite": ALL_FINITE, "p:2": p_group_mode(2), "p:3": p_group_mode(3)}
+
+
+def random_graph_product(data):
+    n = data.draw(st.integers(2, 7))
+    groups = data.draw(st.lists(st.sampled_from(WITNESS_GROUPS), min_size=n, max_size=n))
+    vertices = [{"name": f"v{i}", "group": s3_config() if g == "S3" else g} for i, g in enumerate(groups)]
+    edges = [[f"v{i}", f"v{j}"] for i in range(n) for j in range(i + 1, n) if data.draw(st.booleans())]
+    return parse_presentation(json.dumps({"vertices": vertices, "edges": edges}))
+
+
+def near_conjugate_pair(pres, data):
+    """(x, y) with y a conjugate of a rotation of x's word, one syllable of it
+    replaced, so that most pairs share support and length."""
+    alphabet = corpus.syllable_alphabet(pres, 3)
+    letters = st.sampled_from(alphabet)
+    word = data.draw(st.lists(letters, min_size=1, max_size=8))
+    s = data.draw(st.integers(0, len(word) - 1))
+    rotated = word[s:] + word[:s]
+    rotated[data.draw(st.integers(0, len(word) - 1))] = data.draw(letters)
+    w = reduce(pres, Word(tuple(data.draw(st.lists(letters, max_size=3)))))
+    return reduce(pres, Word(tuple(word))), conjugate(w, reduce(pres, Word(tuple(rotated))))
+
+
+def witness_json_or_error(build):
+    try:
+        return build()
+    except PresentationError as exc:
+        return f"error: {exc}"
+
+
+@pytest.mark.parametrize("mode", sorted(WITNESS_MODES))
+@pytest.mark.parametrize("graph", ["random", "blocks"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_witness_matches_constraints_by_parts(blocks, graph, mode, data):
+    class_mode = WITNESS_MODES[mode]
+    if graph == "random":
+        pres = random_graph_product(data)
+        pairs = [near_conjugate_pair(pres, data) for _ in range(3)]
+    else:
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        k = data.draw(st.integers(1, 3))
+        pairs = [
+            block_pair(blocks, k, change, rng, [rng.randint(2, 4) for _ in range(k)]) for change in ("p", "s")
+        ]
+    for f, g in pairs:
+        if are_conjugate(f, g).conjugate:
+            continue
+        sub, constraints = witness_constraints_by_parts(f, g)
+
+        def by_parts():
+            family = _family_from_constraints(sub, constraints, class_mode)
+            inputs = (reduce(sub, f.word()), reduce(sub, g.word()))
+            images = tuple(apply_quotient(family, e) for e in inputs)
+            return SeparationWitness(family, inputs, images, are_conjugate(*images).refutation).to_json()
+
+        expected = witness_json_or_error(by_parts)
+        assert witness_json_or_error(lambda: conjugacy_witness(f, g, class_mode).to_json()) == expected
 
 
 @pytest.mark.parametrize(

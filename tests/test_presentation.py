@@ -98,6 +98,14 @@ def test_table_elements_that_are_a_string_rejected():
         parse_presentation(doc([{"name": "a", "group": bad}], []))
 
 
+@pytest.mark.parametrize("elements", [[None, 1.5], ["e", True]])
+def test_table_element_names_that_are_not_strings_rejected(elements):
+    # str() would load the names "None", "1.5" and "True"
+    bad = {"table": {"elements": elements, "mul": [[0, 1], [1, 0]], "identity": 0}}
+    with pytest.raises(PresentationError, match="bad element name"):
+        parse_presentation(doc([{"name": "a", "group": bad}], []))
+
+
 def test_table_mul_that_is_not_a_list_rejected():
     bad = {"table": {"elements": ["e"], "mul": 0, "identity": 0}}
     with pytest.raises(PresentationError, match="list of rows"):

@@ -1,9 +1,10 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphprod import corpus
+from graphprod import corpus, parse_presentation
 from graphprod.presentation import PresentationError, Word
 from graphprod.words import element_of, multiply, reduce, shape
 from graphprod.cyclic import is_cyclically_reduced
@@ -106,6 +107,16 @@ def test_conjugacy_witness_examples(single_z, path_racg, free_zz):
     with pytest.raises(ValueError, match="conjugate"):
         conjugacy_witness(element_of(path_racg, "a[1] c[1]"), element_of(path_racg, "c[1] a[1]"))
 
+    # The distinctness products r_i r_j^-1 (i < j) run over f's factor and then
+    # the sorted rotations of g's: that order decides which side of each
+    # product is inverted, and so which residues the error lists.
+    doc = {"vertices": [{"name": "a", "group": "cyclic 5"}, {"name": "b", "group": "Z"}], "edges": []}
+    free_c5_z = parse_presentation(json.dumps(doc))
+    f = element_of(free_c5_z, "a[3] b[1] a[3] b[-1]")
+    g = element_of(free_c5_z, "a[3] b[1] a[2] b[-1]")
+    with pytest.raises(PresentationError, match=r"no admissible modulus at 'a' keeps \[1, 2, 3, 4\] nonzero"):
+        conjugacy_witness(f, g, p_group_mode(2))
+
 
 def test_witness_serialization_is_stable(single_z):
     w = conjugacy_witness(element_of(single_z, "x[1]"), element_of(single_z, "x[2]"), p_group_mode(2))
@@ -118,6 +129,9 @@ def test_witness_serialization_is_stable(single_z):
     for text in ("prime:2", "p:4", "p:1"):
         with pytest.raises(ValueError):
             parse_mode(text)
+    # "\u00b2".isdigit() holds, but int() cannot read it
+    with pytest.raises(ValueError, match="unknown class mode"):
+        parse_mode("p:\u00b2")
 
 
 def test_retraction_examples(path_racg):
