@@ -8,7 +8,8 @@ canonical_form, cyclically_reduce (core and conjugator), are_conjugate
 window 2 on a second vertex subset) into one hash per function.  A second,
 smaller random graph (2-4 vertices) feeds the bounded searches at radius 2-3:
 brute_force_conjugate, centralizer_structure_check, centralizer_check,
-amalgam_conjugate_by and parabolic_intersection_search.  Last, words of at
+amalgam_conjugate_by, and parabolic_intersection_search, whose answer is
+the exact intersection whatever the radius.  Last, words of at
 most 12 syllables on the first graph feed the JSON of residual_witness and
 of conjugacy_witness on non-conjugate pairs.  The "render" line hashes the
 text Element.render prints for the 40 reduced words of each seed (Z

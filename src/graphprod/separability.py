@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .presentation import (
     GroupPresentation,
@@ -142,6 +142,18 @@ def _family_from_constraints(
     return QuotientFamily(pres, moduli, mode)
 
 
+def _divisors(n: int, mode: ClassMode) -> List[int]:
+    """The divisors of n in increasing order, by trial division up to sqrt(n);
+    in p-mode only the powers of p that divide n."""
+    if mode.is_p_mode:
+        powers = [1]
+        while n % (powers[-1] * mode.p) == 0:
+            powers.append(powers[-1] * mode.p)
+        return powers
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
 def _smallest_modulus(group, needed: set, mode: ClassMode, vertex: str) -> int:
     """Least admissible modulus keeping every constraint value nonzero."""
     if group.kind == "Z":
@@ -155,10 +167,7 @@ def _smallest_modulus(group, needed: set, mode: ClassMode, vertex: str) -> int:
     n = group.order
     if not needed and (not mode.is_p_mode or _is_p_power(n, mode.p)):
         return n
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
-    if mode.is_p_mode:
-        divisors = [d for d in divisors if _is_p_power(d, mode.p)]
-    for m in divisors:
+    for m in _divisors(n, mode):
         if all(d % m != 0 for d in needed):
             return m
     raise PresentationError(

@@ -5,10 +5,12 @@ never calls the reduction engine's internals.
 """
 
 from collections import deque
+from functools import lru_cache
 
 from graphprod.amalgam import AmalgamError, SubgroupConjugacy, amalgam_form
 from graphprod.conjugacy import are_conjugate
 from graphprod.cyclic import commuting_factors, cyclic_permutations, cyclically_reduce, ps_decompose
+from graphprod.parabolic import ParabolicSubgroup, parabolic_generators, parabolic_membership
 from graphprod.presentation import Word, induced_presentation
 from graphprod.words import conjugate, identity, invert, iter_ball, multiply, reduce, retract_key
 
@@ -264,3 +266,52 @@ def witness_constraints_by_parts(f, g):
             if group.kind != "table" and group.conjugator_key(a, b) is None:
                 constraints[v].update(x for x in (a, b, a - b) if x != 0)
     return sub, constraints
+
+
+def intersection_by_ball(p1, p2, radius):
+    """A parabolic for p1 intersect p2 by search, or None: the former library search.
+
+    Candidate cores run over the subsets of the common core, largest first,
+    and candidate conjugators over the radius ball.  A candidate is accepted
+    when its generators lie in both parabolics and every ball element in both
+    lies in it.  That ball test is not a certificate: a small radius can
+    accept a parabolic smaller than the intersection.
+    """
+    pres = p1.pres
+    ball_elements = list(iter_ball(pres, radius))
+    in_both = [u for u in ball_elements if parabolic_membership(p1, u) and parabolic_membership(p2, u)]
+    common = sorted(p1.core & p2.core, key=pres.vertex_index)
+    subsets = [()]
+    for v in common:
+        subsets += [s + (v,) for s in subsets]
+    subsets.sort(key=lambda s: (-len(s), tuple(pres.vertex_index(v) for v in s)))
+    for core in subsets:
+        for h in ball_elements:
+            candidate = ParabolicSubgroup(h, frozenset(core))
+            if not all(
+                parabolic_membership(p1, gen) and parabolic_membership(p2, gen)
+                for gen in parabolic_generators(candidate)
+            ):
+                continue
+            if all(parabolic_membership(candidate, u) for u in in_both):
+                return candidate
+    return None
+
+
+@lru_cache(maxsize=None)
+def all_divisors_by_scan(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def smallest_modulus_by_scan(n, needed, p=None):
+    """The modulus a Z/n vertex gets, from the list of all divisors 1..n; None if none fits.
+
+    An unconstrained vertex keeps n when the mode allows it.  Otherwise the
+    least divisor (in p-mode the least power of p dividing n) that divides no
+    needed value is chosen.
+    """
+    powers = None if p is None else {p**k for k in range(n.bit_length())}
+    if not needed and (powers is None or n in powers):
+        return n
+    divisors = [d for d in all_divisors_by_scan(n) if powers is None or d in powers]
+    return next((m for m in divisors if all(d % m != 0 for d in needed)), None)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -222,3 +223,14 @@ def test_pinned_outputs(args, expected_code, expected_out):
     args = [str(DATA / a) if a.endswith(".json") else a for a in args]
     code, out, _ = gp(*args)
     assert (code, out) == (expected_code, expected_out)
+
+
+@pytest.mark.parametrize("mode", ["finite", "p:2"])
+def test_witness_on_huge_cyclic_vertex_is_fast(tmp_path, mode):
+    """The modulus comes from divisors found up to sqrt(n), not from a scan to n."""
+    group = tmp_path / "huge.json"
+    group.write_text(json.dumps({"vertices": [{"name": "a", "group": "cyclic 1000000000000"}], "edges": []}))
+    start = time.perf_counter()
+    code, out, _ = gp("witness", "-g", str(group), "--mode", mode, "a[3]")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["per_vertex_moduli"] == {"a": 2}

@@ -1,11 +1,22 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphprod import corpus
+from graphprod import corpus, parse_presentation
 from graphprod.presentation import PresentationError, Word
-from graphprod.words import conjugate, element_of, identity, iter_ball, multiply, reduce
+from graphprod.words import (
+    ball,
+    conjugate,
+    element_of,
+    identity,
+    iter_ball,
+    key_of_word,
+    multiply,
+    reduce,
+    retract_key,
+)
 from graphprod.cyclic import cyclically_reduce
 from graphprod.parabolic import (
     ParabolicSubgroup,
@@ -15,11 +26,13 @@ from graphprod.parabolic import (
     normalizer_membership,
     parabolic_closure_of_cyclic,
     parabolic_generators,
+    parabolic_intersection,
     parabolic_intersection_search,
     parabolic_membership,
     parabolics_equal,
 )
 from graphprod.selftest import check_normalizer, check_parabolic_closure
+from oracles import intersection_by_ball
 
 PRESENTATIONS = corpus.corpus_presentations()
 
@@ -133,6 +146,162 @@ def test_intersection_double_inclusion_certificate(path_racg, star_racg):
         for u in iter_ball(pres, 3):
             if parabolic_membership(p1, u) and parabolic_membership(p2, u):
                 assert parabolic_membership(r.parabolic, u)
+
+
+def presentation(groups, edges):
+    vertices = [{"name": name, "group": group} for name, group in groups.items()]
+    return parse_presentation(json.dumps({"vertices": vertices, "edges": edges}))
+
+
+def in_both(p1, p2, u):
+    return parabolic_membership(p1, u) and parabolic_membership(p2, u)
+
+
+def test_intersection_search_is_exact_wrapper(path_racg):
+    p1 = ParabolicSubgroup(element_of(path_racg, "a[1] c[1]"), frozenset({"b", "c"}))
+    p2 = full_parabolic(path_racg, {"a", "b"})
+    r = parabolic_intersection_search(p1, p2, 0)
+    assert r.status == "found" and r.parabolic == parabolic_intersection(p1, p2)
+    with pytest.raises(ValueError):
+        parabolic_intersection_search(p1, p2, -1)
+
+
+def test_intersection_false_found_reproducer():
+    """The radius-2 ball search answered with the trivial parabolic here."""
+    pres = presentation({"x": "Z", "y": "cyclic 3", "z": "cyclic 2"}, [])
+    h1 = element_of(pres, "y[2] x[-1] y[2]")
+    p1 = ParabolicSubgroup(h1, frozenset({"x", "z"}))
+    p2 = ParabolicSubgroup(element_of(pres, "y[-1]"), frozenset({"x", "y"}))
+    u = element_of(pres, "y[2] x[-1] y[2] x[1] y[1] x[1] y[1]")
+    assert in_both(p1, p2, u)
+    assert intersection_by_ball(p1, p2, 2).core == frozenset()
+    got = parabolic_intersection(p1, p2)
+    assert got == ParabolicSubgroup(h1, frozenset({"x"}))
+    assert parabolic_membership(got, u)
+
+
+def random_graph(rng):
+    names = "abcde"[: rng.randint(2, 5)]
+    groups = {v: rng.choice(["Z", "cyclic 2", "cyclic 3"]) for v in names}
+    edges = [[u, v] for i, u in enumerate(names) for v in names[i + 1 :] if rng.random() < 0.5]
+    return presentation(groups, edges)
+
+
+def random_parabolic(pres, rng):
+    h = reduce(pres, corpus.random_word(pres, rng, 3))
+    return ParabolicSubgroup(h, frozenset(v for v in pres.vertices if rng.random() < 0.6))
+
+
+def check_exact(p1, p2, probe):
+    """The exact answer lies in p1 & p2 and holds every probe element in both."""
+    exact = parabolic_intersection(p1, p2)
+    assert exact.core <= p1.core & p2.core
+    for gen in parabolic_generators(exact):
+        assert in_both(p1, p2, gen)
+    for u in probe:
+        if in_both(p1, p2, u):
+            assert parabolic_membership(exact, u)
+    return exact
+
+
+def oracle_within(p1, p2, exact):
+    """Check that the radius-2 oracle answer lies in the exact one.
+
+    Returns the oracle answer when it is the same subgroup, else None: a
+    strictly smaller answer is one the ball test wrongly certified."""
+    found = intersection_by_ball(p1, p2, 2)
+    if found is None:
+        return None
+    for gen in parabolic_generators(found):
+        assert parabolic_membership(exact, gen)
+    return found if parabolics_equal(found, exact) else None
+
+
+def test_intersection_against_ball_oracle():
+    """300 random pairs: the exact answer is P1 & P2 on a ball and contains the oracle's.
+
+    Where the radius-2 oracle finds the same subgroup it must also give the
+    same description, since both are the shortest conjugator with core C.
+    """
+    rng = random.Random(11)
+    equal = 0
+    for _ in range(60):
+        pres = random_graph(rng)
+        probe = ball(pres, 3, window=1)
+        for _ in range(5):
+            p1, p2 = random_parabolic(pres, rng), random_parabolic(pres, rng)
+            exact = check_exact(p1, p2, probe)
+            found = oracle_within(p1, p2, exact)
+            if found:
+                equal += 1
+                assert found.conjugator.key == exact.conjugator.key and found.core == exact.core
+    assert equal >= 280
+
+
+DEGENERATE = {
+    "single": ({"x": "Z"}, []),
+    "complete": (
+        {"a": "Z", "b": "cyclic 2", "c": "cyclic 3", "d": "Z"},
+        [["a", "b"], ["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"], ["c", "d"]],
+    ),
+    "edgeless": ({"a": "Z", "b": "cyclic 2", "c": "cyclic 3", "d": "Z"}, []),
+    "trivial-vertex": ({"t": "cyclic 1", "x": "Z", "y": "cyclic 2", "z": "cyclic 3"}, [["t", "x"], ["x", "y"]]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DEGENERATE))
+def test_intersection_degenerate_graphs(kind):
+    """Single vertex, complete and edgeless graphs, and a cyclic 1 vertex in A & B.
+
+    A trivial vertex group carries no syllables and enlarges normalizers, so
+    there the oracle and the exact answer may describe the same subgroup with
+    different cores or conjugators: only subgroup equality is compared.
+    """
+    pres = presentation(*DEGENERATE[kind])
+    rng = random.Random(kind)
+    probe = ball(pres, 3, window=1)
+    equal = 0
+    for _ in range(25):
+        p1, p2 = random_parabolic(pres, rng), random_parabolic(pres, rng)
+        if kind == "trivial-vertex":
+            p1 = ParabolicSubgroup(p1.conjugator, p1.core | {"t"})
+            p2 = ParabolicSubgroup(p2.conjugator, p2.core | {"t"})
+        shared = p1.core & p2.core
+        exact = check_exact(p1, p2, probe)
+        found = oracle_within(p1, p2, exact)
+        if found:
+            equal += 1
+            if kind != "trivial-vertex":
+                assert found.conjugator.key == exact.conjugator.key and found.core == exact.core
+        if kind in ("single", "complete"):
+            # every element normalizes G_(A & B) here
+            assert exact == full_parabolic(pres, shared)
+        if kind == "edgeless":
+            # no vertex is adjacent to a nontrivial d
+            assert exact.core in (shared, frozenset())
+            # with g = h1^-1 h2 in G_A G_B, the answer is h1 a G_(A & B) a^-1 h1^-1
+            a, b = (
+                retract_key(pres, key_of_word(pres, corpus.random_word(pres, rng, 2)), map(pres.vertex_index, c))
+                for c in (p1.core, p2.core)
+            )
+            h1a = multiply(p1.conjugator, a)
+            moved = ParabolicSubgroup(multiply(h1a, b), p2.core)
+            assert parabolics_equal(parabolic_intersection(p1, moved), ParabolicSubgroup(h1a, shared))
+    assert equal >= 15
+
+
+def test_intersection_trivial_vertex_example():
+    """t (cyclic 1) lies in both cores but is not adjacent to y.
+
+    The exact answer drops t from the core, the oracle keeps it; both are the
+    trivial subgroup."""
+    pres = presentation({"t": "cyclic 1", "x": "Z", "y": "Z"}, [])
+    p1 = full_parabolic(pres, {"t", "x"})
+    p2 = ParabolicSubgroup(element_of(pres, "y[1]"), frozenset({"t", "x"}))
+    exact = parabolic_intersection(p1, p2)
+    assert exact == full_parabolic(pres, ())
+    found = intersection_by_ball(p1, p2, 2)
+    assert found.core == {"t"} and parabolics_equal(found, exact)
 
 
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphprod import corpus, parse_presentation
-from graphprod.presentation import PresentationError, Word
+from graphprod.presentation import IntegersModGroup, PresentationError, Word
 from graphprod.words import element_of, multiply, reduce, shape
 from graphprod.cyclic import is_cyclically_reduced
 from graphprod.conjugacy import are_conjugate
 from graphprod.separability import (
     ALL_FINITE,
     QuotientFamily,
+    _smallest_modulus,
     apply_quotient,
     conjugacy_witness,
     p_group_mode,
@@ -21,6 +22,7 @@ from graphprod.separability import (
     shape_preserving_family,
 )
 from graphprod.selftest import check_witness
+from oracles import smallest_modulus_by_scan
 
 PRESENTATIONS = corpus.corpus_presentations()
 
@@ -206,3 +208,19 @@ def test_witness_soundness_random(name):
                 if not are_conjugate(x, y).conjugate:
                     check_witness(conjugacy_witness(x, y, mode))
                     built += 1
+
+
+def test_smallest_modulus_matches_divisor_scan():
+    """Every Z/n with n <= 2000, in modes finite, p:2 and p:3, against the 1..n divisor list."""
+    needed_sets = [set(), {1}, {2, 3}, {4, 9, 25}, {6, 10, 15, 49}, {12, 60, 7, 1024}]
+    modes = [(ALL_FINITE, None), (p_group_mode(2), 2), (p_group_mode(3), 3)]
+    for n in range(1, 2001):
+        group = IntegersModGroup(n)
+        for needed in needed_sets:
+            for mode, p in modes:
+                expected = smallest_modulus_by_scan(n, needed, p)
+                if expected is None:
+                    with pytest.raises(PresentationError):
+                        _smallest_modulus(group, needed, mode, "a")
+                else:
+                    assert _smallest_modulus(group, needed, mode, "a") == expected, (n, needed, p)
