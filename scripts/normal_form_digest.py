@@ -8,8 +8,8 @@ canonical_form, cyclically_reduce (core and conjugator), are_conjugate
 window 2 on a second vertex subset) into one hash per function.  A second,
 smaller random graph (2-4 vertices) feeds the bounded searches at radius 2-3:
 brute_force_conjugate, centralizer_structure_check, centralizer_check,
-amalgam_conjugate_by, and parabolic_intersection_search, whose answer is
-the exact intersection whatever the radius.  Last, words of at
+amalgam_conjugate_by, and the exact parabolic_intersection, whose line keeps
+the name and bytes of the former parabolic_intersection_search.  Last, words of at
 most 12 syllables on the first graph feed the JSON of residual_witness and
 of conjugacy_witness on non-conjugate pairs.  The "render" line hashes the
 text Element.render prints for the 40 reduced words of each seed (Z
@@ -59,7 +59,7 @@ from graphprod.parabolic import (
     ParabolicSubgroup,
     centralizer_structure_check,
     parabolic_closure_of_cyclic,
-    parabolic_intersection_search,
+    parabolic_intersection,
 )
 from graphprod.separability import conjugacy_witness, residual_witness
 from graphprod.words import canonical_form, conjugate, invert, iter_ball, multiply, reduce, shape
@@ -212,10 +212,9 @@ def digest_searches(pres, rng: random.Random, feed) -> None:
         core = frozenset(rng.sample(pres.vertices, rng.randint(1, len(pres.vertices))))
         return ParabolicSubgroup(element_on(everywhere, 2), core)
 
-    result = parabolic_intersection_search(parabolic(), parabolic(), 2)
-    found = result.parabolic
-    core = found and sorted(found.core, key=pres.vertex_index)
-    feed("parabolic_intersection_search", (result.status, found and found.conjugator.key, core))
+    found = parabolic_intersection(parabolic(), parabolic())
+    core = sorted(found.core, key=pres.vertex_index)
+    feed("parabolic_intersection_search", ("found", found.conjugator.key, core))
 
 
 def digest_amalgams(seed: int, feed) -> None:

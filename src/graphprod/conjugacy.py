@@ -69,10 +69,7 @@ def conjugate_in_clique_subgroup(
             return False, None
         if not group.is_identity(t):
             conj_key.append((vi, t))
-    result = identity(pres)
-    for vi, t in conj_key:
-        result = multiply(result, Element(pres, ((vi, t),)))
-    return True, result
+    return True, Element(pres, tuple(conj_key))  # commuting, ascending: canonical
 
 
 def are_conjugate(x: Element, y: Element) -> ConjugacyVerdict:

@@ -46,8 +46,8 @@ def ps_decompose(e: Element) -> PSDecomposition:
     p_key = tuple(s for s in e.key if s[0] not in s_ids)
     names = pres.vertices
     return PSDecomposition(
-        _make(pres, s_key),
-        _make(pres, p_key),
+        Element(pres, s_key),
+        Element(pres, p_key),
         frozenset(names[vi] for vi in s_ids),
         frozenset(names[vi] for vi, _ in p_key),
     )
@@ -91,7 +91,7 @@ def cyclically_reduce(e: Element) -> CyclicReduction:
     while True:
         movable = _movable(pres, key)
         if not movable:
-            return CyclicReduction(_make(pres, key), _make(pres, conj))
+            return CyclicReduction(_make(pres, key), Element(pres, tuple(conj)))
         i, j = movable[min(movable)]
         front, back = key[i], key[j]
         del key[j], key[i]
@@ -150,7 +150,7 @@ def commuting_factors(e: Element) -> Dict[int, Element]:
     parts: Dict[int, List[Tuple[int, int]]] = {}
     for syl in e.key:
         parts.setdefault(root_of[syl[0]], []).append(syl)
-    return {root: _make(pres, part) for root, part in sorted(parts.items())}
+    return {root: Element(pres, tuple(part)) for root, part in sorted(parts.items())}
 
 
 def cyclic_permutations(e: Element) -> frozenset:

@@ -264,8 +264,8 @@ def parabolic_intersection_search(
 ) -> IntersectionResult:
     """The former ball search, kept under its name: always ("found", exact answer).
 
-    Callers that still use this name get parabolic_intersection's answer,
-    which needs no radius; a negative radius is rejected as before.
+    Only perfbench/ and the tests call it.  It returns parabolic_intersection's
+    answer, which needs no radius; a negative radius is rejected as before.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")

@@ -111,7 +111,8 @@ class FiniteTableGroup:
     def is_identity(self, a: int) -> bool:
         return a == self.identity_key
 
-    def nontrivial_keys(self, window: Optional[int] = None) -> list:
+    def nontrivial_keys(self, window: Optional[int] = None) -> Sequence[int]:
+        """Every key but the identity's, in ascending order."""
         return [i for i in range(len(self.elements)) if i != self.identity_key]
 
     def encode(self, value) -> int:
@@ -155,7 +156,8 @@ class IntegerGroup:
     def is_identity(self, a: int) -> bool:
         return a == 0
 
-    def nontrivial_keys(self, window: Optional[int] = None) -> list:
+    def nontrivial_keys(self, window: Optional[int] = None) -> Sequence[int]:
+        """The nonzero exponents in [-window, window], in ascending order."""
         if window is None:
             raise ValueError("integer vertex group needs an exponent window")
         return [e for e in range(-window, window + 1) if e != 0]
@@ -201,8 +203,9 @@ class IntegersModGroup:
     def is_identity(self, a: int) -> bool:
         return a % self.modulus == 0
 
-    def nontrivial_keys(self, window: Optional[int] = None) -> list:
-        return list(range(1, self.modulus))
+    def nontrivial_keys(self, window: Optional[int] = None) -> Sequence[int]:
+        """The nonzero residues in ascending order, as a lazy range."""
+        return range(1, self.modulus)
 
     def encode(self, value) -> int:
         if not _is_int(value):

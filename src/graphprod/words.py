@@ -11,12 +11,25 @@ least-vertex-first order after every syllable it multiplies on.  A new
 syllable is inserted where the greedy order of the longer word picks it, a
 join changes a value in place, and a cancellation deletes a syllable that
 commutes with everything after it, a maximal element of the trace, whose
-removal leaves the greedy order of the rest as it was.  Deleting syllables
-from the front breaks the order, so such keys go back through `_make`.
+removal leaves the greedy order of the rest as it was.
+
+`_make` is the only place that reduces a syllable sequence; `multiply` pushes
+one key onto another.  Keys that are canonical by construction are wrapped as
+`Element(pres, key)` instead:
+- the S and P parts of `cyclic.ps_decompose` and `cyclic.commuting_factors`
+  (a canonical key restricted to a union of commuting components);
+- the conjugators of `cyclic.cyclically_reduce` (built by `_push` alone) and
+  `conjugacy.conjugate_in_clique_subgroup` (commuting, in vertex order);
+- the children in `iter_ball` and the back peel in
+  `parabolic.parabolic_intersection`.
+These cuts break the order and go back through `_make`: front cuts in the
+rotations and the cyclic core, the reversal in `invert`, retraction onto an
+arbitrary vertex set, and raw or unreduced syllables.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -152,13 +165,6 @@ def _push(pres: GroupPresentation, out: List[Tuple[int, int]], vi: int, val: int
     out.insert(at, (vi, val))
 
 
-def _reduce_key(pres: GroupPresentation, syllables: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    out: List[Tuple[int, int]] = []
-    for vi, val in syllables:
-        _push(pres, out, vi, val)
-    return out
-
-
 def _front_letters(pres: GroupPresentation, key: Sequence[Tuple[int, int]]) -> Dict[int, int]:
     """Each vertex with a front-readable syllable -> that position, in position order.
 
@@ -175,7 +181,10 @@ def _front_letters(pres: GroupPresentation, key: Sequence[Tuple[int, int]]) -> D
 
 def _make(pres: GroupPresentation, syllables: Iterable[Tuple[int, int]]) -> Element:
     """The element of any syllable sequence, reduced and in canonical order."""
-    return Element(pres, tuple(_reduce_key(pres, syllables)))
+    out: List[Tuple[int, int]] = []
+    for vi, val in syllables:
+        _push(pres, out, vi, val)
+    return Element(pres, tuple(out))
 
 
 def identity(pres: GroupPresentation) -> Element:
@@ -210,11 +219,12 @@ def is_reduced_key(pres: GroupPresentation, key: Sequence[Tuple[int, int]]) -> b
 
 
 def canonical_form(pres: GroupPresentation, word: Word) -> Word:
-    """Canonical linearization of an already reduced word."""
+    """Canonical linearization of a reduced word, one that reduction does not shorten."""
     key = key_of_word(pres, word)
-    if not is_reduced_key(pres, key):
+    e = _make(pres, key)
+    if len(e.key) != len(key):
         raise WordError("word is not reduced")
-    return _make(pres, key).word()
+    return e.word()
 
 
 def shape(e: Element) -> ShapeReport:
@@ -255,13 +265,7 @@ def is_reduced_product(parts: Sequence[Element]) -> bool:
     """True iff the lengths add up, i.e. no cancellation or join across parts."""
     if not parts:
         return True
-    pres = parts[0].pres
-    total = []
-    for part in parts:
-        _check_same(parts[0], part)
-        for vi, val in part.key:
-            _push(pres, total, vi, val)
-    return len(total) == sum(len(p) for p in parts)
+    return len(functools.reduce(multiply, parts)) == sum(len(p) for p in parts)
 
 
 def single_step_rewrites(pres: GroupPresentation, key: Key) -> List[Key]:
@@ -322,17 +326,6 @@ def brute_force_equal(pres: GroupPresentation, w1: Word, w2: Word, budget: int) 
 # ---------------------------------------------------------------------------
 
 
-def _generator_syllables(
-    pres: GroupPresentation, window: int, vertices: Optional[Iterable[str]] = None
-) -> List[Tuple[int, List[int]]]:
-    """Each generating vertex index, ascending, with its sorted nontrivial values."""
-    if vertices is None:
-        indices = range(len(pres.vertices))
-    else:
-        indices = sorted({pres.vertex_index(v) for v in vertices})
-    return [(vi, sorted(pres.by_index[vi].nontrivial_keys(window))) for vi in indices]
-
-
 def iter_ball(
     pres: GroupPresentation,
     radius: int,
@@ -353,14 +346,19 @@ def iter_ball(
     backward scan over syllables commuting with the new vertex must reach a
     non-commuting syllable, or the start, before it meets the same vertex (a
     join) or a greater one (an insertion).  Parents run in key order and
-    syllables in (vertex, value) order, so each level comes out sorted.
+    syllables in (vertex, value) order, so each level comes out sorted
+    (`nontrivial_keys` is ascending, and lazy on a `Z/n` vertex).
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     window = radius if window is None else window
     if window < 0:
         raise ValueError("window must be nonnegative")
-    gens = _generator_syllables(pres, window, vertices)
+    if vertices is None:
+        indices = range(len(pres.vertices))
+    else:
+        indices = sorted({pres.vertex_index(v) for v in vertices})
+    gens = [(vi, pres.by_index[vi].nontrivial_keys(window)) for vi in indices]
     level = [identity(pres)]
     yield level[0]
     for _ in range(radius):

@@ -21,7 +21,7 @@ from graphprod.amalgam import (
     multiply_out,
     sigma_map,
 )
-from graphprod.selftest import check_centralizer, check_consonants
+from graphprod.selftest import check_centralizer, check_centralizer_split, check_consonants
 
 from oracles import conjugate_by_coset_criterion
 from test_nonabelian import s3_config
@@ -446,3 +446,22 @@ def test_conjugate_by_matches_coset_criterion():
         else:
             tally["unknown"] += 1
     assert min(tally.values()) > 0, tally
+
+
+@pytest.mark.parametrize(
+    "config, apex, text",
+    [
+        (corpus.PATH_RACG, "c", "c[1] a[1] c[1] a[1]"),
+        (corpus.PATH_C3_END, "a", "a[1] c[1] a[2] c[1]"),
+        (corpus.PATH_C3_MID, "c", "c[1] a[1] b[1] c[1] a[1]"),
+    ],
+)
+def test_centralizer_formulas_at_two_consonants(config, apex, text):
+    # two consonants give three x-pieces, so the coset intersection runs over
+    # more than one prefix
+    pres = corpus.build(config)
+    view = decompose_at(pres, apex)
+    g = element_of(pres, text)
+    assert amalgam_form(view, g).consonant_length >= 2
+    check_centralizer(view, g, 4)
+    check_centralizer_split(cyclically_reduce(g).reduced, 4)

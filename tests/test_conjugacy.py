@@ -1,9 +1,10 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphprod import corpus
+from graphprod import corpus, parse_presentation
 from graphprod.presentation import PresentationError, Word
 from graphprod.words import conjugate, element_of, invert, multiply, reduce
 from graphprod.cyclic import cyclically_reduce, cyclic_permutations
@@ -166,3 +167,21 @@ def test_rotations_are_conjugate_with_verified_witness(data):
         p = conjugator_of_cyclic_permutation(g, rotated)
         assert multiply(multiply(invert(p), g), p) == rotated
         assert are_conjugate(g, rotated).conjugate
+
+
+def test_factor_lengths_4_2_against_2_4_are_not_conjugate():
+    # two free pairs {x0, t0} and {x1, t1} over Z, every cross pair adjacent:
+    # equal supports and lengths, but the commuting factors have lengths 4 + 2
+    # against 2 + 4
+    names = ["x0", "t0", "x1", "t1"]
+    doc = {
+        "vertices": [{"name": v, "group": "Z"} for v in names],
+        "edges": [["x0", "x1"], ["x0", "t1"], ["t0", "x1"], ["t0", "t1"]],
+    }
+    pres = parse_presentation(json.dumps(doc))
+    x = element_of(pres, "x0[1] t0[1] x0[1] t0[2] x1[1] t1[1]")
+    y = element_of(pres, "x0[1] t0[1] x1[1] t1[1] x1[1] t1[2]")
+    assert x.support() == y.support() and len(x) == len(y)
+    verdict = are_conjugate(x, y)
+    assert not verdict.conjugate and verdict.refutation == "p-part-not-cyclic-permutation"
+    assert brute_force_conjugate(x, y, 2).status == "exhausted"

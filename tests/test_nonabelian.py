@@ -15,7 +15,9 @@ from graphprod.words import (
     canonical_form,
     conjugate,
     element_of,
+    identity,
     invert,
+    is_reduced_key,
     iter_ball,
     key_of_word,
     multiply,
@@ -269,6 +271,9 @@ NORMAL_FORM_PRESENTATIONS = {**corpus.corpus_presentations(), "mixed-hexagon": m
 
 
 def assert_least_vertex_first(e):
+    # is_reduced_key scans the key itself, without _push, so a key wrapped
+    # without reduction is checked for reducedness as well as for its order
+    assert is_reduced_key(e.pres, e.key)
     assert e.key == greedy_least_vertex_first(e.pres, e.key)
 
 
@@ -296,6 +301,30 @@ def test_outputs_match_greedy_least_vertex_first(name, data):
     outputs += commuting_factors(r.reduced).values()
     for e in outputs:
         assert_least_vertex_first(e)
+
+
+def test_clique_conjugator_is_the_product_of_its_syllables():
+    # a triangle s -- c -- t -- s: S3, Z/3, S3, with names out of index order
+    doc = {
+        "vertices": [
+            {"name": "s", "group": s3_config()},
+            {"name": "c", "group": "cyclic 3"},
+            {"name": "t", "group": s3_config()},
+        ],
+        "edges": [["s", "c"], ["c", "t"], ["s", "t"]],
+    }
+    pres = parse_presentation(json.dumps(doc))
+    clique = ["t", "c", "s"]
+    a = element_of(pres, "s[r] c[1] t[s]")
+    b = element_of(pres, "s[r2] c[1] t[sr]")
+    ok, t = conjugate_in_clique_subgroup(pres, clique, a, b)
+    assert ok and conjugate(t, a) == b
+    assert [vi for vi, _ in t.key] == [0, 2]
+    product = identity(pres)
+    for syllable in t.key:
+        product = multiply(product, reduce(pres, Word((pres.decode_syllable(*syllable),))))
+    assert t == product
+    assert_least_vertex_first(t)
 
 
 @pytest.mark.parametrize("name", sorted(NORMAL_FORM_PRESENTATIONS))

@@ -335,3 +335,8 @@ def test_members_normalize(data):
     g = reduce(pres, data.draw(words_strategy(pres)))
     p = parabolic_closure_of_cyclic(g)
     assert normalizer_membership(p, g)
+
+
+def test_maximal_full_avoiding_on_one_vertex(single_z):
+    avoiding = maximal_full_avoiding(element_of(single_z, "x[3]"))
+    assert avoiding.vertex == "x" and avoiding.consonant_length == 1

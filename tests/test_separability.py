@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -224,3 +225,9 @@ def test_smallest_modulus_matches_divisor_scan():
                         _smallest_modulus(group, needed, mode, "a")
                 else:
                     assert _smallest_modulus(group, needed, mode, "a") == expected, (n, needed, p)
+
+
+def test_verify_rejects_swapped_images(free_zz):
+    w = conjugacy_witness(element_of(free_zz, "x[1] y[1]"), element_of(free_zz, "x[1] y[2]"))
+    assert w.verify()
+    assert not dataclasses.replace(w, images=w.images[::-1]).verify()

@@ -1,9 +1,12 @@
+import itertools
+import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphprod import corpus
+from graphprod import corpus, parse_presentation
 from graphprod.presentation import Word, WordError, parse_word, render_word
 from graphprod.words import (
     BudgetExceededError,
@@ -13,6 +16,7 @@ from graphprod.words import (
     identity,
     invert,
     is_reduced_product,
+    iter_ball,
     key_of_word,
     multiply,
     reduce,
@@ -58,8 +62,19 @@ def test_canonical_form_examples(path_racg):
 
 
 def test_canonical_form_rejects_unreduced(path_racg):
-    with pytest.raises(WordError):
-        canonical_form(path_racg, parse_word(path_racg, "a[1] a[1]"))
+    # a joinable pair, a trivial syllable, a pair that joins across a commuting syllable
+    for text in ("a[1] a[1]", "b[2]", "a[1] b[1] a[1]"):
+        with pytest.raises(WordError):
+            canonical_form(path_racg, parse_word(path_racg, text))
+
+
+def test_iter_ball_on_huge_cyclic_vertex_is_lazy():
+    doc = {"vertices": [{"name": "x", "group": "cyclic 1000000000000"}], "edges": []}
+    pres = parse_presentation(json.dumps(doc))
+    start = time.perf_counter()
+    first = list(itertools.islice(iter_ball(pres, 3), 10))
+    assert time.perf_counter() - start < 1.0
+    assert [e.render() for e in first] == ["1"] + [f"x[{i}]" for i in range(1, 10)]
 
 
 def test_canonical_form_matches_least_shuffle_exhaustively(path_racg, star_racg):
