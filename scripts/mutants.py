@@ -1,0 +1,174 @@
+#!/usr/bin/env python3
+"""Mutation check: each named source edit must make Tier-1 fail.
+
+Every entry of MUTANTS is one deliberate fault: a file, its exact old text and
+the new text.  Each edit is applied in a fresh temporary copy of src/, tests/
+and scripts/, Tier-1 runs there with -x, and the script prints one line per
+edit:
+
+    killed    Tier-1 failed (or ran out of time or memory)
+    survived  Tier-1 passed: no test sees the fault
+    stale     the old text does not occur exactly once; the edit needs updating
+
+An unmutated copy runs first; if it fails, nothing is judged.  Exit status is
+0 when every edit is killed, 1 otherwise, 2 when the unmutated copy fails.
+
+    python scripts/mutants.py      # about 15 minutes on one core
+
+Not part of Tier-1.  Each run is capped at RUN_SECONDS of wall time and
+MEMORY_BYTES of address space, so a mutant that loops forever is killed
+without exhausting the machine.
+"""
+
+import os
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "scripts")
+TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+RUN_SECONDS = 600
+MEMORY_BYTES = 2 << 30
+
+W = "src/graphprod/words.py"
+C = "src/graphprod/cyclic.py"
+K = "src/graphprod/conjugacy.py"
+A = "src/graphprod/amalgam.py"
+PB = "src/graphprod/parabolic.py"
+PR = "src/graphprod/presentation.py"
+S = "src/graphprod/separability.py"
+CLI = "src/graphprod/cli.py"
+
+# (name, file, old text, new text)
+MUTANTS = [
+    # reduction keeps least-vertex-first order
+    ("push-always-appends", W, "    out.insert(at, (vi, val))\n", "    out.append((vi, val))\n"),
+    ("push-before-rightmost-greater", W, "        if ui > vi:\n            at = i\n",
+     "        if ui > vi and at == len(out):\n            at = i\n"),
+    ("canonical-form-no-length-check", W,
+     '    if len(e.key) != len(key):\n        raise WordError("word is not reduced")\n', ""),
+    # the ball is a reverse search over canonical prefixes
+    ("ball-no-join-rejection", W, "appends = ui != vi  # a vertex is not in its own link",
+     "appends = True"),
+    ("ball-no-greater-rejection", W,
+     "                    if ui > vi:  # _push would insert before ui\n"
+     "                        appends = False\n                        break\n", ""),
+    ("residues-descending", PR, "        return range(1, self.modulus)\n",
+     "        return range(self.modulus - 1, 0, -1)\n"),
+    # cyclic reduction: one pop and one push per step
+    ("conjugator-prepended", C, "        conj.append(a)\n", "        conj.insert(0, a)\n"),
+    ("max-movable", C, "key.pop(movable[min(movable)])", "key.pop(movable[max(movable)])"),
+    ("no-push-after-pop", C, "        _push(pres, key, *a)\n", ""),
+    ("movable-includes-s", C, "pos < last - back[vi]", "pos <= last - back[vi]"),
+    ("cyclic-reduce-returns-input", C, "    pres = e.pres\n    key = list(e.key)\n",
+     "    return CyclicReduction(e, identity(e.pres))\n    pres = e.pres\n    key = list(e.key)\n"),
+    # conjugacy and its witnesses
+    ("no-s-part-test", K, "    if not ok:\n        return ConjugacyVerdict(False, None, \"s-part-not-conjugate\")\n",
+     ""),
+    ("clique-conjugator-reversed", K, "Element(pres, tuple(conj_key))", "Element(pres, tuple(conj_key[::-1]))"),
+    ("witness-rotations-in-dict-order", S, "rotations = sorted(cyclic_permutation_conjugators(factor_g))",
+     "rotations = list(cyclic_permutation_conjugators(factor_g))"),
+    ("witness-no-one-syllable-branch", S,
+     'elif len(factor_g) == 1 and tag == "s-part-not-conjugate":', "elif False:"),
+    ("smallest-modulus-is-1", S,
+     '    """Least admissible modulus keeping every constraint value nonzero."""\n',
+     '    """Least admissible modulus keeping every constraint value nonzero."""\n    return 1\n'),
+    ("primes-by-nine-bases", S, "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)",
+     "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23)"),
+    ("no-prime-bound", S, "    if p >= _MR_BOUND:\n", "    if False:\n"),
+    # amalgam forms and conjugacy by a subgroup
+    ("fold-before-skip", A,
+     "        if piece.is_identity:\n            continue\n"
+     "        if cs and _supported_in(xs[-1], h_ids):\n            x = xs.pop()\n"
+     "            xs[-1] = multiply(xs[-1], x)\n            piece = multiply(cs.pop(), piece)\n",
+     "        if cs and _supported_in(xs[-1], h_ids):\n            x = xs.pop()\n"
+     "            xs[-1] = multiply(xs[-1], x)\n            piece = multiply(cs.pop(), piece)\n"
+     "        if piece.is_identity:\n            continue\n"),
+    ("fold-without-h-side-test", A, "        if cs and _supported_in(xs[-1], h_ids):\n", "        if cs:\n"),
+    ("conjugate-by-no-b-support-test", A,
+     "if _supported_in(b, b_ids) and multiply(b, g) == multiply(f, b):",
+     "if multiply(b, g) == multiply(f, b):"),
+    ("conjugate-by-no-conjugation-test", A,
+     "if _supported_in(b, b_ids) and multiply(b, g) == multiply(f, b):",
+     "if _supported_in(b, b_ids):"),
+    # parabolic subgroups
+    ("normalizer-core-only", PB, "    allowed = p.core | link_of(pres.graph, p.core)\n",
+     "    allowed = p.core\n"),
+    ("intersection-no-back-peel", PB, "    _, d = _peel_front(pres, rest[::-1], b_ids)\n", "    d = rest\n"),
+    ("intersection-no-conjugator-peel", PB, "    _, kept = _peel_front(pres, k.key[::-1], normal_ids)\n",
+     "    kept = list(k.key[::-1])\n"),
+    ("intersection-no-adjacency", PB, "for vi in a_ids & b_ids if d_ids <= pres.iadj[vi])",
+     "for vi in a_ids & b_ids)"),
+    ("peel-without-blockers", PB, "        if vi in ids and blockers <= iadj[vi]:\n", "        if vi in ids:\n"),
+    # table groups
+    ("no-light-test", PR, "            if rows[row_x[a]] != tuple(row_x[b] for b in row_a):\n",
+     "            if False:\n"),
+    # CLI output
+    ("json-unsorted", CLI, "print(json.dumps(payload, sort_keys=True))", "print(json.dumps(payload))"),
+]
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
+
+
+def tier1_passes(tree: Path) -> bool:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, *TIER1],
+            cwd=tree,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            timeout=RUN_SECONDS,
+            preexec_fn=_limit_memory,
+        )
+    except subprocess.TimeoutExpired:
+        return False
+    return proc.returncode == 0
+
+
+def fresh_copy(scratch: Path) -> Path:
+    tree = Path(tempfile.mkdtemp(dir=scratch))
+    for name in COPIED:
+        shutil.copytree(ROOT / name, tree / name, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    return tree
+
+
+def run(path, old, new, scratch: Path) -> str:
+    tree = fresh_copy(scratch)
+    try:
+        target = tree / path
+        text = target.read_text()
+        if text.count(old) != 1:
+            return "stale"
+        target.write_text(text.replace(old, new))
+        return "survived" if tier1_passes(tree) else "killed"
+    finally:
+        shutil.rmtree(tree)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        baseline = fresh_copy(scratch)
+        if not tier1_passes(baseline):
+            print("unmutated Tier-1 fails: nothing judged", flush=True)
+            return 2
+        shutil.rmtree(baseline)
+        verdicts = []
+        for name, path, old, new in MUTANTS:
+            verdict = run(path, old, new, scratch)
+            verdicts.append(verdict)
+            print(f"{verdict:9} {name}", flush=True)
+    print(f"{verdicts.count('killed')} of {len(verdicts)} killed")
+    return 0 if all(v == "killed" for v in verdicts) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

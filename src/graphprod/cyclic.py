@@ -53,8 +53,8 @@ def ps_decompose(e: Element) -> PSDecomposition:
     )
 
 
-def _movable(pres, key) -> Dict[int, Tuple[int, int]]:
-    """FL & LL - S of a reduced key, each vertex mapped to its (front, back) positions.
+def _movable(pres, key) -> Dict[int, int]:
+    """FL & LL - S of a reduced key, each vertex mapped to its front position.
 
     The front syllable is the vertex's first and the back one its last.  A
     vertex lies in S exactly when the two coincide: one syllable readable at
@@ -63,11 +63,7 @@ def _movable(pres, key) -> Dict[int, Tuple[int, int]]:
     front = _front_letters(pres, key)
     back = _front_letters(pres, key[::-1])
     last = len(key) - 1
-    return {
-        vi: (pos, last - back[vi])
-        for vi, pos in front.items()
-        if vi in back and pos < last - back[vi]
-    }
+    return {vi: pos for vi, pos in front.items() if vi in back and pos < last - back[vi]}
 
 
 def is_cyclically_reduced(e: Element) -> bool:
@@ -78,12 +74,30 @@ def is_cyclically_reduced(e: Element) -> bool:
 def cyclically_reduce(e: Element) -> CyclicReduction:
     """Conjugate away end syllables until the element is cyclically reduced.
 
-    Each step takes the least vertex v readable at both ends, rewrites
-    e = a w b with a, b the two v-syllables, and replaces e by w b a,
-    composing a onto the conjugator.  The length strictly drops because the
-    two v-syllables join, so the loop terminates.  The movable vertices and
+    Each step conjugates by the front syllable a of the least movable vertex
+    v: e = a w becomes w a.  Pushing a back on joins it with the back syllable
+    of v, since everything after that syllable commutes with v, so the
+    length strictly drops and the loop terminates.  The movable vertices and
     their end syllables depend only on the element, so the steps run on a
     reduced syllable list that is linearized once at the end.
+
+    The conjugator is the peeled syllables in peel order, and that list is
+    already canonical:
+    - Reduced.  A later peel of the same vertex v becomes front-readable
+      only after every syllable that blocked it has been peeled; removing a
+      back syllable never unblocks a front syllable, since a back-readable
+      syllable has nothing after it that it fails to commute with.  So a
+      peel that does not commute with v lies between the two peels, and
+      they cannot join.
+    - Least-vertex-first.  Suppose a later peel x has a smaller vertex than
+      an earlier peel y, and x commutes with y and with every peel in
+      between.  Then x's vertex was not movable when y was taken; it became
+      movable only when a peel exposed its front syllable, or when a
+      cancellation exposed its back syllable.  Either needs a peel that does
+      not commute with x, taken at y or after it, a contradiction.  The
+      absence of such a factor is what least-vertex-first order means.
+    - The least choice carries the order: peeling the greatest movable
+      vertex gives the same element, but its appended key is out of order.
     """
     pres = e.pres
     key = list(e.key)
@@ -92,12 +106,9 @@ def cyclically_reduce(e: Element) -> CyclicReduction:
         movable = _movable(pres, key)
         if not movable:
             return CyclicReduction(_make(pres, key), Element(pres, tuple(conj)))
-        i, j = movable[min(movable)]
-        front, back = key[i], key[j]
-        del key[j], key[i]
-        _push(pres, key, *back)
-        _push(pres, key, *front)
-        _push(pres, conj, *front)
+        a = key.pop(movable[min(movable)])
+        conj.append(a)
+        _push(pres, key, *a)
 
 
 def cyclic_permutation_conjugators(e: Element) -> Dict[Element, Element]:
@@ -112,8 +123,7 @@ def cyclic_permutation_conjugators(e: Element) -> Dict[Element, Element]:
     pres = e.pres
     found: Dict[Element, Element] = {e: identity(pres)}
     queue: List[Element] = [e]
-    while queue:
-        current = queue.pop(0)
+    for current in queue:
         prefix = found[current]
         for pos in _front_letters(pres, current.key).values():
             syl = current.key[pos]

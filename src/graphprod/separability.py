@@ -44,8 +44,39 @@ class ClassMode:
 ALL_FINITE = ClassMode()
 
 
+# The first 13 primes, and the least strong pseudoprime to all of them as bases
+# (Sorenson and Webster, Math. Comp. 86 (2017)): below it Miller-Rabin is exact.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin over _MR_BASES; exact for n < _MR_BOUND."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def p_group_mode(p: int) -> ClassMode:
-    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+    if p >= _MR_BOUND:
+        raise ValueError(f"p must be below {_MR_BOUND} to be tested for primality exactly, got {p}")
+    if not _is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
     return ClassMode(p)
 

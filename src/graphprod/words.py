@@ -18,8 +18,9 @@ one key onto another.  Keys that are canonical by construction are wrapped as
 `Element(pres, key)` instead:
 - the S and P parts of `cyclic.ps_decompose` and `cyclic.commuting_factors`
   (a canonical key restricted to a union of commuting components);
-- the conjugators of `cyclic.cyclically_reduce` (built by `_push` alone) and
-  `conjugacy.conjugate_in_clique_subgroup` (commuting, in vertex order);
+- the conjugators of `cyclic.cyclically_reduce` (its peeled syllables, in
+  peel order) and `conjugacy.conjugate_in_clique_subgroup` (commuting, in
+  vertex order);
 - the children in `iter_ball` and the back peel in
   `parabolic.parabolic_intersection`.
 These cuts break the order and go back through `_make`: front cuts in the

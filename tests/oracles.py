@@ -1,9 +1,11 @@
 """Independent reference computations the tests check the library against.
 
 Everything here works on raw syllable tuples with explicit enumeration and
-never calls the reduction engine's internals.
+never calls the reduction engine's internals, apart from
+`cyclic_reduction_by_repush`, which keeps a replaced loop over `_push`.
 """
 
+import math
 from collections import deque
 from functools import lru_cache
 
@@ -12,7 +14,17 @@ from graphprod.conjugacy import are_conjugate
 from graphprod.cyclic import commuting_factors, cyclic_permutations, cyclically_reduce, ps_decompose
 from graphprod.parabolic import ParabolicSubgroup, parabolic_generators, parabolic_membership
 from graphprod.presentation import Word, induced_presentation
-from graphprod.words import conjugate, identity, invert, iter_ball, multiply, reduce, retract_key
+from graphprod.words import (
+    _make,
+    _push,
+    conjugate,
+    identity,
+    invert,
+    iter_ball,
+    multiply,
+    reduce,
+    retract_key,
+)
 
 
 def shuffle_class(pres, key):
@@ -315,3 +327,54 @@ def smallest_modulus_by_scan(n, needed, p=None):
         return n
     divisors = [d for d in all_divisors_by_scan(n) if powers is None or d in powers]
     return next((m for m in divisors if all(d % m != 0 for d in needed)), None)
+
+
+def cyclic_reduction_by_repush(e):
+    """(reduced key, conjugator key) by the step that `cyclically_reduce` replaced.
+
+    Each step takes the least vertex readable at both ends by different
+    syllables, deletes both syllables, pushes the back one and then the
+    front one back on, and pushes the front one onto the conjugator.
+    """
+    pres = e.pres
+    key = list(e.key)
+    conj = []
+    while True:
+        ends = _end_positions(pres, key)
+        if not ends:
+            return _make(pres, key).key, tuple(conj)
+        i, j = ends[min(ends)]
+        front, back = key[i], key[j]
+        del key[j], key[i]
+        _push(pres, key, *back)
+        _push(pres, key, *front)
+        _push(pres, conj, *front)
+
+
+def _end_positions(pres, key):
+    """Each vertex with different front- and back-readable syllables -> their positions."""
+
+    def readable(positions):
+        found, seen = {}, set()
+        for pos in positions:
+            vi = key[pos][0]
+            if vi not in seen and all(u in pres.iadj[vi] for u in seen):
+                found[vi] = pos
+            seen.add(vi)
+        return found
+
+    front = readable(range(len(key)))
+    back = readable(reversed(range(len(key))))
+    return {vi: (pos, back[vi]) for vi, pos in front.items() if vi in back and pos != back[vi]}
+
+
+def associative_by_triples(rows):
+    """Whether a multiplication table is associative, over all n^3 triples."""
+    n = len(rows)
+    return all(
+        rows[rows[a][b]][c] == rows[a][rows[b][c]] for a in range(n) for b in range(n) for c in range(n)
+    )
+
+
+def is_prime_by_trial_division(p):
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))

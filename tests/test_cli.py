@@ -157,6 +157,18 @@ def test_witness_rejects_non_prime_mode():
     assert code == 3 and "prime" in err
 
 
+def test_witness_with_a_prime_near_10_to_18():
+    start = time.perf_counter()
+    code, out, _ = gp("witness", "-g", str(DATA / "free-zz.json"), "--mode", "p:1000000000000000003", "x[1]", "x[2]")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["per_vertex_moduli"] == {"x": 1000000000000000003}
+
+
+def test_witness_rejects_a_prime_above_the_exact_bound():
+    code, _, err = gp("witness", "-g", str(DATA / "free-zz.json"), "--mode", "p:3317044064679887385961981", "x[1]", "x[2]")
+    assert code == 3 and "must be below 3317044064679887385961981" in err
+
+
 def test_failed_conjugator_check_survives_optimize():
     # Under python -O a bare assert would be skipped and the wrong conjugator
     # printed; the explicit check must still reject it.

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphprod import corpus, parse_presentation
-from graphprod import conjugacy
+from graphprod import conjugacy, cyclic, words
 from graphprod.presentation import PresentationError, Word, WordError, induced_presentation
 from graphprod.words import (
     ball,
@@ -65,6 +65,7 @@ from graphprod.separability import (
 from oracles import (
     alternating_form_by_restarts,
     ball_by_enumeration,
+    cyclic_reduction_by_repush,
     greedy_least_vertex_first,
     witness_constraints_by_parts,
 )
@@ -265,6 +266,44 @@ def test_cyclic_reduction_of_long_conjugates():
     assert len(r.reduced) == len(c)
     assert len(g) - len(r.reduced) >= 80  # long peeling, not a few end syllables
     assert are_conjugate(r.reduced, c).conjugate
+
+
+def test_cyclic_reduction_matches_the_repush_step():
+    # 2,100 conjugates u c u^-1 over the corpus, mixed_hexagon and an S3 path:
+    # one pop and one push per step give the core and conjugator keys of the
+    # step that deleted both end syllables and pushed them back
+    presentations = {**corpus.corpus_presentations(), "mixed-hexagon": mixed_hexagon(), "s3-path": build_s3_path()}
+    rng = random.Random(13)
+    for name, pres in sorted(presentations.items()):
+        for _ in range(300):
+            u = reduce(pres, corpus.random_word(pres, rng, 12))
+            c = reduce(pres, corpus.random_word(pres, rng, 8))
+            g = conjugate(u, c)
+            r = cyclically_reduce(g)
+            assert (r.reduced.key, r.conjugator.key) == cyclic_reduction_by_repush(g), (name, g)
+
+
+def test_cyclic_reduction_conjugator_needs_no_reordering(monkeypatch):
+    # a and b commute and are peeled first; c fails to commute with b, so its
+    # back syllable is readable only once b's peel cancels b[-1], and c < d
+    # is then peeled before d, which was movable from the start
+    pres = parse_presentation(json.dumps({
+        "vertices": [{"name": v, "group": "Z"} for v in "abcdkl"],
+        "edges": [["a", "b"], ["a", "c"], ["a", "d"], ["b", "d"], ["c", "d"]],
+    }))
+    g = element_of(pres, "a[1] b[1] d[1] c[1] k[1] l[1] c[-1] d[-1] b[-1] a[-1]")
+    made = []
+
+    def recording_make(p, syllables):
+        made.append(tuple(syllables))
+        return words._make(p, made[-1])
+
+    monkeypatch.setattr(cyclic, "_make", recording_make)
+    r = cyclically_reduce(g)
+    assert r.conjugator.key == ((0, 1), (1, 1), (2, 1), (3, 1))
+    assert r.reduced.key == ((4, 1), (5, 1))
+    assert made == [r.reduced.key]  # the core only: the conjugator is wrapped as peeled
+    assert conjugate(r.conjugator, r.reduced) == g
 
 
 NORMAL_FORM_PRESENTATIONS = {**corpus.corpus_presentations(), "mixed-hexagon": mixed_hexagon()}

@@ -1,5 +1,7 @@
 import itertools
 import json
+import random
+import time
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,8 @@ from graphprod import (
     vertex_mul,
 )
 from graphprod.presentation import FiniteTableGroup, IntegersModGroup, IntegerGroup
+
+from oracles import associative_by_triples
 
 
 def doc(vertices, edges):
@@ -155,6 +159,78 @@ def test_table_group_axioms_hold_after_load():
     for a in range(6):
         assert group.mul(a, group.inv(a)) == 0
         assert group.mul(0, a) == a == group.mul(a, 0)
+
+
+def random_loop(n, rng):
+    """A random Latin square with a two-sided identity, its labels shuffled."""
+    rows = [[0] * n for _ in range(n)]
+    rows[0] = list(range(n))
+    for i in range(n):
+        rows[i][0] = i
+
+    def fill(cell):
+        if cell == n * n:
+            return True
+        i, j = divmod(cell, n)
+        if i == 0 or j == 0:
+            return fill(cell + 1)
+        used = set(rows[i][:j]) | {rows[k][j] for k in range(i)}
+        for x in rng.sample(range(n), n):
+            if x not in used:
+                rows[i][j] = x
+                if fill(cell + 1):
+                    return True
+        return False
+
+    assert fill(0)
+    return relabel(rows, rng)
+
+
+def relabel(rows, rng):
+    n = len(rows)
+    perm = rng.sample(range(n), n)  # new label of each old label
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[perm[i]][perm[j]] = perm[rows[i][j]]
+    return out, perm[0]
+
+
+def test_associativity_matches_all_triples():
+    # Light's test against the n^3 scan on 1,500 Latin squares with identity
+    rng = random.Random(5)
+    _, s3, _ = s3_table()
+    groups = [[[(i + j) % n for j in range(n)] for i in range(n)] for n in (5, 6)] + [s3]
+    verdicts = set()
+    for trial in range(1500):
+        if trial % 10 == 0:
+            rows, identity = relabel(rng.choice(groups), rng)
+        else:
+            rows, identity = random_loop(trial % 6 + 1, rng)
+        names = [f"e{i}" for i in range(len(rows))]
+        associative = associative_by_triples(rows)
+        verdicts.add(associative)
+        try:
+            FiniteTableGroup(names, rows, identity)
+            accepted = True
+        except PresentationError as exc:
+            assert "associative" in str(exc)
+            accepted = False
+        assert accepted == associative, rows
+    assert verdicts == {True, False}
+
+
+def test_large_tables_load_fast():
+    # Light's test needs log2(n) + 1 generators: one for Z/400, eight for XOR on 256
+    for n, op in ((400, lambda i, j: (i + j) % 400), (256, lambda i, j: i ^ j)):
+        rows = [[op(i, j) for j in range(n)] for i in range(n)]
+        start = time.perf_counter()
+        group = FiniteTableGroup([f"e{i}" for i in range(n)], rows, 0)
+        assert time.perf_counter() - start < 0.5
+        assert all(group.mul(a, group.inv(a)) == 0 == group.mul(group.inv(a), a) for a in range(n))
+    rows[5][7] = rows[5][8]  # one wrong entry
+    with pytest.raises(PresentationError):
+        FiniteTableGroup([f"e{i}" for i in range(256)], rows, 0)
 
 
 def test_parse_word_basics(path_racg, free_zz):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from graphprod.conjugacy import are_conjugate
 from graphprod.separability import (
     ALL_FINITE,
     QuotientFamily,
+    _is_prime,
     _smallest_modulus,
     apply_quotient,
     conjugacy_witness,
@@ -23,7 +25,7 @@ from graphprod.separability import (
     shape_preserving_family,
 )
 from graphprod.selftest import check_witness
-from oracles import smallest_modulus_by_scan
+from oracles import is_prime_by_trial_division, smallest_modulus_by_scan
 
 PRESENTATIONS = corpus.corpus_presentations()
 
@@ -225,6 +227,16 @@ def test_smallest_modulus_matches_divisor_scan():
                         _smallest_modulus(group, needed, mode, "a")
                 else:
                     assert _smallest_modulus(group, needed, mode, "a") == expected, (n, needed, p)
+
+
+def test_primality_matches_trial_division():
+    assert [p for p in range(10**5) if _is_prime(p)] == [p for p in range(10**5) if is_prime_by_trial_division(p)]
+    with pytest.raises(ValueError, match="prime"):
+        p_group_mode(3825123056546413051)  # a strong pseudoprime to the bases 2 to 23
+    assert p_group_mode(2**61 - 1).p == 2**61 - 1
+    start = time.perf_counter()
+    assert parse_mode("p:1000000000000000003").p == 1000000000000000003
+    assert time.perf_counter() - start < 0.1
 
 
 def test_verify_rejects_swapped_images(free_zz):
