@@ -26,6 +26,7 @@ from .presentation import (
 from .words import (
     Element,
     _check_same,
+    _compare_centralizer,
     _make,
     _supported_in,
     conjugate,
@@ -342,33 +343,26 @@ def centralizer_check(view: AmalgamView, g: Element, radius: int) -> Centralizer
     if not is_amalgam_cyclically_reduced(view, form):
         raise AmalgamError("element is not cyclically reduced at this apex")
     n = form.consonant_length
-    members = []
-    violations = []
-    elements = list(iter_ball(pres, radius))
 
     if n == 1 and _supported_in(form.x_pieces[-1], view.h_ids):
         group = pres.by_index[view.apex_index]
         c1 = Element(pres, ((view.apex_index, group.encode(form.consonants[0])),))
         x1 = form.x_pieces[-1]
         star_ids = view.c_ids | view.h_ids
-        for u in elements:
-            centralizes = multiply(u, g) == multiply(g, u)
-            if centralizes:
-                members.append(u)
-            if _supported_in(u, star_ids):
-                uc = retract_key(pres, u.key, view.c_ids)
-                uh = retract_key(pres, u.key, view.h_ids)
-                factored = (
-                    multiply(uc, uh) == u
-                    and multiply(uc, c1) == multiply(c1, uc)
-                    and multiply(uh, x1) == multiply(x1, uh)
-                )
-            else:
-                factored = False
-            if centralizes != factored:
-                violations.append(u)
+
+        def factored(u, centralizes):
+            if not _supported_in(u, star_ids):
+                return False
+            uc = retract_key(pres, u.key, view.c_ids)
+            uh = retract_key(pres, u.key, view.h_ids)
+            return (
+                multiply(uc, uh) == u
+                and multiply(uc, c1) == multiply(c1, uc)
+                and multiply(uh, x1) == multiply(x1, uh)
+            )
+
         return CentralizerReport(
-            "product", None, (), len(elements), tuple(members), tuple(violations)
+            "product", None, (), *_compare_centralizer(iter_ball(pres, radius), g, factored)
         )
 
     prefixes = _prefixes(view, form)
@@ -389,30 +383,25 @@ def centralizer_check(view: AmalgamView, g: Element, radius: int) -> Centralizer
             unresolved.append(l)
     powers = {l: power(g, -l) for l in range(-radius, radius + 1)}
     omega_invs = [invert(omega) for omega in omegas]
-    for u in elements:
-        if multiply(u, g) != multiply(g, u):
-            continue
-        members.append(u)
-        factored = False
+
+    def factored(u, centralizes):
+        # an unresolved prefix excuses a miss, so there is nothing to search for
+        if not centralizes or unresolved:
+            return centralizes
         for omega_inv in omega_invs:
             base = multiply(u, omega_inv)
             for l in range(-radius, radius + 1):
                 h = multiply(base, powers[l])
                 if _supported_in(h, view.h_ids) and multiply(h, g) == multiply(g, h):
-                    factored = True
-                    break
-            if factored:
-                break
-        if not factored and not unresolved:
-            violations.append(u)
+                    return True
+        return False
+
     description = OmegaDescription(tuple(matched_prefixes), tuple(matched_h), tuple(omegas))
     return CentralizerReport(
         "rotations",
         description,
         tuple(unresolved),
-        len(elements),
-        tuple(members),
-        tuple(violations),
+        *_compare_centralizer(iter_ball(pres, radius), g, factored),
     )
 
 

@@ -15,6 +15,7 @@ from .presentation import GroupPresentation, InvariantError, PresentationError, 
 from .words import (
     Element,
     _check_same,
+    _compare_centralizer,
     _make,
     _supported_in,
     conjugate,
@@ -126,22 +127,15 @@ def centralizer_structure_check(g: Element, radius: int) -> CentralizerStructure
     halo = link_of(pres.graph, core)
     allowed_ids = {pres.vertex_index(v) for v in core | halo}
     core_ids = {pres.vertex_index(v) for v in core}
-    members, violations = [], []
-    count = 0
-    for u in iter_ball(pres, radius):
-        count += 1
-        centralizes = multiply(u, g) == multiply(g, u)
-        if _supported_in(u, allowed_ids):
-            u_core = retract_key(pres, u.key, core_ids)
-            factored = multiply(u_core, g) == multiply(g, u_core)
-        else:
-            factored = False
-        if centralizes:
-            members.append(u)
-        if centralizes != factored:
-            violations.append(u)
+
+    def factored(u, centralizes):
+        if not _supported_in(u, allowed_ids):
+            return False
+        u_core = retract_key(pres, u.key, core_ids)
+        return multiply(u_core, g) == multiply(g, u_core)
+
     return CentralizerStructureReport(
-        core, halo, count, tuple(members), tuple(violations)
+        core, halo, *_compare_centralizer(iter_ball(pres, radius), g, factored)
     )
 
 

@@ -389,6 +389,22 @@ def ball(pres, radius, window=None, vertices=None) -> List[Element]:
     return list(iter_ball(pres, radius, window, vertices))
 
 
+def _compare_centralizer(elements: Iterable[Element], g: Element, predicted):
+    """Walk the elements once: (size, members, violations) are their count, those
+    that commute with g, and those where predicted(u, centralizes) is not
+    centralizes.  Every centralizer check is this loop and its own prediction."""
+    size = 0
+    members, violations = [], []
+    for u in elements:
+        size += 1
+        centralizes = multiply(u, g) == multiply(g, u)
+        if centralizes:
+            members.append(u)
+        if predicted(u, centralizes) != centralizes:
+            violations.append(u)
+    return size, tuple(members), tuple(violations)
+
+
 def retract_key(pres: GroupPresentation, key: Key, vertex_indices) -> Element:
     """Drop syllables outside the vertex set, then reduce."""
     keep = set(vertex_indices)

@@ -352,8 +352,36 @@ def test_centralizer_check_reports_unresolved_prefixes(wide_h):
     g = element_of(wide_h, "c[1] h1[1] h2[1] a[1] h2[1] h1[1] c[1] a[1]")
     report = centralizer_check(view, g, 1)
     assert report.unresolved  # the middle rotation cannot be settled at this radius
+    assert report.ok  # an unresolved prefix excuses every centralizing element left unfactored
     for omega in report.omega.omega:
         assert conjugate(omega, g) == g
+
+
+def test_an_unresolved_prefix_excuses_what_it_would_factor(path_racg, monkeypatch):
+    # No search here leaves a prefix unresolved that a ball element needs, so
+    # the rotation search is made to give up on every prefix after the first.
+    from graphprod import amalgam
+
+    view = decompose_at(path_racg, "c")
+    g = element_of(path_racg, "c[1] a[1] c[1] a[1]")
+    root = element_of(path_racg, "c[1] a[1]")
+    full = centralizer_check(view, g, 4)
+    assert full.ok and not full.unresolved and root in full.centralizer
+
+    calls = []
+
+    def first_only(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            return amalgam.SubgroupConjugacy("unknown", None, None)
+        return amalgam_conjugate_by(*args)
+
+    monkeypatch.setattr(amalgam, "amalgam_conjugate_by", first_only)
+    report = centralizer_check(view, g, 4)
+    assert report.unresolved == (1, 2)
+    assert report.omega.omega == (identity(path_racg),)
+    # only the prefix c a factors the root c a; the unresolved prefix excuses it
+    assert root in report.centralizer and report.ok
 
 
 def test_conjugate_by_reaches_b_conjugators_beyond_the_radius():

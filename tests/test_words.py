@@ -233,6 +233,27 @@ def test_ball_enumeration_census(edge_zz, free_zz, path_racg):
     assert len(b4) == 7  # x-exponents in [-3, 3]
 
 
+def test_compare_centralizer_reports_every_disagreement(path_racg):
+    from graphprod.words import _compare_centralizer, ball
+
+    # C(a) = <a, b> = {1, a, b, ab} in C2 x infinite-dihedral
+    g = element_of(path_racg, "a[1]")
+    elements = ball(path_racg, 4)
+    commuting = tuple(u for u in elements if multiply(u, g) == multiply(g, u))
+    assert sorted(u.render() for u in commuting) == ["1", "a[1]", "a[1] b[1]", "b[1]"]
+
+    def compare(predicted):
+        return _compare_centralizer(iter_ball(path_racg, 4), g, predicted)
+
+    size, members, violations = compare(lambda u, centralizes: False)
+    assert size == len(elements) == 16
+    assert members == violations == commuting
+    assert identity(path_racg) in violations
+    others = tuple(u for u in elements if u not in commuting)
+    assert compare(lambda u, centralizes: True) == (size, commuting, others)
+    assert compare(lambda u, centralizes: centralizes) == (size, commuting, ())
+
+
 def test_ball_window_must_be_nonnegative(free_zz, path_racg):
     from graphprod.words import ball
 
