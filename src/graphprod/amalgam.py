@@ -255,7 +255,7 @@ def conjugator_classify(
 class SubgroupConjugacy:
     status: str  # "yes", "no" or "unknown"
     conjugator: Optional[Element]
-    failed_condition: Optional[int]  # 1 or 2 on certified no
+    failed_condition: Optional[int]  # 1, 2 or 3 on certified no
 
 
 def amalgam_conjugate_by(
@@ -267,13 +267,16 @@ def amalgam_conjugate_by(
 ) -> SubgroupConjugacy:
     """Decide f in g^B for the full subgroup B of the A-side.
 
-    Consonant sequences must match, and the A-side retractions must be
-    conjugate in the A-side; either failure is a certified refutation.  By
-    the normal form theorem for amalgams, every conjugator b in the A-side
-    has the form y0 h x0^-1, where x0 and y0 are the leading pieces of g and
-    f and h lies in the H-side.  So h runs over the H-side ball up to the
-    radius, and the first b supported in B with b g = f b is the certified
-    "yes".  Exhaustion yields "unknown", never a false "no".
+    Consonant sequences must match (condition 1), and the A-side
+    retractions must be conjugate in the A-side (condition 2); either
+    failure is a certified refutation.  By the normal form theorem for
+    amalgams, every conjugator b in the A-side has the form y0 h x0^-1,
+    where x0 and y0 are the leading pieces of g and f and h lies in the
+    H-side.  So h runs over the H-side ball up to the radius, and the first
+    b supported in B with b g = f b is the certified "yes".  Exhaustion
+    yields "unknown", never a false "no", unless the ball was the whole
+    H-side (condition 3): every H-side vertex group is finite, the H-side
+    vertices are pairwise adjacent, and the radius is at least their number.
     """
     pres = view.pres
     _check_same(f, g)
@@ -301,6 +304,13 @@ def amalgam_conjugate_by(
         b = multiply(multiply(y0, h), x0_inv)
         if _supported_in(b, b_ids) and multiply(b, g) == multiply(f, b):
             return SubgroupConjugacy("yes", b, None)
+    # a finite clique has at most one syllable per vertex: the ball was all of it
+    if (
+        radius >= len(view.h_ids)
+        and all(pres.by_index[vi].order is not None for vi in view.h_ids)
+        and all(view.h_ids <= pres.istar[vi] for vi in view.h_ids)
+    ):
+        return SubgroupConjugacy("no", None, 3)
     return SubgroupConjugacy("unknown", None, None)
 
 

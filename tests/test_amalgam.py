@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from graphprod import corpus, parse_presentation
 from graphprod.presentation import Syllable, Word, parse_word
-from graphprod.words import conjugate, element_of, identity, invert, multiply, reduce
+from graphprod.words import conjugate, element_of, identity, invert, iter_ball, multiply, reduce
 from graphprod.cyclic import cyclically_reduce
 from graphprod.amalgam import (
     AmalgamError,
+    SubgroupConjugacy,
     amalgam_conjugate_by,
     amalgam_form,
     amalgam_form_of_word,
@@ -341,7 +342,9 @@ def test_conjugate_by_exhaustion_is_unknown_not_no(wide_h):
     view = decompose_at(wide_h, "c")
     g = element_of(wide_h, "c[1] a[1]")
     f = conjugate(element_of(wide_h, "h1[1] h2[1] h1[1]"), g)
-    assert amalgam_conjugate_by(view, view.h_vertices, f, g, 1).status == "unknown"
+    # the H-side is infinite, so a radius that reaches its vertex count refutes nothing
+    for radius in (1, 2):
+        assert amalgam_conjugate_by(view, view.h_vertices, f, g, radius).status == "unknown"
     found = amalgam_conjugate_by(view, view.h_vertices, f, g, 3)
     assert found.status == "yes"
     assert found.conjugator == element_of(wide_h, "h1[1] h2[1] h1[1]")
@@ -382,6 +385,18 @@ def test_an_unresolved_prefix_excuses_what_it_would_factor(path_racg, monkeypatc
     assert report.omega.omega == (identity(path_racg),)
     # only the prefix c a factors the root c a; the unresolved prefix excuses it
     assert root in report.centralizer and report.ok
+
+
+def test_conjugate_by_exhausting_a_finite_h_side_is_no():
+    # the H-side at apex c is G_b = Z/2: a ball of radius >= 1 is all of it
+    pres = corpus.build(corpus.PATH_C3_END)
+    view = decompose_at(pres, "c")
+    g = element_of(pres, "c[1] a[1] c[1] a[2]")
+    rotated = element_of(pres, "c[1] a[2] c[1] a[1]")
+    assert amalgam_conjugate_by(view, view.h_vertices, g, rotated, 0) == SubgroupConjugacy("unknown", None, None)
+    for radius in (1, 4):
+        assert amalgam_conjugate_by(view, view.h_vertices, g, rotated, radius) == SubgroupConjugacy("no", None, 3)
+    assert amalgam_conjugate_by(view, view.h_vertices, g, g, 0).status == "yes"
 
 
 def test_conjugate_by_reaches_b_conjugators_beyond_the_radius():
@@ -429,11 +444,13 @@ def test_conjugate_by_matches_coset_criterion():
     exponents reach past the radius, by an element of the A-side, by any
     element, or an unrelated element.  Every refutation and every oracle
     "yes" must come back unchanged; every "yes" must be supported in B and
-    satisfy b g = f b.
+    satisfy b g = f b.  Where the oracle gives up on a finite H-side clique
+    that the radius covers, the answer is a refutation (condition 3), and no
+    element of a B-ball that holds the conjugators drawn above may conjugate.
     """
     rng = random.Random(9)
     groups = ["Z", "cyclic 2", "cyclic 3", s3_config()]
-    tally = {"no": 0, "same yes": 0, "new yes": 0, "unknown": 0}
+    tally = {"no": 0, "new no": 0, "same yes": 0, "new yes": 0, "unknown": 0}
     for trial in range(1000):
         n = rng.randint(3, 5)
         names = [f"v{i}" for i in range(n)]
@@ -461,6 +478,12 @@ def test_conjugate_by_matches_coset_criterion():
         expected = conjugate_by_coset_criterion(view, b_set, f, g, radius)
         answer = amalgam_conjugate_by(view, b_set, f, g, radius)
         context = f"trial {trial}: {doc}, apex {view.apex}, B {sorted(b_set)}, g {g}, f {f}, radius {radius}"
+        if (answer.status, expected.status) == ("no", "unknown"):
+            assert answer.failed_condition == 3, context
+            ball = iter_ball(pres, 3, window=radius + 2, vertices=b_set)
+            assert not any(multiply(b, g) == multiply(f, b) for b in ball), context
+            tally["new no"] += 1
+            continue
         if "no" in (expected.status, answer.status):
             assert (answer.status, answer.failed_condition) == ("no", expected.failed_condition), context
             tally["no"] += 1
@@ -481,6 +504,7 @@ def test_conjugate_by_matches_coset_criterion():
     [
         (corpus.PATH_RACG, "c", "c[1] a[1] c[1] a[1]"),
         (corpus.PATH_C3_END, "a", "a[1] c[1] a[2] c[1]"),
+        (corpus.PATH_C3_END, "c", "c[1] a[1] c[1] a[2]"),
         (corpus.PATH_C3_MID, "c", "c[1] a[1] b[1] c[1] a[1]"),
     ],
 )

@@ -152,6 +152,16 @@ def test_unresolved_centralizer_check_exits_2(tmp_path):
     assert "unresolved: 1" in out
 
 
+def test_centralizer_check_on_a_finite_h_side_resolves():
+    # at apex c of path-c3-end the H-side is G_b = Z/2, which the radius-4 ball
+    # covers, so the rotation by c a is refuted instead of left unresolved
+    code, out, _ = gp(
+        "centralizer-check", "-g", str(DATA / "path-c3-end.json"), "--vertex", "c", "c[1] a[1] c[1] a[2]"
+    )
+    assert code == 0
+    assert "unresolved: 0\n" in out and "violations: 0\n" in out
+
+
 def test_witness_rejects_non_prime_mode():
     code, _, err = gp("witness", "-g", str(DATA / "free-zz.json"), "--mode", "p:4", "x[1]", "x[2]")
     assert code == 3 and "prime" in err

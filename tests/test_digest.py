@@ -26,8 +26,8 @@ DIGEST_AT_20_SEEDS = (
     "iter_ball.subset                  4655 2ed9f7f752afbd61032e016193ed83d1b8f111ca6b03c16ba638884cb0b1d04d\n"
     "brute_force_conjugate               60 037a01de2ec4dcdd76299363599731d427b7e3039603c635745461270d7e7f5e\n"
     "centralizer_structure_check         20 c3191e2c59c5d2d0716548e612a2de2e36a99d0805292cf4f96b5e2b26e1f071\n"
-    "centralizer_check                   60 2f2bb285e5e5b5c3f59a50f4278647efc594660cc7d77b71bb84743e6f0f0719\n"
-    "amalgam_conjugate_by                60 33414b9b31eaadf10ec4e0ef6f638e8ca4790cce073efc36539edceaecbb5494\n"
+    "centralizer_check                   60 d89be106f0782454ffc3d29edc01efab20881f850205be176e06d34a5c89a248\n"
+    "amalgam_conjugate_by                60 12a7bd642bb526c18c6650f21be7f0854b469a898364f3c96e35e3f70cd21b37\n"
     "parabolic_intersection_search       20 8f1dfb486138a59c0385b0e877e6badc2152365d608564c663166f13230e4df5\n"
     "residual_witness                    90 6b3cafabf531846bf4632a5088cf6ad2c51904d6ef45d2046eb02dc607cd85b6\n"
     "conjugacy_witness                   73 f949565f8780a81e8aa88bfdacb4bd8ffd5dca4414f69a73eaf5797a8308aa1f\n"
