@@ -59,6 +59,9 @@ MUTANTS = [
      "                        appends = False\n                        break\n", ""),
     ("residues-descending", PR, "        return range(1, self.modulus)\n",
      "        return range(self.modulus - 1, 0, -1)\n"),
+    # every centralizer check is one comparison loop
+    ("compare-records-no-violation", W, "            violations.append(u)\n", "            pass\n"),
+    ("rotations-ignore-unresolved", A, "        if not centralizes or unresolved:\n", "        if not centralizes:\n"),
     # cyclic reduction: one pop and one push per step
     ("conjugator-prepended", C, "        conj.append(a)\n", "        conj.insert(0, a)\n"),
     ("max-movable", C, "key.pop(movable[min(movable)])", "key.pop(movable[max(movable)])"),
@@ -95,6 +98,8 @@ MUTANTS = [
     ("conjugate-by-no-conjugation-test", A,
      "if _supported_in(b, b_ids) and multiply(b, g) == multiply(f, b):",
      "if _supported_in(b, b_ids):"),
+    ("finite-h-no-radius-bound", A, "        radius >= len(view.h_ids)\n        and all(", "        all("),
+    ("finite-h-no-adjacency-test", A, "\n        and all(view.h_ids <= pres.istar[vi] for vi in view.h_ids)\n", "\n"),
     # parabolic subgroups
     ("normalizer-core-only", PB, "    allowed = p.core | link_of(pres.graph, p.core)\n",
      "    allowed = p.core\n"),

@@ -117,6 +117,11 @@ def cyclic_permutation_conjugators(e: Element) -> Dict[Element, Element]:
     Returns a map g' -> p such that p^-1 e p = g'.  The closure moves one
     front-readable syllable to the end at a time, so it does not depend on a
     choice of reduced expression.
+
+    The closure can be exponential in the length of one commuting factor:
+    with b adjacent to none of x0 ... x(k-1) and the x's pairwise adjacent,
+    b x0 ... x(k-1) has the 2^k rotations S b (X - S), one for each subset S
+    of the x's (16,384 at 15 syllables, 1.4-1.6 s with Python 3.11).
     """
     if not is_cyclically_reduced(e):
         raise WordError("element is not cyclically reduced")

@@ -1,9 +1,10 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphprod import corpus
+from graphprod import corpus, parse_presentation
 from graphprod.presentation import Word, WordError
 from graphprod.words import (
     conjugate,
@@ -83,6 +84,22 @@ def test_cyclic_permutations_examples(path_racg, free_zz):
 def test_cyclic_permutations_requires_cyclically_reduced(path_racg):
     with pytest.raises(WordError):
         cyclic_permutations(element_of(path_racg, "a[1] c[1] a[1]"))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_one_factor_has_two_to_the_k_rotations(k):
+    # b is adjacent to no x and the x's form a clique, so b x0 ... x(k-1) is one
+    # commuting factor whose rotations are S b (X - S) for every subset S of X
+    xs = [f"x{i}" for i in range(k)]
+    doc = {
+        "vertices": [{"name": v, "group": "Z"} for v in ["b"] + xs],
+        "edges": [[u, v] for i, u in enumerate(xs) for v in xs[i + 1 :]],
+    }
+    pres = parse_presentation(json.dumps(doc))
+    g = element_of(pres, "b[1] " + " ".join(f"{x}[1]" for x in xs))
+    perms = cyclic_permutations(g)
+    assert perms == rotations_by_enumeration(pres, g)
+    assert len(perms) == 2**k
 
 
 def test_rotation_conjugators_verify(path_racg, free_zz, triangle_mixed):
