@@ -361,8 +361,8 @@ def test_centralizer_check_reports_unresolved_prefixes(wide_h):
 
 
 def test_an_unresolved_prefix_excuses_what_it_would_factor(path_racg, monkeypatch):
-    # No search here leaves a prefix unresolved that a ball element needs, so
-    # the rotation search is made to give up on every prefix after the first.
+    # No input found so far has a ball element that only an unresolved prefix
+    # would factor, so the rotation search is made to give up after the first.
     from graphprod import amalgam
 
     view = decompose_at(path_racg, "c")
