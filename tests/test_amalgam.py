@@ -504,8 +504,8 @@ def test_conjugate_by_matches_coset_criterion():
     [
         (corpus.PATH_RACG, "c", "c[1] a[1] c[1] a[1]"),
         (corpus.PATH_C3_END, "a", "a[1] c[1] a[2] c[1]"),
-        (corpus.PATH_C3_END, "c", "c[1] a[1] c[1] a[2]"),
         (corpus.PATH_C3_MID, "c", "c[1] a[1] b[1] c[1] a[1]"),
+        (corpus.PATH_C3_END, "c", "c[1] a[1] c[1] a[2]"),
     ],
 )
 def test_centralizer_formulas_at_two_consonants(config, apex, text):
