@@ -51,6 +51,11 @@ MUTANTS = [
      "        if ui > vi and at == len(out):\n            at = i\n"),
     ("canonical-form-no-length-check", W,
      '    if len(e.key) != len(key):\n        raise WordError("word is not reduced")\n', ""),
+    # reducedness and ball membership each have one source
+    ("no-joinable-pairs", W, "                yield i, j\n",
+     "                if False:\n                    yield i, j\n"),
+    ("ball-predicate-bounds-values", W, "all(val in groups[vi].nontrivial_keys(radius) for vi, val in e.key)",
+     "all(abs(val) <= radius for _, val in e.key)"),
     # the ball is a reverse search over canonical prefixes
     ("ball-no-join-rejection", W, "appends = ui != vi  # a vertex is not in its own link",
      "appends = True"),

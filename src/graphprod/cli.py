@@ -6,8 +6,9 @@ usage or input error, or a certificate that failed its own re-check.
 Each subcommand builds one payload.  --json prints it as one object with
 sorted keys; otherwise every field prints as a `label: value` line, in order:
 the label is the key with `_` read as `-`, a bool prints as yes/no and a list
-as its items, or `-` when empty.  Only amalgam writes its own lines, to
-interleave its pieces and consonants.
+as its items, or `-` when empty.  Three subcommands write their own lines:
+amalgam, to interleave its pieces and consonants; witness, which prints its
+certificate JSON; and selftest, which prints one line per suite.
 """
 
 from __future__ import annotations

@@ -16,6 +16,9 @@ from typing import Callable, List
 from . import corpus
 from .presentation import Word, render_word
 from .words import (
+    _compare_centralizer,
+    _in_ball,
+    _joinable_pairs,
     ball,
     brute_force_equal,
     canonical_form,
@@ -92,15 +95,7 @@ def check_confluence(pres, w: Word, rng: random.Random) -> None:
     key = list(key_of_word(pres, w))
     while True:
         key = [s for s in key if not pres.by_index[s[0]].is_identity(s[1])]
-        joinable = []
-        for i in range(len(key)):
-            link = pres.iadj[key[i][0]]
-            for j in range(i + 1, len(key)):
-                if key[j][0] == key[i][0]:
-                    joinable.append((i, j))
-                    break
-                if key[j][0] not in link:
-                    break
+        joinable = list(_joinable_pairs(pres, key))
         if not joinable:
             break
         i, j = rng.choice(joinable)
@@ -127,8 +122,7 @@ def check_conjugacy(x, y, reachable: set, radius: int) -> ConjugacyVerdict:
     if verdict.conjugate:
         w = verdict.conjugator
         _ensure(conjugate(w, x) == y, "bad conjugator", x, y)
-        in_ball = len(w) <= radius and all(abs(v) <= radius for _, v in w.key)
-        _ensure(y in reachable or not in_ball, "conjugator inside the ball, oracle missed it", x, y)
+        _ensure(y in reachable or not _in_ball(w, radius), "conjugator inside the ball, oracle missed it", x, y)
     else:
         _ensure(y not in reachable, "oracle found a conjugator, criterion says no", x, y)
     return verdict
@@ -185,11 +179,15 @@ def check_centralizer(view, g, radius: int) -> None:
     for piece in xs[1:-1]:
         x_cum.append(multiply(x_cum[-1], piece))
     x_prod = multiply(x_cum[-1], xs[-1])
-    for b in iter_ball(view.pres, radius, vertices=view.a_vertices):
-        in_cosets = conjugate(b, x_prod) == x_prod and all(
+
+    def in_cosets(b, centralizes) -> bool:
+        return conjugate(b, x_prod) == x_prod and all(
             multiply(multiply(invert(c), b), c).support() <= view.h_vertices for c in x_cum
         )
-        _ensure(in_cosets == (conjugate(b, g) == g), "coset-intersection formula", view.apex, g, b)
+
+    a_ball = iter_ball(view.pres, radius, vertices=view.a_vertices)
+    _, _, violations = _compare_centralizer(a_ball, g, in_cosets)
+    _ensure(not violations, "coset-intersection formula", view.apex, g, *violations[:1])
 
 
 def check_centralizer_split(g, radius: int) -> None:

@@ -56,12 +56,11 @@ class PresentationMismatchError(ValueError):
 class Element:
     """A group element in canonical reduced form."""
 
-    __slots__ = ("pres", "key", "_hash")
+    __slots__ = ("pres", "key")
 
     def __init__(self, pres: GroupPresentation, key: Key):
         self.pres = pres
         self.key = key
-        self._hash = hash(key)
 
     def __eq__(self, other) -> bool:
         return (
@@ -71,7 +70,7 @@ class Element:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.key)
 
     def __len__(self) -> int:
         return len(self.key)
@@ -202,21 +201,30 @@ def element_of(pres: GroupPresentation, text: str) -> Element:
     return reduce(pres, parse_word(pres, text))
 
 
-def is_reduced_key(pres: GroupPresentation, key: Sequence[Tuple[int, int]]) -> bool:
-    """No trivial syllables and no two joinable syllables."""
-    for vi, val in key:
-        if pres.by_index[vi].is_identity(val):
-            return False
-    for i in range(len(key)):
-        vi = key[i][0]
-        link = pres.iadj[vi]
+def _joinable_pairs(pres: GroupPresentation, key: Sequence[Tuple[int, int]]):
+    """Yield each (i, j), i < j, where key[i] and key[j] lie on one vertex and
+    every syllable between them on its link: the pairs a join can merge.
+
+    Scans the key itself, without `_push`, so the checks built on it stay
+    independent of the reduction engine."""
+    iadj = pres.iadj
+    for i, (vi, _) in enumerate(key):
+        link = iadj[vi]
         for j in range(i + 1, len(key)):
             uj = key[j][0]
             if uj == vi:
-                return False
+                yield i, j
+                break
             if uj not in link:
                 break
-    return True
+
+
+def is_reduced_key(pres: GroupPresentation, key: Sequence[Tuple[int, int]]) -> bool:
+    """No trivial syllables and no two joinable syllables."""
+    groups = pres.by_index
+    if any(groups[vi].is_identity(val) for vi, val in key):
+        return False
+    return next(_joinable_pairs(pres, key), None) is None
 
 
 def canonical_form(pres: GroupPresentation, word: Word) -> Word:
@@ -368,6 +376,7 @@ def iter_ball(
             key = e.key
             for vi, vals in gens:
                 link = pres.iadj[vi]
+                # a copy of _push's scan: sharing it slowed reduction, testing with _push slowed the ball
                 for ui, _ in reversed(key):
                     if ui not in link:
                         appends = ui != vi  # a vertex is not in its own link
@@ -383,6 +392,13 @@ def iter_ball(
                         yield child
                         grown.append(child)
         level = grown
+
+
+def _in_ball(e: Element, radius: int) -> bool:
+    """True iff iter_ball(e.pres, radius) yields e: at most radius syllables,
+    each value among the `nontrivial_keys(radius)` of its vertex group."""
+    groups = e.pres.by_index
+    return len(e.key) <= radius and all(val in groups[vi].nontrivial_keys(radius) for vi, val in e.key)
 
 
 def ball(pres, radius, window=None, vertices=None) -> List[Element]:

@@ -11,6 +11,7 @@ from graphprod import corpus, parse_presentation
 from graphprod import conjugacy, cyclic, words
 from graphprod.presentation import PresentationError, Word, WordError, induced_presentation
 from graphprod.words import (
+    _in_ball,
     ball,
     canonical_form,
     conjugate,
@@ -138,8 +139,7 @@ def test_criterion_matches_ball_oracle(s3_path):
                 assert verdict.conjugate
             if verdict.conjugate:
                 assert conjugate(verdict.conjugator, x) == y
-                w = verdict.conjugator
-                if len(w) <= 3 and all(abs(v) <= 3 for _, v in w.key):
+                if _in_ball(verdict.conjugator, 3):
                     assert brute_force_conjugate(x, y, 3).found
 
 
@@ -384,6 +384,20 @@ def test_ball_matches_enumeration(name, subset):
     for radius in range(4):
         expected = ball_by_enumeration(pres, radius, window, vertices)
         assert [e.key for e in iter_ball(pres, radius, window, vertices)] == expected
+
+
+BALL_PRESENTATIONS = {**corpus.corpus_presentations(), "s3-path": build_s3_path()}
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+@pytest.mark.parametrize("name", sorted(BALL_PRESENTATIONS))
+def test_ball_predicate_matches_ball(name, radius):
+    # checked on a larger ball with a wider window, so that both the length
+    # and the values of the syllables can fall outside
+    pres = BALL_PRESENTATIONS[name]
+    inside = set(iter_ball(pres, radius))
+    for e in iter_ball(pres, radius + 1, window=radius + 2):
+        assert _in_ball(e, radius) == (e in inside), e
 
 
 FORM_PRESENTATIONS = {**NORMAL_FORM_PRESENTATIONS, "s3-path": build_s3_path()}

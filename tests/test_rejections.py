@@ -12,7 +12,7 @@ from graphprod.amalgam import (
     sigma_map,
 )
 from graphprod.conjugacy import conjugate_in_clique_subgroup
-from graphprod.presentation import PresentationError
+from graphprod.presentation import PresentationError, parse_word
 from graphprod.separability import (
     ALL_FINITE,
     QuotientFamily,
@@ -26,11 +26,12 @@ from graphprod.words import (
     is_reduced_key,
     is_reduced_product,
     iter_ball,
+    key_of_word,
     multiply,
 )
 
 P = corpus.corpus_presentations()
-PATH, STAR, FREE, MIXED = P["path-racg"], P["star-racg"], P["free-zz"], P["triangle-mixed"]
+PATH, STAR, FREE, EDGE, MIXED = P["path-racg"], P["star-racg"], P["free-zz"], P["edge-zz"], P["triangle-mixed"]
 AT_C = decompose_at(PATH, "c")
 
 
@@ -107,4 +108,7 @@ def test_rejects(name):
 
 def test_degenerate_answers():
     assert is_reduced_key(PATH, ((0, 0),)) is False  # a trivial syllable
+    # a joinable pair with a commuting syllable between, and one with a blocker
+    assert is_reduced_key(EDGE, key_of_word(EDGE, parse_word(EDGE, "x[1] y[1] x[1]"))) is False
+    assert is_reduced_key(PATH, key_of_word(PATH, parse_word(PATH, "a[1] c[1] a[1]"))) is True
     assert is_reduced_product([]) is True

@@ -3,7 +3,9 @@ import io
 import pytest
 
 from graphprod import selftest
+from graphprod.amalgam import decompose_at
 from graphprod.presentation import InvariantError, Syllable, Word
+from graphprod.words import element_of
 
 
 def _run_with_failing_cyclic_check(monkeypatch, error) -> list:
@@ -42,3 +44,13 @@ def test_failure_names_a_word_as_its_presentation_renders_it(monkeypatch, triang
     with pytest.raises(selftest.SelfTestFailure) as failure:
         selftest.check_equality(triangle_mixed, w, w)
     assert str(failure.value) == "equality oracle disagrees: w[1], w[1]"
+
+
+def test_coset_formula_failure_names_the_first_disagreeing_element(monkeypatch, path_racg):
+    # conjugation broken to return the conjugator puts the identity, the first
+    # ball element, outside the cosets, although it commutes with g
+    monkeypatch.setattr(selftest, "conjugate", lambda w, x: w)
+    view = decompose_at(path_racg, "c")
+    with pytest.raises(selftest.SelfTestFailure) as failure:
+        selftest.check_centralizer(view, element_of(path_racg, "c[1] a[1]"), 2)
+    assert str(failure.value) == "coset-intersection formula: 'c', <c[1] a[1]>, <1>"
