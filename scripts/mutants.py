@@ -13,7 +13,7 @@ edit:
 An unmutated copy runs first; if it fails, nothing is judged.  Exit status is
 0 when every edit is killed, 1 otherwise, 2 when the unmutated copy fails.
 
-    python scripts/mutants.py      # about 15 minutes on one core
+    python scripts/mutants.py      # about 14 minutes on one core
 
 Not part of Tier-1.  Each run is capped at RUN_SECONDS of wall time and
 MEMORY_BYTES of address space, so a mutant that loops forever is killed
@@ -105,6 +105,11 @@ MUTANTS = [
      "if _supported_in(b, b_ids):"),
     ("finite-h-no-radius-bound", A, "        radius >= len(view.h_ids)\n        and all(", "        all("),
     ("finite-h-no-adjacency-test", A, "\n        and all(view.h_ids <= pres.istar[vi] for vi in view.h_ids)\n", "\n"),
+    # amalgam answers read off the consonant counts
+    ("centralizer-power-one-sign", A, "            for l in (q, -q):\n", "            for l in (q,):\n"),
+    ("classify-next-prefix", A, "        p = prefixes[j]\n", "        p = prefixes[(j + 1) % len(prefixes)]\n"),
+    ("sigma-s-unshifted", A, "((vi - shift, val) for vi, val in e.key if vi >= shift)",
+     "((vi, val) for vi, val in e.key if vi >= shift)"),
     # parabolic subgroups
     ("normalizer-core-only", PB, "    allowed = p.core | link_of(pres.graph, p.core)\n",
      "    allowed = p.core\n"),

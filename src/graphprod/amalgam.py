@@ -36,7 +36,6 @@ from .words import (
     key_of_word,
     multiply,
     power,
-    reduce,
     retract_key,
 )
 from .cyclic import cyclically_reduce
@@ -208,12 +207,13 @@ def conjugator_classify(
     """Decompose a verified conjugator u (with u g u^-1 = f) into its case.
 
     Case a: u lies in the H-side.  Case b: u = h p^-1 g^-l for a prefix p.
-    Case c: u = h s g^l for a suffix s.  The witnessing pieces are recovered
-    by bounded search; ties break toward the shortest piece, then least l.
+    Case c: u = h s g^l for a suffix s.  Consonants are apex syllables, and
+    u has l n + j of them when p (or s) carries j of g's n, so l, j =
+    divmod(m, n) fixes both pieces; for j = 0 the reading (l - 1, n) gives
+    the same h.
     """
-    pres = view.pres
     for form in (g_form, f_form):
-        if not is_amalgam_cyclically_reduced(view, form) or form.consonant_length < 1:
+        if not is_amalgam_cyclically_reduced(view, form):
             raise AmalgamError("forms must be consonant-leading and cyclically reduced")
     if _supported_in(g_form.x_pieces[-1], view.h_ids):
         raise AmalgamError("tail piece of g must leave the H-side")
@@ -227,23 +227,20 @@ def conjugator_classify(
         if not _supported_in(u, view.h_ids):
             raise AmalgamError("A-side conjugator outside the H-side: broken precondition")
         return ConjugatorClass("a", u, None, None)
+    n = g_form.consonant_length
+    l, j = divmod(m, n)
     prefixes = _prefixes(view, g_form)
     z_last = u_form.x_pieces[-1]
-    x_last = g_form.x_pieces[-1]
+    found = None
     if _supported_in(z_last, view.h_ids):
-        for p in prefixes:
-            for l in range(m + 1):
-                h = multiply(multiply(u, power(g, l)), p)
-                if _supported_in(h, view.h_ids):
-                    return ConjugatorClass("b", h, p, l)
-    elif _supported_in(multiply(x_last, invert(z_last)), view.h_ids):
-        for p in reversed(prefixes):  # longest prefix first = shortest suffix first
-            s = multiply(invert(p), g)
-            for l in range(m + 1):
-                h = multiply(multiply(u, power(g, -l)), invert(s))
-                if _supported_in(h, view.h_ids):
-                    return ConjugatorClass("c", h, s, l)
-    raise AmalgamError("no conjugator case matched within bounds: this is a bug")
+        p = prefixes[j]
+        found = ConjugatorClass("b", multiply(multiply(u, power(g, l)), p), p, l)
+    elif _supported_in(multiply(g_form.x_pieces[-1], invert(z_last)), view.h_ids):
+        s = multiply(invert(prefixes[n - j]), g)
+        found = ConjugatorClass("c", multiply(multiply(u, power(g, -l)), invert(s)), s, l)
+    if found is None or not _supported_in(found.h, view.h_ids):
+        raise AmalgamError("no conjugator case matched: this is a bug")
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +344,8 @@ def centralizer_check(view: AmalgamView, g: Element, radius: int) -> Centralizer
     direct product of the apex-side and H-side centralizers.  Otherwise every
     centralizing element must factor as h g^l omega with h a centralizing
     H-side element and omega built from the matching rotation prefixes.
+    Then u omega^-1 = h g^l has |l| n apex syllables, which fixes l up to
+    sign; the radius bounds the ball and the H-side searches, not l.
     """
     pres = view.pres
     form = consonant_leading_form(view, g)
@@ -361,15 +360,12 @@ def centralizer_check(view: AmalgamView, g: Element, radius: int) -> Centralizer
         star_ids = view.c_ids | view.h_ids
 
         def factored(u, centralizes):
+            # the apex commutes with its link, so u = uc uh on the star
             if not _supported_in(u, star_ids):
                 return False
             uc = retract_key(pres, u.key, view.c_ids)
             uh = retract_key(pres, u.key, view.h_ids)
-            return (
-                multiply(uc, uh) == u
-                and multiply(uc, c1) == multiply(c1, uc)
-                and multiply(uh, x1) == multiply(x1, uh)
-            )
+            return multiply(uc, c1) == multiply(c1, uc) and multiply(uh, x1) == multiply(x1, uh)
 
         return CentralizerReport(
             "product", None, (), *_compare_centralizer(iter_ball(pres, radius), g, factored)
@@ -391,7 +387,6 @@ def centralizer_check(view: AmalgamView, g: Element, radius: int) -> Centralizer
             omegas.append(omega)
         elif answer.status == "unknown":
             unresolved.append(l)
-    powers = {l: power(g, -l) for l in range(-radius, radius + 1)}
     omega_invs = [invert(omega) for omega in omegas]
 
     def factored(u, centralizes):
@@ -400,8 +395,11 @@ def centralizer_check(view: AmalgamView, g: Element, radius: int) -> Centralizer
             return centralizes
         for omega_inv in omega_invs:
             base = multiply(u, omega_inv)
-            for l in range(-radius, radius + 1):
-                h = multiply(base, powers[l])
+            q, rest = divmod(sum(vi == view.apex_index for vi, _ in base.key), n)
+            if rest:
+                continue
+            for l in (q, -q):
+                h = multiply(base, power(g, -l))
                 if _supported_in(h, view.h_ids) and multiply(h, g) == multiply(g, h):
                     return True
         return False
@@ -461,14 +459,12 @@ class SigmaAmalgam:
         self.s_ids = frozenset(pres.vertex_index(v) for v in s_pres.vertices)
         self.r_ids = frozenset(pres.vertex_index(v) for v in r_set)
 
-    def _transfer(self, e: Element, target: GroupPresentation) -> Element:
-        return reduce(target, e.word())
-
     def sigma(self, e: Element) -> Tuple[Element, Element]:
         """The image (retraction to Q, retraction to S) in the factors."""
-        q_part = retract_key(self.presentation, e.key, self.q_ids)
-        s_part = retract_key(self.presentation, e.key, self.s_ids)
-        return self._transfer(q_part, self.q_pres), self._transfer(s_part, self.s_pres)
+        shift = len(self.q_pres.vertices)  # Q's vertices come first, then S's
+        q_key = (s for s in e.key if s[0] < shift)
+        s_key = ((vi - shift, val) for vi, val in e.key if vi >= shift)
+        return _make(self.q_pres, q_key), _make(self.s_pres, s_key)
 
     def kernel_element_from(self, w: Element) -> Element:
         """Push an arbitrary element into ker(sigma) by factor corrections."""

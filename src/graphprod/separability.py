@@ -19,7 +19,6 @@ from .presentation import (
     IntegersModGroup,
     InvariantError,
     PresentationError,
-    SimplicialGraph,
     induced_presentation,
 )
 from .words import Element, _check_same, _make, invert, multiply, reduce, retract_key
@@ -128,9 +127,7 @@ class QuotientFamily:
         self.pres = pres
         self.moduli = dict(moduli)
         self.mode = mode
-        self.target = GroupPresentation(
-            SimplicialGraph(pres.vertices, sorted(pres.graph.edges)), groups
-        )
+        self.target = GroupPresentation(pres.graph, groups)
 
 
 def apply_quotient(family: QuotientFamily, e: Element) -> Element:

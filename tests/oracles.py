@@ -9,7 +9,7 @@ import math
 from collections import deque
 from functools import lru_cache
 
-from graphprod.amalgam import AmalgamError, SubgroupConjugacy, amalgam_form
+from graphprod.amalgam import AmalgamError, ConjugatorClass, SubgroupConjugacy, amalgam_form
 from graphprod.conjugacy import are_conjugate
 from graphprod.cyclic import commuting_factors, cyclic_permutations, cyclically_reduce, ps_decompose
 from graphprod.parabolic import ParabolicSubgroup, parabolic_generators, parabolic_membership
@@ -22,6 +22,7 @@ from graphprod.words import (
     invert,
     iter_ball,
     multiply,
+    power,
     reduce,
     retract_key,
 )
@@ -179,6 +180,47 @@ def alternating_form_by_restarts(pres, c_ids, h_ids, key):
                 changed = True
                 break
     return xs, cs
+
+
+def conjugator_case_by_search(view, g_form, u):
+    """The case of a verified conjugator u of g, by trying every prefix and power.
+
+    Keeps the double loop that `amalgam.conjugator_classify` replaced: for
+    case b the prefixes p of g shortest first, for case c the suffixes
+    p^-1 g shortest first, and inside each piece the exponents 0..m for the
+    m consonants of u; the first h = u g^l p (case b) or h = u g^-l s^-1
+    (case c) in the H-side wins.  Returns None when nothing matches.
+    """
+    pres = view.pres
+    apex = pres.by_index[view.apex_index]
+
+    def in_h(x):
+        return x.support() <= view.h_vertices
+
+    prefixes = [identity(pres)]
+    for value, piece in zip(g_form.consonants, g_form.x_pieces[1:]):
+        c = _make(pres, [(view.apex_index, apex.encode(value))])
+        prefixes.append(multiply(multiply(prefixes[-1], c), piece))
+    g = multiply(g_form.x_pieces[0], prefixes[-1])
+    u_form = amalgam_form(view, u)
+    m = u_form.consonant_length
+    if m == 0:
+        return ConjugatorClass("a", u, None, None) if in_h(u) else None
+    z_last = u_form.x_pieces[-1]
+    if in_h(z_last):
+        for p in prefixes:
+            for l in range(m + 1):
+                h = multiply(multiply(u, power(g, l)), p)
+                if in_h(h):
+                    return ConjugatorClass("b", h, p, l)
+    elif in_h(multiply(g_form.x_pieces[-1], invert(z_last))):
+        for p in reversed(prefixes):
+            s = multiply(invert(p), g)
+            for l in range(m + 1):
+                h = multiply(multiply(u, power(g, -l)), invert(s))
+                if in_h(h):
+                    return ConjugatorClass("c", h, s, l)
+    return None
 
 
 def conjugate_by_coset_criterion(view, b_vertices, f, g, radius):

@@ -25,7 +25,7 @@ from graphprod.amalgam import (
 from graphprod.selftest import check_centralizer, check_centralizer_split, check_consonants
 
 from oracles import conjugate_by_coset_criterion
-from test_nonabelian import s3_config
+from test_nonabelian import build_s3_path, s3_config
 
 PRESENTATIONS = corpus.corpus_presentations()
 
@@ -242,6 +242,19 @@ def test_consonant_invariance_under_shuffles(all_presentations):
                 w = corpus.random_word(pres, rng, 7)
                 check_consonants(view, w, corpus.shuffled_variant(pres, w, rng))
 
+
+
+def test_consonants_are_apex_syllables(all_presentations):
+    # two apex syllables with only link syllables between them would join
+    rng = random.Random(23)
+    for pres in [*all_presentations.values(), build_s3_path()]:
+        elements = corpus.corpus_elements(pres, max_len=4)
+        elements += [reduce(pres, corpus.random_word(pres, rng, 9)) for _ in range(60)]
+        for apex in pres.vertices:
+            view = decompose_at(pres, apex)
+            for e in elements:
+                apex_syllables = sum(vi == view.apex_index for vi, _ in e.key)
+                assert amalgam_form(view, e).consonant_length == apex_syllables, (apex, e.render())
 
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)

@@ -42,6 +42,7 @@ from graphprod.conjugacy import (
 )
 from graphprod.amalgam import (
     _general_form,
+    _prefixes,
     amalgam_conjugate_by,
     centralizer_check,
     conjugator_classify,
@@ -66,6 +67,7 @@ from graphprod.separability import (
 from oracles import (
     alternating_form_by_restarts,
     ball_by_enumeration,
+    conjugator_case_by_search,
     cyclic_reduction_by_repush,
     greedy_least_vertex_first,
     witness_constraints_by_parts,
@@ -168,6 +170,7 @@ def test_classification_on_ball_conjugators(s3_path):
             if multiply_out(view, fform) != f or fform.consonants != gform.consonants:
                 continue
             got = conjugator_classify(view, gform, fform, u)
+            assert conjugator_case_by_search(view, gform, u) == got
             seen_cases.add(got.case)
             if got.case == "a":
                 assert got.h == u and u.support() <= view.h_vertices
@@ -178,6 +181,41 @@ def test_classification_on_ball_conjugators(s3_path):
                 rebuilt = multiply(multiply(got.h, got.piece), power(g, got.exponent))
                 assert rebuilt == u
     assert {"a", "b", "c"} <= seen_cases
+
+
+def test_classification_beyond_the_first_power(s3_path):
+    # the radius-2 ball only reaches l <= 1, so build u = h p^-1 g^-l and
+    # u = h s g^l for every prefix p, its suffix s = p^-1 g, and l = 2, 3
+    view = decompose_at(s3_path, "g")
+    hs = list(iter_ball(s3_path, 2, vertices=view.h_vertices))
+    checked = {(case, l): 0 for case in "bc" for l in (2, 3)}
+    for text in ("g[r] z[1]", "g[s] z[1] g[r] z[-1]", "g[s] z[2] g[s] z[1] g[r] z[1]"):
+        g = element_of(s3_path, text)
+        gform = consonant_leading_form(view, g)
+        assert is_amalgam_cyclically_reduced(view, gform)
+        for l in (2, 3):
+            for p in _prefixes(view, gform):
+                s = multiply(invert(p), g)
+                for h in hs:
+                    cases = (
+                        ("b", multiply(multiply(h, invert(p)), power(g, -l))),
+                        ("c", multiply(multiply(h, s), power(g, l))),
+                    )
+                    for case, u in cases:
+                        f = conjugate(u, g)
+                        fform = consonant_leading_form(view, f)
+                        if not is_amalgam_cyclically_reduced(view, fform) or multiply_out(view, fform) != f:
+                            continue
+                        got = conjugator_classify(view, gform, fform, u)
+                        assert got.case == case
+                        assert conjugator_case_by_search(view, gform, u) == got
+                        if case == "b":
+                            rebuilt = multiply(multiply(got.h, invert(got.piece)), power(g, -got.exponent))
+                        else:
+                            rebuilt = multiply(multiply(got.h, got.piece), power(g, got.exponent))
+                        assert rebuilt == u
+                        checked[case, l] += 1
+    assert all(checked.values()), checked
 
 
 def test_amalgam_conjugacy_and_centralizers(s3_path):
