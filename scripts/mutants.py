@@ -30,7 +30,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "scripts")
-TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+# tests/test_mutants.py checks that each old text occurs once in the unmutated
+# tree; in a mutated copy it is gone by design, so that file is not run there.
+TIER1 = [
+    "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors",
+    "--ignore", "tests/test_mutants.py",
+]
 RUN_SECONDS = 600
 MEMORY_BYTES = 2 << 30
 
@@ -111,8 +116,8 @@ MUTANTS = [
     ("sigma-s-unshifted", A, "((vi - shift, val) for vi, val in e.key if vi >= shift)",
      "((vi, val) for vi, val in e.key if vi >= shift)"),
     # parabolic subgroups
-    ("normalizer-core-only", PB, "    allowed = p.core | link_of(pres.graph, p.core)\n",
-     "    allowed = p.core\n"),
+    ("normalizer-core-only", PB, "    normal = p.core | link_of(p.pres.graph, p.core)\n", "    normal = p.core\n"),
+    ("avoiding-counts-whole-core", PB, "sum(wi == vi for wi, _ in core.key)", "len(core.key)"),
     ("intersection-no-back-peel", PB, "    _, d = _peel_front(pres, rest[::-1], b_ids)\n", "    d = rest\n"),
     ("intersection-no-conjugator-peel", PB, "    _, kept = _peel_front(pres, k.key[::-1], normal_ids)\n",
      "    kept = list(k.key[::-1])\n"),

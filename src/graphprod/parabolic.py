@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, List
 
-from .presentation import GroupPresentation, InvariantError, PresentationError, link_of
+from .presentation import GroupPresentation, PresentationError, link_of
 from .words import (
     Element,
     _check_same,
@@ -26,7 +26,6 @@ from .words import (
     retract_key,
 )
 from .cyclic import cyclically_reduce, is_cyclically_reduced
-from .amalgam import AmalgamView, amalgam_form
 
 
 @dataclass(frozen=True)
@@ -67,11 +66,8 @@ def parabolic_membership(p: ParabolicSubgroup, u: Element) -> bool:
 
 def normalizer_membership(p: ParabolicSubgroup, u: Element) -> bool:
     """u normalizes h G_S h^-1 iff h^-1 u h is supported in S union link(S)."""
-    _check_same(p.conjugator, u)
-    pres = p.pres
-    allowed = p.core | link_of(pres.graph, p.core)
-    moved = multiply(multiply(p.conjugator_inverse, u), p.conjugator)
-    return moved.support() <= allowed
+    normal = p.core | link_of(p.pres.graph, p.core)
+    return parabolic_membership(ParabolicSubgroup(p.conjugator, normal), u)
 
 
 def parabolic_generators(p: ParabolicSubgroup) -> List[Element]:
@@ -152,21 +148,17 @@ def maximal_full_avoiding(g: Element) -> AvoidingVertex:
     """A vertex v with g not conjugate into the full subgroup missing v.
 
     Take the cyclically reduced core g'; any vertex of its support works and
-    the least is returned.  The certificate is the consonant count of g' at
-    that apex: one or more consonants pin g' (hence g) outside every
-    conjugate of the complementary maximal full subgroup.
+    the least is returned.  The certificate is the number of syllables of v
+    in g'.  In a reduced key each of them is its own consonant at v, since
+    two v-syllables with only link syllables between them would join; one or
+    more consonants pin g' (hence g) outside every conjugate of the
+    complementary maximal full subgroup.
     """
     if g.is_identity:
         raise ValueError("the identity lies in every full subgroup")
-    pres = g.pres
     core = cyclically_reduce(g).reduced
-    v = min(core.support(), key=pres.vertex_index)
-    if len(pres.vertices) == 1:
-        return AvoidingVertex(v, core, len(core))
-    form = amalgam_form(AmalgamView(pres, v), core)
-    if form.consonant_length < 1:
-        raise InvariantError("the core has no consonant at a vertex of its support")
-    return AvoidingVertex(v, core, form.consonant_length)
+    vi = min(wi for wi, _ in core.key)
+    return AvoidingVertex(g.pres.vertices[vi], core, sum(wi == vi for wi, _ in core.key))
 
 
 def _peel_front(pres: GroupPresentation, key, ids):

@@ -295,8 +295,6 @@ def _suite_consonants(seed: int) -> str:
     rng = random.Random(seed)
     checked = 0
     for pres in corpus.corpus_presentations().values():
-        if len(pres.vertices) < 2:
-            continue
         views = [decompose_at(pres, v) for v in pres.vertices]
         for w in corpus.random_words(pres, 60, 7, seed=rng.randrange(1 << 30)):
             variant = corpus.shuffled_variant(pres, w, rng)

@@ -21,7 +21,7 @@ from .presentation import (
     PresentationError,
     induced_presentation,
 )
-from .words import Element, _check_same, _make, invert, multiply, reduce, retract_key
+from .words import Element, _check_same, _make, invert, multiply, retract_key
 from .cyclic import commuting_factors, cyclic_permutation_conjugators, cyclically_reduce
 from .conjugacy import are_conjugate
 
@@ -284,10 +284,13 @@ def conjugacy_witness(f: Element, g: Element, mode: ClassMode = ALL_FINITE) -> S
     if verdict.conjugate:
         raise ValueError("inputs are conjugate; no witness exists")
     pres = f.pres
-    joint = f.support() | g.support()
-    sub = induced_presentation(pres, sorted(joint, key=pres.vertex_index))
-    f_sub = reduce(sub, f.word())
-    g_sub = reduce(sub, g.word())
+    joint = sorted(pres.vertex_index(v) for v in f.support() | g.support())
+    sub = induced_presentation(pres, (pres.vertices[vi] for vi in joint))
+    # the induced presentation keeps the vertex order and the edges among
+    # the kept vertices, so renumbering maps a canonical key to a canonical key
+    renumber = {vi: i for i, vi in enumerate(joint)}
+    f_sub = Element(sub, tuple((renumber[vi], val) for vi, val in f.key))
+    g_sub = Element(sub, tuple((renumber[vi], val) for vi, val in g.key))
     f0 = cyclically_reduce(f_sub).reduced
     g0 = cyclically_reduce(g_sub).reduced
     constraints: Dict[str, set] = {v: set() for v in sub.vertices}

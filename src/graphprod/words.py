@@ -22,7 +22,10 @@ one key onto another.  Keys that are canonical by construction are wrapped as
   peel order) and `conjugacy.conjugate_in_clique_subgroup` (commuting, in
   vertex order);
 - the children in `iter_ball` and the back peel in
-  `parabolic.parabolic_intersection`.
+  `parabolic.parabolic_intersection`;
+- the inputs of `separability.conjugacy_witness`, renumbered onto the
+  presentation induced on their joint support (it keeps the vertex order
+  and the edges among the kept vertices).
 These cuts break the order and go back through `_make`: front cuts in the
 rotations and the cyclic core, the reversal in `invert`, retraction onto an
 arbitrary vertex set, and raw or unreduced syllables.

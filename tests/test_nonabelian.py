@@ -1,5 +1,6 @@
 """End-to-end checks over a presentation with a nonabelian table vertex group."""
 
+import itertools
 import json
 import math
 import random
@@ -52,6 +53,7 @@ from graphprod.amalgam import (
     multiply_out,
 )
 from graphprod.parabolic import centralizer_structure_check, parabolic_closure_of_cyclic, parabolic_membership
+from graphprod.selftest import check_conjugacy, check_cyclic_reduction, check_parabolic_closure, check_ps_split
 from graphprod.separability import (
     ALL_FINITE,
     SeparationWitness,
@@ -737,3 +739,28 @@ def test_degenerate_graphs_match_ball_oracle(groups, edges):
                 assert conjugate(verdict.conjugator, x) == y
                 yes += 1
     assert len(sample) < yes < len(sample) ** 2
+
+
+SMALL_GROUPS = {"Z": "Z", "Z2": "cyclic 2", "Z3": "cyclic 3", "S3": s3_config()}
+# every graph product on one or two vertices over these groups, up to
+# isomorphism: 4 on one vertex, 10 pairs with the edge and 10 without
+SMALL_SCOPE = [((name,), False) for name in SMALL_GROUPS] + [
+    (names, edge) for names in itertools.combinations_with_replacement(SMALL_GROUPS, 2) for edge in (False, True)
+]
+
+
+@pytest.mark.parametrize(
+    "names, edge", SMALL_SCOPE, ids=["-".join(names) + ("-edge" if edge else "") for names, edge in SMALL_SCOPE]
+)
+def test_every_graph_product_on_two_vertices(names, edge):
+    vertices = [{"name": f"v{i}", "group": SMALL_GROUPS[name]} for i, name in enumerate(names)]
+    pres = parse_presentation(json.dumps({"vertices": vertices, "edges": [["v0", "v1"]] if edge else []}))
+    conjugators = ball(pres, 1)
+    for g in iter_ball(pres, 3, window=1):
+        check_cyclic_reduction(g)
+        check_ps_split(g)
+        if not g.is_identity:
+            check_parabolic_closure(g, conjugators)
+        reachable = conjugacy_class_in_ball(g, 1)
+        for w in conjugators:
+            check_conjugacy(g, conjugate(w, g), reachable, 1)

@@ -1,5 +1,7 @@
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +119,11 @@ def test_maximal_full_avoiding_examples(path_racg, free_zz):
 
     free = maximal_full_avoiding(element_of(free_zz, "x[2] y[1]"))
     assert free.vertex == "x"
+
+    # a cyclically reduced core of 4 syllables, 2 of them at x
+    counted = maximal_full_avoiding(element_of(free_zz, "x[2] y[1] x[1] y[1]"))
+    assert len(counted.core) == 4
+    assert counted.vertex == "x" and counted.consonant_length == 2
 
     with pytest.raises(ValueError):
         maximal_full_avoiding(identity(path_racg))
@@ -340,3 +347,10 @@ def test_members_normalize(data):
 def test_maximal_full_avoiding_on_one_vertex(single_z):
     avoiding = maximal_full_avoiding(element_of(single_z, "x[3]"))
     assert avoiding.vertex == "x" and avoiding.consonant_length == 1
+
+
+def test_parabolic_does_not_import_amalgam():
+    # parabolic sits below amalgam, so amalgam can use the parabolic peel
+    script = "import sys, graphprod.parabolic; print('graphprod.amalgam' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"

@@ -8,11 +8,27 @@ from graphprod.amalgam import (
     amalgam_conjugate_by,
     amalgam_form,
     centralizer_check,
+    conjugator_classify,
+    consonant_leading_form,
     decompose_at,
     sigma_map,
 )
 from graphprod.conjugacy import conjugate_in_clique_subgroup
-from graphprod.presentation import PresentationError, parse_word
+from graphprod.presentation import (
+    FiniteTableGroup,
+    GroupPresentation,
+    IntegerGroup,
+    IntegersModGroup,
+    PresentationError,
+    SimplicialGraph,
+    Syllable,
+    Word,
+    WordError,
+    parse_word,
+    presentation_from_config,
+    render_word,
+    vertex_group_from_config,
+)
 from graphprod.separability import (
     ALL_FINITE,
     QuotientFamily,
@@ -37,6 +53,12 @@ AT_C = decompose_at(PATH, "c")
 
 def el(pres, text):
     return element_of(pres, text)
+
+
+def classify_by_identity(form_of, text):
+    """Classify the identity as a conjugator of g to itself, g's form built by form_of at c."""
+    form = form_of(AT_C, el(PATH, text))
+    return conjugator_classify(AT_C, form, form, el(PATH, "1"))
 
 
 REJECTIONS = {
@@ -95,6 +117,85 @@ REJECTIONS = {
         lambda: shape_preserving_family([], ALL_FINITE),
         ValueError,
         "at least one element",
+    ),
+    # table groups
+    "table-no-elements": (lambda: FiniteTableGroup([], [], 0), PresentationError, "at least one element"),
+    "table-duplicate-names": (
+        lambda: FiniteTableGroup(["e", "e"], [[0, 1], [1, 0]], 0),
+        PresentationError,
+        "duplicate element names",
+    ),
+    "table-not-square": (lambda: FiniteTableGroup(["e", "t"], [[0, 1]], 0), PresentationError, "must be square"),
+    "table-identity-not-fixed": (
+        lambda: FiniteTableGroup(["e", "t"], [[1, 0], [0, 1]], 0),
+        PresentationError,
+        "identity row/column not fixed",
+    ),
+    # value codecs
+    "table-encode-unknown-name": (
+        lambda: key_of_word(MIXED, Word((Syllable("u", "zz"),))),
+        WordError,
+        "not an element of this table group",
+    ),
+    "table-parse-unknown-name": (lambda: parse_word(MIXED, "u[zz]"), WordError, "unknown table element"),
+    "integer-keys-without-window": (lambda: IntegerGroup().nontrivial_keys(), ValueError, "exponent window"),
+    "integer-encode-text": (lambda: IntegerGroup().encode("1"), WordError, "not an integer exponent"),
+    "residue-encode-text": (lambda: IntegersModGroup(3).encode("1"), WordError, "not an integer residue"),
+    "residue-parse-text": (lambda: parse_word(PATH, "a[x]"), WordError, "expected an integer residue"),
+    # vertex groups, graphs and presentations
+    "group-table-missing-keys": (
+        lambda: vertex_group_from_config({"table": {"elements": ["e"]}}),
+        PresentationError,
+        "needs elements, mul, identity",
+    ),
+    "group-config-not-text-or-dict": (
+        lambda: vertex_group_from_config(5),
+        PresentationError,
+        "unknown vertex group description",
+    ),
+    "graph-duplicate-vertices": (lambda: SimplicialGraph(["a", "a"], []), PresentationError, "duplicate vertex"),
+    "graph-bad-vertex-name": (lambda: SimplicialGraph(["1a"], []), PresentationError, "bad vertex name"),
+    "presentation-groups-mismatch": (
+        lambda: GroupPresentation(SimplicialGraph(["a"], []), {"b": IntegerGroup()}),
+        PresentationError,
+        "one vertex group per vertex",
+    ),
+    "render-unknown-vertex": (
+        lambda: render_word(PATH, Word((Syllable("zz", 1),))),
+        PresentationError,
+        "unknown vertex",
+    ),
+    "config-not-a-dict": (lambda: presentation_from_config([]), PresentationError, "document must be"),
+    "config-no-vertices": (
+        lambda: presentation_from_config({"vertices": []}),
+        PresentationError,
+        "nonempty vertex list",
+    ),
+    "config-vertex-entry-not-a-dict": (
+        lambda: presentation_from_config({"vertices": [5]}),
+        PresentationError,
+        "bad vertex entry",
+    ),
+    "config-bad-vertex-name": (
+        lambda: presentation_from_config({"vertices": [{"name": "1a", "group": "Z"}]}),
+        PresentationError,
+        "bad vertex name",
+    ),
+    # amalgams
+    "classify-not-consonant-leading": (
+        lambda: classify_by_identity(amalgam_form, "a[1] c[1]"),
+        AmalgamError,
+        "consonant-leading",
+    ),
+    "classify-tail-in-h-side": (
+        lambda: classify_by_identity(consonant_leading_form, "c[1] b[1]"),
+        AmalgamError,
+        "tail piece of g must leave the H-side",
+    ),
+    "sigma-overlapping-factors": (
+        lambda: sigma_map(PATH, PATH, {"a"}),
+        AmalgamError,
+        "vertex names must be disjoint",
     ),
 }
 
