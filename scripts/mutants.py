@@ -67,6 +67,9 @@ MUTANTS = [
     ("ball-no-greater-rejection", W,
      "                    if ui > vi:  # _push would insert before ui\n"
      "                        appends = False\n                        break\n", ""),
+    ("walk-product-not-pushed", W, "                            _push(pres, out, vi, val)\n", ""),
+    ("ball-stops-a-level-early", W, "grown = [] if depth < radius else None",
+     "grown = [] if depth < radius - 1 else None"),
     ("residues-descending", PR, "        return range(1, self.modulus)\n",
      "        return range(self.modulus - 1, 0, -1)\n"),
     # every centralizer check is one comparison loop

@@ -297,8 +297,8 @@ def amalgam_conjugate_by(
 
     x0_inv = invert(gf.x_pieces[0])
     y0 = ff.x_pieces[0]
-    for h in iter_ball(pres, radius, vertices=view.h_vertices):
-        b = multiply(multiply(y0, h), x0_inv)
+    for _, y0h in iter_ball(pres, radius, vertices=view.h_vertices, left=y0):
+        b = multiply(Element(pres, y0h), x0_inv)
         if _supported_in(b, b_ids) and multiply(b, g) == multiply(f, b):
             return SubgroupConjugacy("yes", b, None)
     # a finite clique has at most one syllable per vertex: the ball was all of it
@@ -367,9 +367,7 @@ def centralizer_check(view: AmalgamView, g: Element, radius: int) -> Centralizer
             uh = retract_key(pres, u.key, view.h_ids)
             return multiply(uc, c1) == multiply(c1, uc) and multiply(uh, x1) == multiply(x1, uh)
 
-        return CentralizerReport(
-            "product", None, (), *_compare_centralizer(iter_ball(pres, radius), g, factored)
-        )
+        return CentralizerReport("product", None, (), *_compare_centralizer(g, radius, factored))
 
     prefixes = _prefixes(view, form)
     matched_prefixes, matched_h, omegas = [], [], []
@@ -409,7 +407,7 @@ def centralizer_check(view: AmalgamView, g: Element, radius: int) -> Centralizer
         "rotations",
         description,
         tuple(unresolved),
-        *_compare_centralizer(iter_ball(pres, radius), g, factored),
+        *_compare_centralizer(g, radius, factored),
     )
 
 

@@ -123,8 +123,8 @@ def brute_force_conjugate(x: Element, y: Element, radius: int) -> BruteForceConj
     reported as "exhausted", which is weaker than a non-conjugacy proof.
     """
     _check_same(x, y)
-    for w in iter_ball(x.pres, radius):
-        if multiply(w, x) == multiply(y, w):
+    for w, yw in iter_ball(x.pres, radius, left=y):
+        if multiply(w, x).key == yw:
             return BruteForceConjugacy("yes", w)
     return BruteForceConjugacy("exhausted", None)
 

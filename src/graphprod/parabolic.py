@@ -21,7 +21,6 @@ from .words import (
     conjugate,
     identity,
     invert,
-    iter_ball,
     multiply,
     retract_key,
 )
@@ -130,9 +129,7 @@ def centralizer_structure_check(g: Element, radius: int) -> CentralizerStructure
         u_core = retract_key(pres, u.key, core_ids)
         return multiply(u_core, g) == multiply(g, u_core)
 
-    return CentralizerStructureReport(
-        core, halo, *_compare_centralizer(iter_ball(pres, radius), g, factored)
-    )
+    return CentralizerStructureReport(core, halo, *_compare_centralizer(g, radius, factored))
 
 
 @dataclass(frozen=True)

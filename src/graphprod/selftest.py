@@ -26,7 +26,6 @@ from .words import (
     element_of,
     invert,
     is_reduced_key,
-    iter_ball,
     key_of_word,
     multiply,
     reduce,
@@ -185,8 +184,7 @@ def check_centralizer(view, g, radius: int) -> None:
             multiply(multiply(invert(c), b), c).support() <= view.h_vertices for c in x_cum
         )
 
-    a_ball = iter_ball(view.pres, radius, vertices=view.a_vertices)
-    _, _, violations = _compare_centralizer(a_ball, g, in_cosets)
+    _, _, violations = _compare_centralizer(g, radius, in_cosets, vertices=view.a_vertices)
     _ensure(not violations, "coset-intersection formula", view.apex, g, *violations[:1])
 
 

@@ -14,8 +14,9 @@ commutes with everything after it, a maximal element of the trace, whose
 removal leaves the greedy order of the rest as it was.
 
 `_make` is the only place that reduces a syllable sequence; `multiply` pushes
-one key onto another.  Keys that are canonical by construction are wrapped as
-`Element(pres, key)` instead:
+one key onto another.  The products that `iter_ball` carries down its tree are
+built by `_push` in the same way, one syllable per child.  Keys that are
+canonical by construction are wrapped as `Element(pres, key)` instead:
 - the S and P parts of `cyclic.ps_decompose` and `cyclic.commuting_factors`
   (a canonical key restricted to a union of commuting components);
 - the conjugators of `cyclic.cyclically_reduce` (its peeled syllables, in
@@ -343,12 +344,14 @@ def iter_ball(
     radius: int,
     window: Optional[int] = None,
     vertices: Optional[Iterable[str]] = None,
+    left: Optional[Element] = None,
 ):
     """Yield all elements of length <= radius, sorted by (length, key).
 
     Integer-vertex syllable exponents range over [-window, window]; the window
     defaults to the radius.  With a vertex subset, enumerates the ball of the
-    corresponding full subgroup.
+    corresponding full subgroup.  With a left factor, yields pairs (u, the
+    key of left·u) instead, in the same order.
 
     Each element is generated once, from its canonical prefix (a reverse
     search).  Deleting the last syllable of a least-vertex-first key deletes a
@@ -360,6 +363,11 @@ def iter_ball(
     join) or a greater one (an insertion).  Parents run in key order and
     syllables in (vertex, value) order, so each level comes out sorted
     (`nontrivial_keys` is ascending, and lazy on a `Z/n` vertex).
+
+    The product is carried along the same tree: left·(p·s) = (left·p)·s is
+    one `_push` of the child's last syllable onto its parent's product.  Only
+    the levels that are extended are kept; the last one is yielded but not
+    stored.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -371,12 +379,14 @@ def iter_ball(
     else:
         indices = sorted({pres.vertex_index(v) for v in vertices})
     gens = [(vi, pres.by_index[vi].nontrivial_keys(window)) for vi in indices]
-    level = [identity(pres)]
-    yield level[0]
-    for _ in range(radius):
-        grown = []
-        for e in level:
-            key = e.key
+    if left is not None and left.pres is not pres:
+        raise PresentationMismatchError("the left factor comes from another presentation")
+    # (key, key of left·u), the product None when nothing is carried
+    level = [((), None if left is None else left.key)]
+    yield identity(pres) if left is None else (identity(pres), left.key)
+    for depth in range(1, radius + 1):
+        grown = [] if depth < radius else None
+        for key, product in level:
             for vi, vals in gens:
                 link = pres.iadj[vi]
                 # a copy of _push's scan: sharing it slowed reduction, testing with _push slowed the ball
@@ -391,9 +401,17 @@ def iter_ball(
                     appends = True
                 if appends:
                     for val in vals:
-                        child = Element(pres, key + ((vi, val),))
-                        yield child
-                        grown.append(child)
+                        child = key + ((vi, val),)
+                        if product is None:
+                            yield Element(pres, child)
+                            carried = None
+                        else:
+                            out = list(product)
+                            _push(pres, out, vi, val)
+                            carried = tuple(out)
+                            yield Element(pres, child), carried
+                        if grown is not None:
+                            grown.append((child, carried))
         level = grown
 
 
@@ -408,15 +426,17 @@ def ball(pres, radius, window=None, vertices=None) -> List[Element]:
     return list(iter_ball(pres, radius, window, vertices))
 
 
-def _compare_centralizer(elements: Iterable[Element], g: Element, predicted):
-    """Walk the elements once: (size, members, violations) are their count, those
-    that commute with g, and those where predicted(u, centralizes) is not
-    centralizes.  Every centralizer check is this loop and its own prediction."""
+def _compare_centralizer(g: Element, radius: int, predicted, vertices: Optional[Iterable[str]] = None):
+    """Walk the radius ball (of the full subgroup on the vertices, if given)
+    once: (size, members, violations) are its size, the elements u that
+    commute with g, and those where predicted(u, centralizes) is not
+    centralizes.  Every centralizer check is this loop and its own prediction.
+    g·u comes from the walk; u·g is multiplied out."""
     size = 0
     members, violations = [], []
-    for u in elements:
+    for u, gu in iter_ball(g.pres, radius, vertices=vertices, left=g):
         size += 1
-        centralizes = multiply(u, g) == multiply(g, u)
+        centralizes = multiply(u, g).key == gu
         if centralizes:
             members.append(u)
         if predicted(u, centralizes) != centralizes:

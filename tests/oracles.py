@@ -2,7 +2,8 @@
 
 Everything here works on raw syllable tuples with explicit enumeration and
 never calls the reduction engine's internals, apart from
-`cyclic_reduction_by_repush`, which keeps a replaced loop over `_push`.
+`cyclic_reduction_by_repush`, which keeps a replaced loop over `_push`, and
+`ball_by_levels`, which keeps the replaced ball walk that stored every level.
 """
 
 import math
@@ -15,6 +16,7 @@ from graphprod.cyclic import commuting_factors, cyclic_permutations, cyclically_
 from graphprod.parabolic import ParabolicSubgroup, parabolic_generators, parabolic_membership
 from graphprod.presentation import Word, induced_presentation
 from graphprod.words import (
+    Element,
     _make,
     _push,
     conjugate,
@@ -94,6 +96,36 @@ def ball_by_enumeration(pres, radius, window, vertices=None):
         words += [w + (g,) for w in words if len(w) == length for g in gens]
     keys = {greedy_least_vertex_first(pres, w) for w in words if reduced(w)}
     return sorted(keys, key=lambda key: (len(key), key))
+
+
+def ball_by_levels(pres, radius, window=None, vertices=None):
+    """The radius ball as `iter_ball` yields it, from a walk that stores every
+    level of Elements and carries no product.
+
+    Each parent is extended by the syllables that `_push` appends, found by
+    the same backward scan as `iter_ball`'s.
+    """
+    window = radius if window is None else window
+    indices = range(len(pres.vertices)) if vertices is None else sorted({pres.vertex_index(v) for v in vertices})
+    gens = [(vi, pres.by_index[vi].nontrivial_keys(window)) for vi in indices]
+    levels = [[identity(pres)]]
+    for _ in range(radius):
+        grown = []
+        for e in levels[-1]:
+            for vi, vals in gens:
+                link = pres.iadj[vi]
+                appends = True
+                for ui, _ in reversed(e.key):
+                    if ui not in link:
+                        appends = ui != vi
+                        break
+                    if ui > vi:
+                        appends = False
+                        break
+                if appends:
+                    grown.extend(Element(pres, e.key + ((vi, val),)) for val in vals)
+        levels.append(grown)
+    return [e for level in levels for e in level]
 
 
 def first_letters_by_enumeration(pres, element):

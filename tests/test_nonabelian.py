@@ -69,6 +69,7 @@ from graphprod.separability import (
 from oracles import (
     alternating_form_by_restarts,
     ball_by_enumeration,
+    ball_by_levels,
     conjugator_case_by_search,
     cyclic_reduction_by_repush,
     greedy_least_vertex_first,
@@ -438,6 +439,50 @@ def test_ball_predicate_matches_ball(name, radius):
     inside = set(iter_ball(pres, radius))
     for e in iter_ball(pres, radius + 1, window=radius + 2):
         assert _in_ball(e, radius) == (e in inside), e
+
+
+@pytest.mark.parametrize("subset", [False, True])
+@pytest.mark.parametrize("name", sorted(BALL_PRESENTATIONS))
+def test_ball_walk_matches_stored_levels_and_carries_products(name, subset):
+    # the walk that stores no last level yields what the walk that stored every
+    # level did, and with a left factor each carried key is that of left·u
+    pres = BALL_PRESENTATIONS[name]
+    vertices = pres.vertices[::2] if subset else None
+    rng = random.Random(name)
+    pool = ball(pres, 3, window=2)
+    # length 3 where there is one (edge-zz is abelian: its elements have length <= 2)
+    lefts = [identity(pres)] + [rng.choice([e for e in pool if len(e) == n]) for n in (2, len(pool[-1]))]
+    if name == "s3-path":
+        lefts.append(element_of(pres, "g[r] z[1] g[s]"))
+    for radius in range(4):
+        for window in (1, 2, 3):
+            expected = ball_by_levels(pres, radius, window, vertices)
+            assert list(iter_ball(pres, radius, window, vertices)) == expected
+            for left in lefts:
+                walked = list(iter_ball(pres, radius, window, vertices, left=left))
+                assert [u for u, _ in walked] == expected
+                assert [product for _, product in walked] == [multiply(left, u).key for u in expected]
+
+
+def test_brute_force_conjugate_matches_the_stored_ball_loop():
+    # the first w of the stored ball with w x = y w, found by whole products
+    rng = random.Random(2007)
+    names = sorted(BALL_PRESENTATIONS)
+    pools = {name: ball(BALL_PRESENTATIONS[name], 2, window=2) for name in names}
+    found = 0
+    for _ in range(200):
+        name = rng.choice(names)
+        pres, pool = BALL_PRESENTATIONS[name], pools[name]
+        radius = rng.randint(0, 2)
+        conjugators = ball_by_levels(pres, radius)
+        x = rng.choice(pool)
+        y = conjugate(rng.choice(conjugators), x) if rng.random() < 0.5 else rng.choice(pool)
+        expected = next((w for w in conjugators if multiply(w, x) == multiply(y, w)), None)
+        verdict = brute_force_conjugate(x, y, radius)
+        assert verdict.status == ("exhausted" if expected is None else "yes")
+        assert verdict.conjugator == expected
+        found += expected is not None
+    assert 50 < found < 200
 
 
 FORM_PRESENTATIONS = {**NORMAL_FORM_PRESENTATIONS, "s3-path": build_s3_path()}

@@ -68,6 +68,11 @@ REJECTIONS = {
         "different presentations",
     ),
     "iter-ball-negative-radius": (lambda: next(iter_ball(PATH, -1)), ValueError, "radius"),
+    "iter-ball-foreign-left-factor": (
+        lambda: next(iter_ball(PATH, 1, left=el(FREE, "x[1]"))),
+        PresentationMismatchError,
+        "another presentation",
+    ),
     "amalgam-form-foreign-element": (
         lambda: amalgam_form(AT_C, el(STAR, "c[1]")),
         PresentationError,

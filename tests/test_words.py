@@ -243,7 +243,7 @@ def test_compare_centralizer_reports_every_disagreement(path_racg):
     assert sorted(u.render() for u in commuting) == ["1", "a[1]", "a[1] b[1]", "b[1]"]
 
     def compare(predicted):
-        return _compare_centralizer(iter_ball(path_racg, 4), g, predicted)
+        return _compare_centralizer(g, 4, predicted)
 
     size, members, violations = compare(lambda u, centralizes: False)
     assert size == len(elements) == 16
