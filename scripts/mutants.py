@@ -12,12 +12,15 @@ edit:
 
 An unmutated copy runs first; if it fails, nothing is judged.  Exit status is
 0 when every edit is killed, 1 otherwise, 2 when the unmutated copy fails.
+Each line also gives the run's wall time.
 
-    python scripts/mutants.py      # about 14 minutes on one core
+    python scripts/mutants.py      # about 18 minutes on 2 vCPUs
 
-Not part of Tier-1.  Each run is capped at RUN_SECONDS of wall time and
-MEMORY_BYTES of address space, so a mutant that loops forever is killed
-without exhausting the machine.
+Not part of Tier-1.  The unmutated run is capped at RUN_SECONDS of wall time.
+A mutated run is capped at MUTANT_TIME_FACTOR times the unmutated run's wall
+time, and at no less than MIN_MUTANT_SECONDS, so a mutant that only slows
+Tier-1 down, or loops forever, is killed in minutes.  Every run is capped at
+MEMORY_BYTES of address space, so no mutant exhausts the machine.
 """
 
 import os
@@ -26,6 +29,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,6 +41,8 @@ TIER1 = [
     "--ignore", "tests/test_mutants.py",
 ]
 RUN_SECONDS = 600
+MUTANT_TIME_FACTOR = 3
+MIN_MUTANT_SECONDS = 60
 MEMORY_BYTES = 2 << 30
 
 W = "src/graphprod/words.py"
@@ -51,9 +57,19 @@ CLI = "src/graphprod/cli.py"
 # (name, file, old text, new text)
 MUTANTS = [
     # reduction keeps least-vertex-first order
-    ("push-always-appends", W, "    out.insert(at, (vi, val))\n", "    out.append((vi, val))\n"),
-    ("push-before-rightmost-greater", W, "        if ui > vi:\n            at = i\n",
-     "        if ui > vi and at == len(out):\n            at = i\n"),
+    ("push-always-appends", W, "                out.insert(at, (vi, val))\n                break\n",
+     "                out.append((vi, val))\n                break\n"),
+    ("push-always-appends-at-start", W, "        else:\n            out.insert(at, (vi, val))\n",
+     "        else:\n            out.append((vi, val))\n"),
+    ("push-before-rightmost-greater", W, "            if ui > vi:\n                at = i\n",
+     "            if ui > vi and at == len(out):\n                at = i\n"),
+    ("push-insertion-point-carried", W,
+     "    for vi, val in syllables:\n        group = groups[vi]\n"
+     "        if val == group.identity_key:  # keys are canonical, so one key is the identity\n"
+     "            continue\n        link = iadj[vi]\n        i = len(out) - 1\n        at = i + 1\n",
+     "    at = len(out)\n    for vi, val in syllables:\n        group = groups[vi]\n"
+     "        if val == group.identity_key:  # keys are canonical, so one key is the identity\n"
+     "            continue\n        link = iadj[vi]\n        i = len(out) - 1\n        at = min(at, i + 1)\n"),
     ("canonical-form-no-length-check", W,
      '    if len(e.key) != len(key):\n        raise WordError("word is not reduced")\n', ""),
     # reducedness and ball membership each have one source
@@ -67,7 +83,7 @@ MUTANTS = [
     ("ball-no-greater-rejection", W,
      "                    if ui > vi:  # _push would insert before ui\n"
      "                        appends = False\n                        break\n", ""),
-    ("walk-product-not-pushed", W, "                            _push(pres, out, vi, val)\n", ""),
+    ("walk-product-not-pushed", W, "                            _push(pres, out, last)\n", ""),
     ("ball-stops-a-level-early", W, "grown = [] if depth < radius else None",
      "grown = [] if depth < radius - 1 else None"),
     ("residues-descending", PR, "        return range(1, self.modulus)\n",
@@ -78,7 +94,7 @@ MUTANTS = [
     # cyclic reduction: one pop and one push per step
     ("conjugator-prepended", C, "        conj.append(a)\n", "        conj.insert(0, a)\n"),
     ("max-movable", C, "key.pop(movable[min(movable)])", "key.pop(movable[max(movable)])"),
-    ("no-push-after-pop", C, "        _push(pres, key, *a)\n", ""),
+    ("no-push-after-pop", C, "        _push(pres, key, (a,))\n", ""),
     ("movable-includes-s", C, "pos < last - back[vi]", "pos <= last - back[vi]"),
     ("cyclic-reduce-returns-input", C, "    pres = e.pres\n    key = list(e.key)\n",
      "    return CyclicReduction(e, identity(e.pres))\n    pres = e.pres\n    key = list(e.key)\n"),
@@ -127,6 +143,12 @@ MUTANTS = [
     ("intersection-no-adjacency", PB, "for vi in a_ids & b_ids if d_ids <= pres.iadj[vi])",
      "for vi in a_ids & b_ids)"),
     ("peel-without-blockers", PB, "        if vi in ids and blockers <= iadj[vi]:\n", "        if vi in ids:\n"),
+    # the integer encoders reject bools, which JSON true and false load as
+    ("encode-fast-path-takes-bool", PR,
+     '        if type(value) is not int and not _is_int(value):\n'
+     '            raise WordError(f"{value!r} is not an integer exponent")\n',
+     '        if not isinstance(value, int):\n'
+     '            raise WordError(f"{value!r} is not an integer exponent")\n'),
     # table groups
     ("no-light-test", PR, "            if rows[row_x[a]] != tuple(row_x[b] for b in row_a):\n",
      "            if False:\n"),
@@ -139,7 +161,7 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
 
 
-def tier1_passes(tree: Path) -> bool:
+def tier1_passes(tree: Path, seconds: float) -> bool:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     try:
         proc = subprocess.run(
@@ -148,7 +170,7 @@ def tier1_passes(tree: Path) -> bool:
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
-            timeout=RUN_SECONDS,
+            timeout=seconds,
             preexec_fn=_limit_memory,
         )
     except subprocess.TimeoutExpired:
@@ -163,7 +185,7 @@ def fresh_copy(scratch: Path) -> Path:
     return tree
 
 
-def run(path, old, new, scratch: Path) -> str:
+def run(path, old, new, scratch: Path, seconds: float) -> str:
     tree = fresh_copy(scratch)
     try:
         target = tree / path
@@ -171,7 +193,7 @@ def run(path, old, new, scratch: Path) -> str:
         if text.count(old) != 1:
             return "stale"
         target.write_text(text.replace(old, new))
-        return "survived" if tier1_passes(tree) else "killed"
+        return "survived" if tier1_passes(tree, seconds) else "killed"
     finally:
         shutil.rmtree(tree)
 
@@ -180,15 +202,20 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         scratch = Path(scratch)
         baseline = fresh_copy(scratch)
-        if not tier1_passes(baseline):
+        start = time.monotonic()
+        if not tier1_passes(baseline, RUN_SECONDS):
             print("unmutated Tier-1 fails: nothing judged", flush=True)
             return 2
+        elapsed = time.monotonic() - start
+        cap = max(MIN_MUTANT_SECONDS, MUTANT_TIME_FACTOR * elapsed)
+        print(f"unmutated  {elapsed:5.0f} s; each mutated run capped at {cap:.0f} s", flush=True)
         shutil.rmtree(baseline)
         verdicts = []
         for name, path, old, new in MUTANTS:
-            verdict = run(path, old, new, scratch)
+            start = time.monotonic()
+            verdict = run(path, old, new, scratch, cap)
             verdicts.append(verdict)
-            print(f"{verdict:9} {name}", flush=True)
+            print(f"{verdict:9}  {time.monotonic() - start:5.0f} s  {name}", flush=True)
     print(f"{verdicts.count('killed')} of {len(verdicts)} killed")
     return 0 if all(v == "killed" for v in verdicts) else 1
 

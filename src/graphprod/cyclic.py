@@ -108,7 +108,7 @@ def cyclically_reduce(e: Element) -> CyclicReduction:
             return CyclicReduction(_make(pres, key), Element(pres, tuple(conj)))
         a = key.pop(movable[min(movable)])
         conj.append(a)
-        _push(pres, key, *a)
+        _push(pres, key, (a,))
 
 
 def cyclic_permutation_conjugators(e: Element) -> Dict[Element, Element]:

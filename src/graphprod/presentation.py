@@ -31,7 +31,7 @@ class InvariantError(RuntimeError):
 
 
 def _is_int(value) -> bool:
-    """An int that is not a bool: JSON true and false load as the bools 1 and 0."""
+    """An int that is not a bool (JSON true and false load as bools); encoders try `type(value) is int` first."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
@@ -188,7 +188,7 @@ class IntegerGroup:
         return [e for e in range(-window, window + 1) if e != 0]
 
     def encode(self, value) -> int:
-        if not _is_int(value):
+        if type(value) is not int and not _is_int(value):
             raise WordError(f"{value!r} is not an integer exponent")
         return value
 
@@ -233,7 +233,7 @@ class IntegersModGroup:
         return range(1, self.modulus)
 
     def encode(self, value) -> int:
-        if not _is_int(value):
+        if type(value) is not int and not _is_int(value):
             raise WordError(f"{value!r} is not an integer residue")
         return value % self.modulus
 
@@ -305,7 +305,7 @@ class SimplicialGraph:
             pairs.add(key)
         self.vertices = names
         self.edges = frozenset(pairs)
-        self._index = index
+        self.ids = index  # vertex name -> index
         link = {v: set() for v in names}
         for (u, v) in pairs:
             link[u].add(v)
@@ -314,12 +314,12 @@ class SimplicialGraph:
         self.iadj = tuple(frozenset(index[u] for u in self._link[v]) for v in names)
 
     def index(self, vertex: str) -> int:
-        if vertex not in self._index:
+        if vertex not in self.ids:
             raise PresentationError(f"unknown vertex {vertex!r}")
-        return self._index[vertex]
+        return self.ids[vertex]
 
     def has_vertex(self, vertex: str) -> bool:
-        return vertex in self._index
+        return vertex in self.ids
 
     def link(self, vertex: str) -> frozenset:
         self.index(vertex)
@@ -369,10 +369,6 @@ class GroupPresentation:
         if vertex not in self.groups:
             raise PresentationError(f"unknown vertex {vertex!r}")
         return self.groups[vertex]
-
-    def encode_syllable(self, syllable: "Syllable") -> tuple:
-        vi = self.graph.index(syllable.vertex)
-        return vi, self.by_index[vi].encode(syllable.value)
 
     def decode_syllable(self, vi: int, key) -> "Syllable":
         return Syllable(self.graph.vertices[vi], self.by_index[vi].decode(key))

@@ -6,17 +6,16 @@ syllables, linearized greedily so that the least available vertex always comes
 first.  Two elements are equal in the graph product iff their canonical forms
 are identical.
 
-Reduction produces that form in one pass: `_push` keeps a reduced list in
-least-vertex-first order after every syllable it multiplies on.  A new
-syllable is inserted where the greedy order of the longer word picks it, a
-join changes a value in place, and a cancellation deletes a syllable that
-commutes with everything after it, a maximal element of the trace, whose
-removal leaves the greedy order of the rest as it was.
+Reduction produces that form in one pass: `_push`, the one reduction loop,
+multiplies syllables onto a reduced list and keeps it in least-vertex-first
+order after each one.  A new syllable is inserted where the greedy order of
+the longer word picks it, a join changes a value in place, and a cancellation
+deletes a syllable that commutes with everything after it, a maximal element
+of the trace, whose removal leaves the greedy order of the rest as it was.
 
-`_make` is the only place that reduces a syllable sequence; `multiply` pushes
-one key onto another.  The products that `iter_ball` carries down its tree are
-built by `_push` in the same way, one syllable per child.  Keys that are
-canonical by construction are wrapped as `Element(pres, key)` instead:
+`_make` and `multiply` call it once per word; `iter_ball` carries its products
+and `cyclically_reduce` pushes its peels back one syllable per call.  Keys
+that are canonical by construction are wrapped as `Element(pres, key)` instead:
 - the S and P parts of `cyclic.ps_decompose` and `cyclic.commuting_factors`
   (a canonical key restricted to a union of commuting components);
 - the conjugators of `cyclic.cyclically_reduce` (its peeled syllables, in
@@ -128,45 +127,51 @@ def _supported_in(e: Element, ids) -> bool:
 
 
 def key_of_word(pres: GroupPresentation, word: Word) -> Key:
-    return tuple(pres.encode_syllable(s) for s in word.syllables)
+    ids, groups = pres.graph.ids, pres.by_index
+    key = []
+    for s in word.syllables:
+        vi = ids[s.vertex] if s.vertex in ids else pres.vertex_index(s.vertex)  # raises on an unknown vertex
+        key.append((vi, groups[vi].encode(s.value)))
+    return tuple(key)
 
 
-def _push(pres: GroupPresentation, out: List[Tuple[int, int]], vi: int, val: int) -> None:
-    """Multiply one syllable onto a reduced word in least-vertex-first order.
+def _push(pres: GroupPresentation, out: List[Tuple[int, int]], syllables: Iterable) -> None:
+    """Multiply syllables onto a reduced word, one at a time, in least-vertex-first order.
 
-    Scans backwards over syllables that commute with vertex vi; joins with a
-    matching syllable if one is reachable.  Otherwise the syllable is a new
-    maximal element of the trace.  It becomes available once the syllable
-    that stopped the scan is emitted, and the greedy order then emits it
-    before the first scanned syllable of a greater vertex, so it is inserted
-    there (or appended).  A join changes a value in place and keeps the
-    order.  A join that cancels deletes a syllable that commutes with
-    everything after it, a maximal element, and removing a maximal element
-    leaves the greedy order of the rest as it was; by the commutation
-    constraints no new join can appear afterwards, so no fixpoint pass is
-    needed.
+    Each syllable scans backwards over the syllables that commute with its
+    vertex and joins with a syllable of its own vertex that it reaches.
+    Otherwise it is a new maximal element of the trace, available once the
+    syllable that stopped the scan is emitted; the greedy order emits it before
+    the first scanned syllable of a greater vertex, so it is inserted there (or
+    appended).  A join keeps the order, and one that cancels deletes a maximal
+    element, which leaves the greedy order of the rest as it was; by the
+    commutation constraints no new join appears, so no fixpoint pass is needed.
     """
-    group = pres.by_index[vi]
-    if group.is_identity(val):
-        return
-    link = pres.iadj[vi]
-    i = len(out) - 1
-    at = len(out)
-    while i >= 0:
-        ui, uval = out[i]
-        if ui == vi:
-            merged = group.mul(uval, val)
-            if group.is_identity(merged):
-                del out[i]
-            else:
-                out[i] = (vi, merged)
-            return
-        if ui not in link:
-            break
-        if ui > vi:
-            at = i
-        i -= 1
-    out.insert(at, (vi, val))
+    groups, iadj = pres.by_index, pres.iadj
+    for vi, val in syllables:
+        group = groups[vi]
+        if val == group.identity_key:  # keys are canonical, so one key is the identity
+            continue
+        link = iadj[vi]
+        i = len(out) - 1
+        at = i + 1
+        while i >= 0:
+            ui, uval = out[i]
+            if ui == vi:
+                merged = group.mul(uval, val)
+                if merged == group.identity_key:
+                    del out[i]
+                else:
+                    out[i] = (vi, merged)
+                break
+            if ui not in link:
+                out.insert(at, (vi, val))
+                break
+            if ui > vi:
+                at = i
+            i -= 1
+        else:
+            out.insert(at, (vi, val))
 
 
 def _front_letters(pres: GroupPresentation, key: Sequence[Tuple[int, int]]) -> Dict[int, int]:
@@ -186,8 +191,7 @@ def _front_letters(pres: GroupPresentation, key: Sequence[Tuple[int, int]]) -> D
 def _make(pres: GroupPresentation, syllables: Iterable[Tuple[int, int]]) -> Element:
     """The element of any syllable sequence, reduced and in canonical order."""
     out: List[Tuple[int, int]] = []
-    for vi, val in syllables:
-        _push(pres, out, vi, val)
+    _push(pres, out, syllables)
     return Element(pres, tuple(out))
 
 
@@ -250,8 +254,7 @@ def shape(e: Element) -> ShapeReport:
 def multiply(a: Element, b: Element) -> Element:
     _check_same(a, b)
     out = list(a.key)
-    for vi, val in b.key:
-        _push(a.pres, out, vi, val)
+    _push(a.pres, out, b.key)
     return Element(a.pres, tuple(out))
 
 
@@ -401,13 +404,14 @@ def iter_ball(
                     appends = True
                 if appends:
                     for val in vals:
-                        child = key + ((vi, val),)
+                        last = ((vi, val),)
+                        child = key + last
                         if product is None:
                             yield Element(pres, child)
                             carried = None
                         else:
                             out = list(product)
-                            _push(pres, out, vi, val)
+                            _push(pres, out, last)
                             carried = tuple(out)
                             yield Element(pres, child), carried
                         if grown is not None:

@@ -1,9 +1,12 @@
 """Independent reference computations the tests check the library against.
 
 Everything here works on raw syllable tuples with explicit enumeration and
-never calls the reduction engine's internals, apart from
-`cyclic_reduction_by_repush`, which keeps a replaced loop over `_push`, and
-`ball_by_levels`, which keeps the replaced ball walk that stored every level.
+never calls the reduction engine's internals, apart from the final `_make` of
+`cyclic_reduction_by_repush`.  Three replaced engine loops are kept as
+references: `push_syllable`, the one-syllable push that the batched
+`words._push` replaced (`fold_push` folds it over a word);
+`cyclic_reduction_by_repush`, which pushes both end syllables back on at each
+step; and `ball_by_levels`, the ball walk that stored every level.
 """
 
 import math
@@ -18,7 +21,6 @@ from graphprod.presentation import Word, induced_presentation
 from graphprod.words import (
     Element,
     _make,
-    _push,
     conjugate,
     identity,
     invert,
@@ -403,6 +405,45 @@ def smallest_modulus_by_scan(n, needed, p=None):
     return next((m for m in divisors if all(d % m != 0 for d in needed)), None)
 
 
+def push_syllable(pres, out, vi, val):
+    """Multiply one syllable onto a reduced word in least-vertex-first order.
+
+    The single-syllable push that the batched `words._push` replaced, kept as
+    it was: it scans backwards over syllables that commute with vi, joins
+    with a reachable syllable of vi, and otherwise inserts before the
+    leftmost scanned syllable of a greater vertex (or appends).
+    """
+    group = pres.by_index[vi]
+    if group.is_identity(val):
+        return
+    link = pres.iadj[vi]
+    i = len(out) - 1
+    at = len(out)
+    while i >= 0:
+        ui, uval = out[i]
+        if ui == vi:
+            merged = group.mul(uval, val)
+            if group.is_identity(merged):
+                del out[i]
+            else:
+                out[i] = (vi, merged)
+            return
+        if ui not in link:
+            break
+        if ui > vi:
+            at = i
+        i -= 1
+    out.insert(at, (vi, val))
+
+
+def fold_push(pres, syllables, out=()):
+    """The key of out followed by the syllables, pushed on one at a time by `push_syllable`."""
+    out = list(out)
+    for vi, val in syllables:
+        push_syllable(pres, out, vi, val)
+    return tuple(out)
+
+
 def cyclic_reduction_by_repush(e):
     """(reduced key, conjugator key) by the step that `cyclically_reduce` replaced.
 
@@ -420,9 +461,9 @@ def cyclic_reduction_by_repush(e):
         i, j = ends[min(ends)]
         front, back = key[i], key[j]
         del key[j], key[i]
-        _push(pres, key, *back)
-        _push(pres, key, *front)
-        _push(pres, conj, *front)
+        push_syllable(pres, key, *back)
+        push_syllable(pres, key, *front)
+        push_syllable(pres, conj, *front)
 
 
 def _end_positions(pres, key):

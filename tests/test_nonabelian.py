@@ -13,6 +13,7 @@ from graphprod import conjugacy, cyclic, words
 from graphprod.presentation import PresentationError, Word, WordError, induced_presentation
 from graphprod.words import (
     _in_ball,
+    _make,
     ball,
     canonical_form,
     conjugate,
@@ -72,6 +73,7 @@ from oracles import (
     ball_by_levels,
     conjugator_case_by_search,
     cyclic_reduction_by_repush,
+    fold_push,
     greedy_least_vertex_first,
     witness_constraints_by_parts,
 )
@@ -322,6 +324,70 @@ def test_cyclic_reduction_matches_the_repush_step():
             g = conjugate(u, c)
             r = cyclically_reduce(g)
             assert (r.reduced.key, r.conjugator.key) == cyclic_reduction_by_repush(g), (name, g)
+
+
+def s3_identity_third():
+    # S3 with its elements listed so that the identity is element 3
+    table = s3_config()["table"]
+    order = [3, 4, 5, 0, 1, 2]
+    at = {old: new for new, old in enumerate(order)}
+    return {
+        "table": {
+            "elements": [table["elements"][old] for old in order],
+            "mul": [[at[table["mul"][a][b]] for b in order] for a in order],
+            "identity": at[0],
+        }
+    }
+
+
+def push_presentations():
+    mixed = [s3_identity_third(), "Z", "cyclic 2", "cyclic 5"]
+
+    def graph(groups, edges):
+        names = [f"v{i}" for i in range(len(groups))]
+        doc = {"vertices": [{"name": n, "group": g} for n, g in zip(names, groups)], "edges": edges(names)}
+        return parse_presentation(json.dumps(doc))
+
+    return {
+        **corpus.corpus_presentations(),
+        "s3-path": build_s3_path(),
+        "one-vertex-cyclic-2": graph(["cyclic 2"], lambda names: []),
+        "one-vertex-s3": graph([s3_identity_third()], lambda names: []),
+        "complete": graph(mixed, lambda names: [list(e) for e in itertools.combinations(names, 2)]),
+        "edgeless": graph(mixed, lambda names: []),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(push_presentations()))
+def test_batched_push_matches_the_one_syllable_fold(name):
+    # _make, multiply, invert and reduce give the key that pushing the same
+    # syllables one at a time with the replaced single-syllable push gives;
+    # words carry identity syllables and w w^-1 cancellation cascades
+    pres = push_presentations()[name]
+    rng = random.Random(19)
+    values = [group.nontrivial_keys(3) for group in pres.by_index]
+
+    def raw(length):
+        key = []
+        for _ in range(length):
+            vi = rng.randrange(len(values))
+            trivial = rng.random() < 0.15
+            key.append((vi, pres.by_index[vi].identity_key if trivial else rng.choice(values[vi])))
+        return key
+
+    def inverse(key):
+        return [(vi, pres.by_index[vi].inv(val)) for vi, val in reversed(key)]
+
+    for _ in range(60):
+        w = raw(rng.randint(0, 12))
+        key = tuple(raw(rng.randint(0, 6)) + w + raw(rng.randint(0, 2)) + inverse(w) + raw(rng.randint(0, 6)))
+        a = _make(pres, key)
+        assert a.key == fold_push(pres, key)
+        assert reduce(pres, Word(tuple(pres.decode_syllable(*s) for s in key))).key == a.key
+        assert invert(a).key == fold_push(pres, inverse(a.key))
+        other = raw(rng.randint(0, 12))
+        b = _make(pres, other + inverse(a.key) + raw(rng.randint(0, 4)))
+        assert multiply(a, b).key == fold_push(pres, b.key, a.key) == fold_push(pres, key + tuple(b.key))
 
 
 def test_cyclic_reduction_conjugator_needs_no_reordering(monkeypatch):

@@ -44,6 +44,7 @@ from graphprod.words import (
     iter_ball,
     key_of_word,
     multiply,
+    reduce,
 )
 
 P = corpus.corpus_presentations()
@@ -147,6 +148,14 @@ REJECTIONS = {
     "integer-encode-text": (lambda: IntegerGroup().encode("1"), WordError, "not an integer exponent"),
     "residue-encode-text": (lambda: IntegersModGroup(3).encode("1"), WordError, "not an integer residue"),
     "residue-parse-text": (lambda: parse_word(PATH, "a[x]"), WordError, "expected an integer residue"),
+    # the encoder that reduce runs on a Word's syllables; JSON true loads as the bool 1
+    "reduce-unknown-vertex": (lambda: reduce(PATH, Word((Syllable("zz", 1),))), PresentationError, "unknown vertex"),
+    "reduce-bool-exponent": (
+        lambda: reduce(FREE, Word((Syllable("x", True),))),
+        WordError,
+        "not an integer exponent",
+    ),
+    "reduce-bool-residue": (lambda: reduce(PATH, Word((Syllable("a", True),))), WordError, "not an integer residue"),
     # vertex groups, graphs and presentations
     "group-table-missing-keys": (
         lambda: vertex_group_from_config({"table": {"elements": ["e"]}}),
@@ -218,3 +227,7 @@ def test_degenerate_answers():
     assert is_reduced_key(EDGE, key_of_word(EDGE, parse_word(EDGE, "x[1] y[1] x[1]"))) is False
     assert is_reduced_key(PATH, key_of_word(PATH, parse_word(PATH, "a[1] c[1] a[1]"))) is True
     assert is_reduced_product([]) is True
+    # an int subclass that is not a bool encodes like its int value
+    count = type("Count", (int,), {})
+    assert reduce(FREE, Word((Syllable("x", count(2)), Syllable("y", count(-1))))).key == ((0, 2), (1, -1))
+    assert reduce(PATH, Word((Syllable("a", count(3)), Syllable("b", count(4))))).key == ((0, 1),)
