@@ -11,10 +11,12 @@ edit:
     stale     the old text does not occur exactly once; the edit needs updating
 
 An unmutated copy runs first; if it fails, nothing is judged.  Exit status is
-0 when every edit is killed, 1 otherwise, 2 when the unmutated copy fails.
+0 when every edit is killed, 1 otherwise, 2 when the unmutated copy fails or
+an edit name is unknown.
 Each line also gives the run's wall time.
 
-    python scripts/mutants.py      # about 18 minutes on 2 vCPUs
+    python scripts/mutants.py              # every edit: about 18 minutes on 2 vCPUs
+    python scripts/mutants.py NAME...      # only the named edits
 
 Not part of Tier-1.  The unmutated run is capped at RUN_SECONDS of wall time.
 A mutated run is capped at MUTANT_TIME_FACTOR times the unmutated run's wall
@@ -154,6 +156,11 @@ MUTANTS = [
      "            if False:\n"),
     # CLI output
     ("json-unsorted", CLI, "print(json.dumps(payload, sort_keys=True))", "print(json.dumps(payload))"),
+    # a cold gp process loads only what its subcommand runs
+    ("cli-imports-amalgam-eagerly", CLI, "from .words import element_of, identity, shape\n",
+     "from .words import element_of, identity, shape\nfrom .amalgam import decompose_at\n"),
+    ("cyclic-imports-dataclasses", C, "from typing import Dict, List, NamedTuple, Tuple\n",
+     "import dataclasses\nfrom typing import Dict, List, NamedTuple, Tuple\n"),
 ]
 
 
@@ -198,7 +205,12 @@ def run(path, old, new, scratch: Path, seconds: float) -> str:
         shutil.rmtree(tree)
 
 
-def main() -> int:
+def main(names) -> int:
+    unknown = sorted(set(names) - {name for name, *_ in MUTANTS})
+    if unknown:
+        print(f"unknown edit: {' '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
     with tempfile.TemporaryDirectory() as scratch:
         scratch = Path(scratch)
         baseline = fresh_copy(scratch)
@@ -211,7 +223,7 @@ def main() -> int:
         print(f"unmutated  {elapsed:5.0f} s; each mutated run capped at {cap:.0f} s", flush=True)
         shutil.rmtree(baseline)
         verdicts = []
-        for name, path, old, new in MUTANTS:
+        for name, path, old, new in chosen:
             start = time.monotonic()
             verdict = run(path, old, new, scratch, cap)
             verdicts.append(verdict)
@@ -221,4 +233,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -9,6 +9,10 @@ the label is the key with `_` read as `-`, a bool prints as yes/no and a list
 as its items, or `-` when empty.  Three subcommands write their own lines:
 amalgam, to interleave its pieces and consonants; witness, which prints its
 certificate JSON; and selftest, which prints one line per suite.
+
+Only `presentation` and `words`, which every subcommand uses, load with this
+module; each handler imports the other modules it calls in its own body, so a
+cold `gp eq` compiles none of them.
 """
 
 from __future__ import annotations
@@ -19,15 +23,6 @@ import sys
 
 from .presentation import InvariantError, load_presentation
 from .words import element_of, identity, shape
-from .cyclic import cyclically_reduce, ps_decompose
-from .conjugacy import are_conjugate
-from .amalgam import amalgam_form, centralizer_check, decompose_at
-from .parabolic import (
-    ParabolicSubgroup,
-    normalizer_membership,
-    parabolic_closure_of_cyclic,
-)
-from .separability import conjugacy_witness, parse_mode, residual_witness
 
 
 class UsageError(ValueError):
@@ -73,6 +68,7 @@ def cmd_eq(pres, args) -> int:
 
 
 def cmd_conj(pres, args) -> int:
+    from .conjugacy import are_conjugate
     verdict = are_conjugate(element_of(pres, args.left), element_of(pres, args.right))
     if verdict.conjugate:
         _emit(args, {"conjugate": True, "conjugator": verdict.conjugator.render()})
@@ -82,12 +78,14 @@ def cmd_conj(pres, args) -> int:
 
 
 def cmd_cyc(pres, args) -> int:
+    from .cyclic import cyclically_reduce
     reduction = cyclically_reduce(element_of(pres, args.word))
     _emit(args, {"reduced": reduction.reduced.render(), "conjugator": reduction.conjugator.render()})
     return 0
 
 
 def cmd_ps(pres, args) -> int:
+    from .cyclic import ps_decompose
     ps = ps_decompose(element_of(pres, args.word))
     _emit(args, {
         "s_part": ps.s_part.render(),
@@ -99,6 +97,7 @@ def cmd_ps(pres, args) -> int:
 
 
 def cmd_amalgam(pres, args) -> int:
+    from .amalgam import amalgam_form, decompose_at
     form = amalgam_form(decompose_at(pres, args.vertex), element_of(pres, args.word))
     pieces = [p.render() for p in form.x_pieces]
     consonants = [str(c) for c in form.consonants]
@@ -112,6 +111,7 @@ def cmd_amalgam(pres, args) -> int:
 
 
 def cmd_centralizer_check(pres, args) -> int:
+    from .amalgam import centralizer_check, decompose_at
     view = decompose_at(pres, args.vertex)
     report = centralizer_check(view, element_of(pres, args.word), args.radius)
     _emit(args, {
@@ -127,12 +127,14 @@ def cmd_centralizer_check(pres, args) -> int:
 
 
 def cmd_pc(pres, args) -> int:
+    from .parabolic import parabolic_closure_of_cyclic
     closure = parabolic_closure_of_cyclic(element_of(pres, args.word))
     _emit(args, {"conjugator": closure.conjugator.render(), "core": sorted(closure.core)})
     return 0
 
 
 def cmd_normalizer(pres, args) -> int:
+    from .parabolic import ParabolicSubgroup, normalizer_membership
     core = frozenset(v for v in args.core.split(",") if v)
     if not core:
         raise UsageError("--core must not be empty (comma-separated vertex names)")
@@ -143,6 +145,8 @@ def cmd_normalizer(pres, args) -> int:
 
 
 def cmd_witness(pres, args) -> int:
+    from .conjugacy import are_conjugate
+    from .separability import conjugacy_witness, parse_mode, residual_witness
     mode = parse_mode(args.mode)
     if args.right is None:
         witness = residual_witness(element_of(pres, args.left), mode)
@@ -161,7 +165,6 @@ def cmd_witness(pres, args) -> int:
 
 def cmd_selftest(pres, args) -> int:
     from .selftest import run_selftest
-
     return run_selftest(seed=args.seed)
 
 

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Set, Tuple
+from typing import Iterable, NamedTuple, Optional, Set, Tuple
 
 from .presentation import GroupPresentation, InvariantError, PresentationError, WordError
 from .words import (
@@ -32,8 +31,7 @@ REFUTATION_TAGS = (
 )
 
 
-@dataclass(frozen=True)
-class ConjugacyVerdict:
+class ConjugacyVerdict(NamedTuple):
     conjugate: bool
     conjugator: Optional[Element]  # w with w x w^-1 = y when conjugate
     refutation: Optional[str]  # first failing condition otherwise
@@ -105,8 +103,7 @@ def are_conjugate(x: Element, y: Element) -> ConjugacyVerdict:
     return ConjugacyVerdict(True, w, None)
 
 
-@dataclass(frozen=True)
-class BruteForceConjugacy:
+class BruteForceConjugacy(NamedTuple):
     status: str  # "yes" or "exhausted"
     conjugator: Optional[Element]
 

@@ -9,8 +9,7 @@ expression at the same time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .presentation import WordError
 from .words import (
@@ -23,16 +22,14 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class PSDecomposition:
+class PSDecomposition(NamedTuple):
     s_part: Element
     p_part: Element
     s_vertices: frozenset
     p_vertices: frozenset
 
 
-@dataclass(frozen=True)
-class CyclicReduction:
+class CyclicReduction(NamedTuple):
     reduced: Element
     conjugator: Element  # input = conjugator * reduced * conjugator^-1
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[([^\[\]\s]+)\]$")
@@ -417,21 +416,19 @@ def load_presentation(path) -> GroupPresentation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Syllable:
+class Syllable(NamedTuple):
     """One vertex-group element used as a letter of a word."""
 
     vertex: str
     value: object  # element name for table groups, int otherwise
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(NamedTuple):
     """A finite, possibly unreduced, sequence of syllables."""
 
     syllables: tuple
 
-    def __len__(self) -> int:
+    def __len__(self) -> int:  # the syllable count; _replace checks len(), so build a new Word instead
         return len(self.syllables)
 
 

@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .presentation import (
     GroupPresentation,
@@ -106,8 +105,7 @@ class Element:
         return f"<{self.render()}>"
 
 
-@dataclass(frozen=True)
-class ShapeReport:
+class ShapeReport(NamedTuple):
     """Length, support and the sets of possible first/last letters."""
 
     length: int
@@ -130,7 +128,9 @@ def key_of_word(pres: GroupPresentation, word: Word) -> Key:
     ids, groups = pres.graph.ids, pres.by_index
     key = []
     for s in word.syllables:
-        vi = ids[s.vertex] if s.vertex in ids else pres.vertex_index(s.vertex)  # raises on an unknown vertex
+        vi = ids.get(s.vertex)
+        if vi is None:
+            vi = pres.vertex_index(s.vertex)  # raises on an unknown vertex
         key.append((vi, groups[vi].encode(s.value)))
     return tuple(key)
 

@@ -193,6 +193,59 @@ def test_failed_conjugator_check_survives_optimize():
     assert "error: the conjugator fails its re-check" in proc.stderr
 
 
+# A fresh process imports graphprod.cli and runs one subcommand in-process;
+# it prints its exit code and the modules it loaded after start-up.
+IMPORT_PROBE = (
+    "import contextlib, io, json, sys\n"
+    "start = set(sys.modules)\n"
+    "import graphprod.cli as cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = cli.main(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(set(sys.modules) - start)]))\n"
+)
+BASE_MODULES = {"graphprod", "graphprod.cli", "graphprod.presentation", "graphprod.words"}
+
+
+def loaded_by(*args):
+    args = [str(DATA / a) if a.endswith(".json") else a for a in args]
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *args], capture_output=True, text=True, check=True)
+    code, modules = json.loads(proc.stdout)
+    return code, set(modules)
+
+
+@pytest.mark.parametrize(
+    "args,extra",
+    [
+        (["normalize", "-g", "path-racg.json", "a[1] b[1] a[1]"], set()),
+        (["eq", "-g", "path-racg.json", "a[1] b[1]", "b[1] a[1]"], set()),
+        (["conj", "-g", "free-zz.json", "x[1] y[1]", "y[1] x[1]"], {"graphprod.cyclic", "graphprod.conjugacy"}),
+        (["cyc", "-g", "free-zz.json", "x[2] y[-3] x[-2]"], {"graphprod.cyclic", "graphprod.conjugacy"}),
+        (["ps", "-g", "star-racg.json", "c[1] l1[1]"], {"graphprod.cyclic", "graphprod.conjugacy"}),
+    ],
+    ids=["normalize", "eq", "conj", "cyc", "ps"],
+)
+def test_common_subcommands_load_only_what_they_run(args, extra):
+    code, modules = loaded_by(*args)
+    assert code == 0
+    ours = {m for m in modules if m.split(".")[0] == "graphprod"}
+    assert BASE_MODULES <= ours <= BASE_MODULES | extra
+    assert "dataclasses" not in modules
+
+
+@pytest.mark.parametrize(
+    "args,module",
+    [
+        (["centralizer-check", "-g", "path-racg.json", "--vertex", "c", "--radius", "4", "c[1] b[1]"], "amalgam"),
+        (["pc", "-g", "path-racg.json", "a[1] c[1] a[1]"], "parabolic"),
+        (["witness", "-g", "free-zz.json", "--mode", "p:2", "x[1]", "x[2]"], "separability"),
+    ],
+    ids=lambda a: a[0] if isinstance(a, list) else a,
+)
+def test_heavy_subcommands_load_their_module(args, module):
+    code, modules = loaded_by(*args)
+    assert code == 0 and f"graphprod.{module}" in modules
+
+
 # Exact stdout and exit code of every subcommand that takes --json, in both
 # output forms: empty sets print "-", table and Z/n values print by name and
 # residue, and amalgam interleaves its pieces and consonants.

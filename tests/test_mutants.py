@@ -19,3 +19,8 @@ def test_every_edit_applies_exactly_once():
     assert len(set(names)) == len(names)
     stale = [name for name, path, old, _ in mutants if (ROOT / path).read_text().count(old) != 1]
     assert stale == []
+
+
+def test_unknown_edit_name_is_refused(capsys):
+    assert load_mutants().main(["no-such-edit"]) == 2
+    assert "unknown edit: no-such-edit" in capsys.readouterr().err
