@@ -145,6 +145,7 @@ MUTANTS = [
     ("intersection-no-adjacency", PB, "for vi in a_ids & b_ids if d_ids <= pres.iadj[vi])",
      "for vi in a_ids & b_ids)"),
     ("peel-without-blockers", PB, "        if vi in ids and blockers <= iadj[vi]:\n", "        if vi in ids:\n"),
+    ("trivial-mod-vertex-generates", PB, "keys = [1] if group.order > 1 else []", "keys = [1] if group.order >= 1 else []"),
     # the integer encoders reject bools, which JSON true and false load as
     ("encode-fast-path-takes-bool", PR,
      '        if type(value) is not int and not _is_int(value):\n'
@@ -161,6 +162,8 @@ MUTANTS = [
      "from .words import element_of, identity, shape\nfrom .amalgam import decompose_at\n"),
     ("cyclic-imports-dataclasses", C, "from typing import Dict, List, NamedTuple, Tuple\n",
      "import dataclasses\nfrom typing import Dict, List, NamedTuple, Tuple\n"),
+    ("parabolic-imports-dataclasses", PB, "from typing import Iterable, List, NamedTuple\n",
+     "import dataclasses\nfrom typing import Iterable, List, NamedTuple\n"),
 ]
 
 

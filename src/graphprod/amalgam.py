@@ -12,9 +12,8 @@ vertex subset, which is what the sigma-map construction needs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .presentation import (
     GroupPresentation,
@@ -72,8 +71,7 @@ def decompose_at(pres: GroupPresentation, apex: str) -> AmalgamView:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AmalgamForm:
+class AmalgamForm(NamedTuple):
     """x0 c1 x1 ... cn xn with A-side pieces and single-vertex consonants."""
 
     x_pieces: tuple  # n+1 Elements supported on the A-side
@@ -193,8 +191,7 @@ def _prefixes(view: AmalgamView, form: AmalgamForm) -> List[Element]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConjugatorClass:
+class ConjugatorClass(NamedTuple):
     case: str  # "a", "b" or "c"
     h: Element  # H-side factor of the decomposition
     piece: Optional[Element]  # the prefix (case b) or suffix (case c)
@@ -248,8 +245,7 @@ def conjugator_classify(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubgroupConjugacy:
+class SubgroupConjugacy(NamedTuple):
     status: str  # "yes", "no" or "unknown"
     conjugator: Optional[Element]
     failed_condition: Optional[int]  # 1, 2 or 3 on certified no
@@ -316,15 +312,13 @@ def amalgam_conjugate_by(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OmegaDescription:
+class OmegaDescription(NamedTuple):
     prefixes: tuple  # the prefixes whose rotation is H-conjugate back to g
     matched: tuple  # the H-side conjugators, aligned with prefixes
     omega: tuple  # the resulting centralizing elements h p^-1
 
 
-@dataclass(frozen=True)
-class CentralizerReport:
+class CentralizerReport(NamedTuple):
     kind: str  # "product" (n=1, tail in H) or "rotations"
     omega: Optional[OmegaDescription]
     unresolved: tuple  # prefix lengths with inconclusive rotation tests
@@ -416,8 +410,7 @@ def centralizer_check(view: AmalgamView, g: Element, radius: int) -> Centralizer
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelSampleReport:
+class KernelSampleReport(NamedTuple):
     samples: int
     nontrivial: int
     failures: tuple

@@ -7,9 +7,7 @@ subgroups are closed under taking canonical forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, List
+from typing import Iterable, List, NamedTuple
 
 from .presentation import GroupPresentation, PresentationError, link_of
 from .words import (
@@ -27,8 +25,7 @@ from .words import (
 from .cyclic import cyclically_reduce, is_cyclically_reduced
 
 
-@dataclass(frozen=True)
-class ParabolicSubgroup:
+class ParabolicSubgroup(NamedTuple):
     """h G_A h^-1, stored as the conjugator h and the core vertex set A."""
 
     conjugator: Element
@@ -38,7 +35,7 @@ class ParabolicSubgroup:
     def pres(self) -> GroupPresentation:
         return self.conjugator.pres
 
-    @cached_property
+    @property
     def conjugator_inverse(self) -> Element:
         return invert(self.conjugator)
 
@@ -77,7 +74,7 @@ def parabolic_generators(p: ParabolicSubgroup) -> List[Element]:
         vi = pres.vertex_index(v)
         group = pres.by_index[vi]
         if group.kind == "Z":
-            keys = [1, -1]
+            keys = [1]  # either sign generates Z
         elif group.kind == "mod":
             keys = [1] if group.order > 1 else []
         else:
@@ -94,8 +91,7 @@ def parabolics_equal(p1: ParabolicSubgroup, p2: ParabolicSubgroup) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class CentralizerStructureReport:
+class CentralizerStructureReport(NamedTuple):
     core: frozenset  # the support of g, a full-subgroup core
     halo: frozenset  # link of the core
     ball_size: int
@@ -132,8 +128,7 @@ def centralizer_structure_check(g: Element, radius: int) -> CentralizerStructure
     return CentralizerStructureReport(core, halo, *_compare_centralizer(g, radius, factored))
 
 
-@dataclass(frozen=True)
-class AvoidingVertex:
+class AvoidingVertex(NamedTuple):
     """A vertex certified to carry a maximal full subgroup missing g^G."""
 
     vertex: str
@@ -236,8 +231,7 @@ def parabolic_intersection(p1: ParabolicSubgroup, p2: ParabolicSubgroup) -> Para
     return ParabolicSubgroup(Element(pres, tuple(kept[::-1])), core)
 
 
-@dataclass(frozen=True)
-class IntersectionResult:
+class IntersectionResult(NamedTuple):
     status: str  # always "found"
     parabolic: ParabolicSubgroup
 

@@ -317,9 +317,6 @@ class SimplicialGraph:
             raise PresentationError(f"unknown vertex {vertex!r}")
         return self.ids[vertex]
 
-    def has_vertex(self, vertex: str) -> bool:
-        return vertex in self.ids
-
     def link(self, vertex: str) -> frozenset:
         self.index(vertex)
         return self._link[vertex]
@@ -363,11 +360,6 @@ class GroupPresentation:
 
     def vertex_index(self, vertex: str) -> int:
         return self.graph.index(vertex)
-
-    def group(self, vertex: str) -> VertexGroup:
-        if vertex not in self.groups:
-            raise PresentationError(f"unknown vertex {vertex!r}")
-        return self.groups[vertex]
 
     def decode_syllable(self, vi: int, key) -> "Syllable":
         return Syllable(self.graph.vertices[vi], self.by_index[vi].decode(key))
@@ -435,23 +427,29 @@ class Word(NamedTuple):
 EMPTY_WORD = Word(())
 
 
-def parse_word(pres: GroupPresentation, text: str) -> Word:
-    """Parse whitespace-separated NAME[VALUE] tokens; "1" or "" is the identity."""
+def _parse_key(pres: GroupPresentation, text: str) -> List[Tuple[int, int]]:
+    """The unreduced (vertex index, value key) pairs of whitespace-separated
+    NAME[VALUE] tokens; "1" or "" gives none."""
     stripped = text.strip()
-    if stripped in ("", "1"):
-        return EMPTY_WORD
-    syllables = []
+    if stripped == "1":
+        return []
+    ids, groups = pres.graph.ids, pres.by_index
+    key = []
     for token in stripped.split():
         match = _TOKEN_RE.match(token)
         if not match:
             raise WordError(f"bad token {token!r} (expected NAME[VALUE])")
         name, value_text = match.groups()
-        if not pres.graph.has_vertex(name):
+        vi = ids.get(name)
+        if vi is None:
             raise WordError(f"unknown vertex {name!r}")
-        group = pres.groups[name]
-        key = group.parse_value(value_text)
-        syllables.append(Syllable(name, group.decode(key)))
-    return Word(tuple(syllables))
+        key.append((vi, groups[vi].parse_value(value_text)))
+    return key
+
+
+def parse_word(pres: GroupPresentation, text: str) -> Word:
+    """Parse whitespace-separated NAME[VALUE] tokens; "1" or "" is the identity."""
+    return Word(tuple(pres.decode_syllable(vi, val) for vi, val in _parse_key(pres, text)))
 
 
 def render_word(pres: GroupPresentation, word: Word) -> str:
@@ -460,7 +458,7 @@ def render_word(pres: GroupPresentation, word: Word) -> str:
         return "1"
     parts = []
     for syl in word.syllables:
-        group = pres.group(syl.vertex)
+        group = pres.by_index[pres.vertex_index(syl.vertex)]
         parts.append(f"{syl.vertex}[{group.decode(group.encode(syl.value))}]")
     return " ".join(parts)
 

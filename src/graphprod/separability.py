@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 from .presentation import (
     GroupPresentation,
@@ -26,8 +25,7 @@ from .cyclic import commuting_factors, cyclic_permutation_conjugators, cyclicall
 from .conjugacy import are_conjugate
 
 
-@dataclass(frozen=True)
-class ClassMode:
+class ClassMode(NamedTuple):
     """All finite quotients, or only quotients of p-power order."""
 
     p: Optional[int] = None
@@ -226,8 +224,7 @@ def retraction(pres: GroupPresentation, vertices: Iterable[str], e: Element) -> 
     return retract_key(pres, e.key, ids)
 
 
-@dataclass(frozen=True)
-class SeparationWitness:
+class SeparationWitness(NamedTuple):
     """A quotient family with re-checkable evidence that images separate."""
 
     family: QuotientFamily

@@ -41,7 +41,7 @@ from .presentation import (
     GroupPresentation,
     Word,
     WordError,
-    parse_word,
+    _parse_key,
 )
 
 Key = Tuple[Tuple[int, int], ...]
@@ -206,7 +206,7 @@ def reduce(pres: GroupPresentation, word: Word) -> Element:
 
 def element_of(pres: GroupPresentation, text: str) -> Element:
     """Parse a word string and reduce it."""
-    return reduce(pres, parse_word(pres, text))
+    return _make(pres, _parse_key(pres, text))
 
 
 def _joinable_pairs(pres: GroupPresentation, key: Sequence[Tuple[int, int]]):

@@ -6,7 +6,9 @@ never calls the reduction engine's internals, apart from the final `_make` of
 references: `push_syllable`, the one-syllable push that the batched
 `words._push` replaced (`fold_push` folds it over a word);
 `cyclic_reduction_by_repush`, which pushes both end syllables back on at each
-step; and `ball_by_levels`, the ball walk that stored every level.
+step; and `ball_by_levels`, the ball walk that stored every level.  The
+replaced parse loop, which built one Syllable per token, is kept as
+`parse_word_by_syllables`.
 """
 
 import math
@@ -17,7 +19,7 @@ from graphprod.amalgam import AmalgamError, ConjugatorClass, SubgroupConjugacy, 
 from graphprod.conjugacy import are_conjugate
 from graphprod.cyclic import commuting_factors, cyclic_permutations, cyclically_reduce, ps_decompose
 from graphprod.parabolic import ParabolicSubgroup, parabolic_generators, parabolic_membership
-from graphprod.presentation import Word, induced_presentation
+from graphprod.presentation import _TOKEN_RE, Syllable, Word, WordError, induced_presentation
 from graphprod.words import (
     Element,
     _make,
@@ -493,3 +495,25 @@ def associative_by_triples(rows):
 
 def is_prime_by_trial_division(p):
     return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def parse_word_by_syllables(pres, text):
+    """The word of whitespace-separated NAME[VALUE] tokens, one Syllable per token.
+
+    The loop that `presentation._parse_key` replaced, kept as it was apart
+    from the vertex test, which reads the graph's `ids` map."""
+    stripped = text.strip()
+    if stripped in ("", "1"):
+        return Word(())
+    syllables = []
+    for token in stripped.split():
+        match = _TOKEN_RE.match(token)
+        if not match:
+            raise WordError(f"bad token {token!r} (expected NAME[VALUE])")
+        name, value_text = match.groups()
+        if name not in pres.graph.ids:
+            raise WordError(f"unknown vertex {name!r}")
+        group = pres.groups[name]
+        key = group.parse_value(value_text)
+        syllables.append(Syllable(name, group.decode(key)))
+    return Word(tuple(syllables))

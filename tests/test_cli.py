@@ -244,6 +244,7 @@ def test_common_subcommands_load_only_what_they_run(args, extra):
 def test_heavy_subcommands_load_their_module(args, module):
     code, modules = loaded_by(*args)
     assert code == 0 and f"graphprod.{module}" in modules
+    assert "dataclasses" not in modules
 
 
 # Exact stdout and exit code of every subcommand that takes --json, in both

@@ -4,13 +4,14 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphprod import corpus, parse_presentation
 from graphprod import conjugacy, cyclic, words
-from graphprod.presentation import PresentationError, Word, WordError, induced_presentation
+from graphprod.presentation import PresentationError, Word, WordError, induced_presentation, parse_word
 from graphprod.words import (
     _in_ball,
     _make,
@@ -75,6 +76,7 @@ from oracles import (
     cyclic_reduction_by_repush,
     fold_push,
     greedy_least_vertex_first,
+    parse_word_by_syllables,
     witness_constraints_by_parts,
 )
 
@@ -324,6 +326,47 @@ def test_cyclic_reduction_matches_the_repush_step():
             g = conjugate(u, c)
             r = cyclically_reduce(g)
             assert (r.reduced.key, r.conjugator.key) == cyclic_reduction_by_repush(g), (name, g)
+
+
+def random_word_text(pres, rng, length):
+    """NAME[VALUE] tokens with signed, zero and out-of-range integer values,
+    joined and surrounded by assorted whitespace."""
+    tokens = []
+    for _ in range(length):
+        v = rng.choice(pres.vertices)
+        group = pres.groups[v]
+        if group.kind == "table":
+            value = rng.choice(group.elements)
+        else:
+            value = rng.choice(["+", "-", ""]) + str(rng.randint(0, 7))
+        tokens.append(f"{v}[{value}]")
+    return rng.choice(["", " ", "\t"]) + rng.choice([" ", "  "]).join(tokens) + rng.choice(["", " ", "\n"])
+
+
+def test_text_to_key_matches_the_syllable_loop():
+    # parse_word and element_of read text in one pass; over the corpus and an
+    # S3 path they give the word, the element and the error message of the
+    # loop that built one Syllable per token
+    presentations = {**corpus.corpus_presentations(), "s3-path": build_s3_path()}
+    fixed = ["1", "", " 1 ", "\t", "x[+2] x[-0]", "a[5] a[-3]", " a[1] ", "zz[1]", "a1", "x[one]", "a[1] 1",
+             "u[zz]", "g[r] g[sr2]"]
+    rng = random.Random(19)
+
+    def outcome(parse, pres, text):
+        try:
+            return parse(pres, text)
+        except WordError as exc:
+            return str(exc)
+
+    for name, pres in sorted(presentations.items()):
+        for text in fixed + [random_word_text(pres, rng, rng.randint(0, 12)) for _ in range(200)]:
+            expected = outcome(parse_word_by_syllables, pres, text)
+            assert outcome(parse_word, pres, text) == expected, (name, text)
+            if isinstance(expected, Word):
+                assert element_of(pres, text).key == reduce(pres, expected).key, (name, text)
+            else:
+                with pytest.raises(WordError, match=re.escape(expected)):
+                    element_of(pres, text)
 
 
 def s3_identity_third():

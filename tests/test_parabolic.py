@@ -311,6 +311,14 @@ def test_intersection_trivial_vertex_example():
     assert found.core == {"t"} and parabolics_equal(found, exact)
 
 
+def test_generators_skip_a_trivial_vertex_and_take_one_sign_of_z():
+    """A cyclic 1 vertex adds no generator, so G_{a} is the trivial subgroup,
+    and a Z vertex is generated by one syllable of either sign."""
+    pres = presentation({"a": "cyclic 1", "b": "Z"}, [])
+    assert parabolics_equal(full_parabolic(pres, ["a"]), full_parabolic(pres, []))
+    assert parabolic_generators(full_parabolic(pres, ["a", "b"])) == [element_of(pres, "b[1]")]
+
+
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
 def test_closure_minimality(name):
     pres = PRESENTATIONS[name]

@@ -1,17 +1,45 @@
-"""The result records of presentation, words, cyclic and conjugacy are NamedTuples.
+"""Every result record of the package is a NamedTuple.
 
-They keep the fields, field order, methods and repr text they had as frozen
-dataclasses: equal records compare and hash equal, fields cannot be assigned,
-and a Word's length and truth value are those of its syllables.
+The nineteen records of presentation, words, cyclic, conjugacy, amalgam,
+parabolic and separability keep the fields, field order, defaults, methods
+and repr text they had as frozen dataclasses: equal records compare and hash
+equal, fields cannot be assigned, and a Word's length and truth value are
+those of its syllables.
 """
 
 from pathlib import Path
 
 import pytest
 
+from graphprod.amalgam import (
+    AmalgamForm,
+    CentralizerReport,
+    ConjugatorClass,
+    KernelSampleReport,
+    OmegaDescription,
+    SubgroupConjugacy,
+    amalgam_conjugate_by,
+    amalgam_form,
+    centralizer_check,
+    conjugator_classify,
+    consonant_leading_form,
+    decompose_at,
+    sigma_map,
+)
 from graphprod.conjugacy import BruteForceConjugacy, ConjugacyVerdict, brute_force_conjugate
 from graphprod.cyclic import CyclicReduction, PSDecomposition, cyclically_reduce, ps_decompose
-from graphprod.presentation import EMPTY_WORD, Syllable, Word, load_presentation
+from graphprod.parabolic import (
+    AvoidingVertex,
+    CentralizerStructureReport,
+    IntersectionResult,
+    ParabolicSubgroup,
+    centralizer_structure_check,
+    full_parabolic,
+    maximal_full_avoiding,
+    parabolic_intersection_search,
+)
+from graphprod.presentation import EMPTY_WORD, Syllable, Word, load_presentation, presentation_from_config
+from graphprod.separability import ALL_FINITE, ClassMode, SeparationWitness, residual_witness
 from graphprod.words import ShapeReport, element_of, shape
 
 PATH_RACG = load_presentation(Path(__file__).parent / "data" / "path-racg.json")
@@ -22,6 +50,11 @@ def records():
     repr have at most one element, so the text does not depend on hash order."""
     e = lambda text: element_of(PATH_RACG, text)
     a = Syllable("a", 1)
+    view = decompose_at(PATH_RACG, "c")
+    ca = consonant_leading_form(view, e("c[1] a[1]"))
+    rotations = centralizer_check(view, e("c[1] a[1]"), 1)
+    c2 = lambda v: presentation_from_config({"vertices": [{"name": v, "group": "cyclic 2"}], "edges": []})
+    witness = residual_witness(e("a[1]"))
     return [
         (a, Syllable("a", 1), "Syllable(vertex='a', value=1)", "vertex"),
         (Word((a,)), Word((Syllable("a", 1),)), "Word(syllables=(Syllable(vertex='a', value=1),))", "syllables"),
@@ -55,6 +88,77 @@ def records():
             BruteForceConjugacy("yes", e("a[1]")),
             "BruteForceConjugacy(status='yes', conjugator=<a[1]>)",
             "status",
+        ),
+        (
+            amalgam_form(view, e("a[1] c[1] b[1]")),
+            AmalgamForm((e("a[1] b[1]"), e("1")), (1,)),
+            "AmalgamForm(x_pieces=(<a[1] b[1]>, <1>), consonants=(1,))",
+            "consonants",
+        ),
+        (
+            conjugator_classify(view, ca, ca, e("c[1] a[1]")),
+            ConjugatorClass("c", e("1"), e("1"), 1),
+            "ConjugatorClass(case='c', h=<1>, piece=<1>, exponent=1)",
+            "case",
+        ),
+        (
+            amalgam_conjugate_by(view, ["a"], e("c[1] a[1]"), e("a[1] c[1]"), 1),
+            SubgroupConjugacy("yes", e("a[1]"), None),
+            "SubgroupConjugacy(status='yes', conjugator=<a[1]>, failed_condition=None)",
+            "conjugator",
+        ),
+        (
+            rotations.omega,
+            OmegaDescription((e("1"), e("c[1] a[1]")), (e("1"), e("1")), (e("1"), e("a[1] c[1]"))),
+            "OmegaDescription(prefixes=(<1>, <c[1] a[1]>), matched=(<1>, <1>), omega=(<1>, <a[1] c[1]>))",
+            "omega",
+        ),
+        (
+            centralizer_check(view, e("c[1]"), 1),
+            CentralizerReport("product", None, (), 4, (e("1"), e("b[1]"), e("c[1]")), ()),
+            "CentralizerReport(kind='product', omega=None, unresolved=(), ball_size=4, "
+            "centralizer=(<1>, <b[1]>, <c[1]>), violations=())",
+            "kind",
+        ),
+        (
+            sigma_map(c2("q"), c2("s"), []).kernel_sample_check(4, 4, seed=0),
+            KernelSampleReport(4, 1, ()),
+            "KernelSampleReport(samples=4, nontrivial=1, failures=())",
+            "failures",
+        ),
+        (
+            full_parabolic(PATH_RACG, ["a"]),
+            ParabolicSubgroup(e("1"), frozenset("a")),
+            "ParabolicSubgroup(conjugator=<1>, core=frozenset({'a'}))",
+            "core",
+        ),
+        (
+            centralizer_structure_check(e("a[1]"), 1),
+            CentralizerStructureReport(frozenset("a"), frozenset("b"), 4, (e("1"), e("a[1]"), e("b[1]")), ()),
+            "CentralizerStructureReport(core=frozenset({'a'}), halo=frozenset({'b'}), ball_size=4, "
+            "centralizer=(<1>, <a[1]>, <b[1]>), violations=())",
+            "halo",
+        ),
+        (
+            maximal_full_avoiding(e("b[1] a[1] b[1]")),
+            AvoidingVertex("a", e("a[1]"), 1),
+            "AvoidingVertex(vertex='a', core=<a[1]>, consonant_length=1)",
+            "vertex",
+        ),
+        (
+            parabolic_intersection_search(full_parabolic(PATH_RACG, "ab"), full_parabolic(PATH_RACG, "bc"), 0),
+            IntersectionResult("found", ParabolicSubgroup(e("1"), frozenset("b"))),
+            "IntersectionResult(status='found', parabolic=ParabolicSubgroup(conjugator=<1>, core=frozenset({'b'})))",
+            "parabolic",
+        ),
+        (ALL_FINITE, ClassMode(), "ClassMode(p=None)", "p"),
+        (
+            witness,
+            SeparationWitness(witness.family, (e("a[1]"),), (element_of(witness.family.target, "a[1]"),),
+                              "nontrivial-image"),
+            f"SeparationWitness(family={witness.family!r}, inputs=(<a[1]>,), images=(<a[1]>,), "
+            "certificate_tag='nontrivial-image')",
+            "images",
         ),
     ]
 
