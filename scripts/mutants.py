@@ -88,8 +88,8 @@ MUTANTS = [
     ("walk-product-not-pushed", W, "                            _push(pres, out, last)\n", ""),
     ("ball-stops-a-level-early", W, "grown = [] if depth < radius else None",
      "grown = [] if depth < radius - 1 else None"),
-    ("residues-descending", PR, "        return range(1, self.modulus)\n",
-     "        return range(self.modulus - 1, 0, -1)\n"),
+    ("residues-descending", PR, "        return range(1, self.order)\n",
+     "        return range(self.order - 1, 0, -1)\n"),
     # every centralizer check is one comparison loop
     ("compare-records-no-violation", W, "            violations.append(u)\n", "            pass\n"),
     ("rotations-ignore-unresolved", A, "        if not centralizes or unresolved:\n", "        if not centralizes:\n"),
@@ -152,6 +152,8 @@ MUTANTS = [
      '            raise WordError(f"{value!r} is not an integer exponent")\n',
      '        if not isinstance(value, int):\n'
      '            raise WordError(f"{value!r} is not an integer exponent")\n'),
+    # adjacency is stored once, as iadj, in both directions
+    ("adjacency-one-sided", PR, "            adj[index[v]].add(index[u])\n", ""),
     # table groups
     ("no-light-test", PR, "            if rows[row_x[a]] != tuple(row_x[b] for b in row_a):\n",
      "            if False:\n"),

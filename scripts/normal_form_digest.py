@@ -46,12 +46,12 @@ from collections import Counter
 from graphprod import Word, corpus, parse_presentation
 from graphprod.amalgam import (
     AmalgamError,
+    SigmaAmalgam,
     amalgam_conjugate_by,
     amalgam_form,
     amalgam_form_of_word,
     centralizer_check,
     decompose_at,
-    sigma_map,
 )
 from graphprod.conjugacy import are_conjugate, brute_force_conjugate
 from graphprod.cyclic import commuting_factors, cyclically_reduce, ps_decompose
@@ -186,9 +186,9 @@ def digest_searches(pres, rng: random.Random, feed) -> None:
     view = decompose_at(pres, rng.choice(pres.vertices))
 
     def consonant_leading():
-        e = element_on(view.c_vertices, 1, 1)
+        e = element_on({view.apex}, 1, 1)
         for _ in range(rng.randint(0, 2)):
-            e = multiply(multiply(e, element_on(view.a_vertices, 2)), element_on(view.c_vertices, 1, 1))
+            e = multiply(multiply(e, element_on(view.a_vertices, 2)), element_on({view.apex}, 1, 1))
         return multiply(e, element_on(view.a_vertices, 2))
 
     for _ in range(3):
@@ -244,7 +244,7 @@ def digest_amalgams(seed: int, feed) -> None:
     q_pres = random_presentation(rng, max_vertices=3, min_vertices=1, finite=True, prefix="q")
     s_pres = random_presentation(rng, max_vertices=3, min_vertices=1, finite=True, prefix="s")
     r_vertices = rng.sample(q_pres.vertices, rng.randint(0, len(q_pres.vertices)))
-    amalgam = sigma_map(q_pres, s_pres, r_vertices)
+    amalgam = SigmaAmalgam(q_pres, s_pres, r_vertices)
     for _ in range(10):
         e = reduce(amalgam.presentation, corpus.random_word(amalgam.presentation, rng, 20))
         feed("sigma", keys(amalgam.sigma(e)))

@@ -56,10 +56,8 @@ class AmalgamView:
         self.apex_index = pres.vertex_index(apex)
         self.a_vertices = frozenset(v for v in pres.vertices if v != apex)
         self.h_vertices = pres.graph.link(apex)
-        self.c_vertices = frozenset({apex})
         self.a_ids = frozenset(pres.vertex_index(v) for v in self.a_vertices)
         self.h_ids = frozenset(pres.vertex_index(v) for v in self.h_vertices)
-        self.c_ids = frozenset({self.apex_index})
 
 
 def decompose_at(pres: GroupPresentation, apex: str) -> AmalgamView:
@@ -116,7 +114,7 @@ def _general_form(pres, c_ids, h_ids, key) -> Tuple[list, list]:
 
 
 def _single_vertex_form(view: AmalgamView, key) -> AmalgamForm:
-    xs, cs = _general_form(view.pres, view.c_ids, view.h_ids, key)
+    xs, cs = _general_form(view.pres, (view.apex_index,), view.h_ids, key)
     group = view.pres.by_index[view.apex_index]
     values = []
     for c in cs:
@@ -348,16 +346,16 @@ def centralizer_check(view: AmalgamView, g: Element, radius: int) -> Centralizer
     n = form.consonant_length
 
     if n == 1 and _supported_in(form.x_pieces[-1], view.h_ids):
-        group = pres.by_index[view.apex_index]
-        c1 = Element(pres, ((view.apex_index, group.encode(form.consonants[0])),))
+        apex = view.apex_index
+        c1 = Element(pres, ((apex, pres.by_index[apex].encode(form.consonants[0])),))
         x1 = form.x_pieces[-1]
-        star_ids = view.c_ids | view.h_ids
+        star_ids, apex_ids = pres.istar[apex], (apex,)
 
         def factored(u, centralizes):
             # the apex commutes with its link, so u = uc uh on the star
             if not _supported_in(u, star_ids):
                 return False
-            uc = retract_key(pres, u.key, view.c_ids)
+            uc = retract_key(pres, u.key, apex_ids)
             uh = retract_key(pres, u.key, view.h_ids)
             return multiply(uc, c1) == multiply(c1, uc) and multiply(uh, x1) == multiply(x1, uh)
 
@@ -498,7 +496,3 @@ class SigmaAmalgam:
             if consonant_count < 1 or conjugate_into_q or conjugate_into_rs:
                 failures.append(k)
         return KernelSampleReport(count, nontrivial, tuple(failures))
-
-
-def sigma_map(q_pres: GroupPresentation, s_pres: GroupPresentation, r_vertices) -> SigmaAmalgam:
-    return SigmaAmalgam(q_pres, s_pres, r_vertices)

@@ -45,20 +45,19 @@ def conjugate_in_clique_subgroup(
     Both elements must be supported in the clique; on success the product of
     the per-vertex conjugators is returned.
     """
-    vertices = sorted(set(clique), key=pres.vertex_index)
-    for i, u in enumerate(vertices):
-        for v in vertices[i + 1 :]:
-            if v not in pres.graph.link(u):
+    ids = sorted({pres.vertex_index(v) for v in clique})
+    for i, ui in enumerate(ids):
+        for vi in ids[i + 1 :]:
+            if vi not in pres.iadj[ui]:
+                u, v = pres.vertices[ui], pres.vertices[vi]
                 raise PresentationError(f"{u!r} and {v!r} are not adjacent: not a clique")
-    allowed = {pres.vertex_index(v) for v in vertices}
     for e in (a, b):
-        if not _supported_in(e, allowed):
+        if not _supported_in(e, ids):
             raise PresentationError("element not supported in the clique")
     values_a = {vi: val for vi, val in a.key}
     values_b = {vi: val for vi, val in b.key}
     conj_key = []
-    for v in vertices:
-        vi = pres.vertex_index(v)
+    for vi in ids:
         group = pres.by_index[vi]
         va = values_a.get(vi, group.identity_key)
         vb = values_b.get(vi, group.identity_key)

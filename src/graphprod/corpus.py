@@ -132,7 +132,7 @@ def shuffled_variant(pres: GroupPresentation, word: Word, rng: random.Random, st
             break
         i = rng.randrange(len(syllables) - 1)
         u, w = syllables[i], syllables[i + 1]
-        if u.vertex != w.vertex and w.vertex in pres.graph.link(u.vertex):
+        if pres.vertex_index(w.vertex) in pres.iadj[pres.vertex_index(u.vertex)]:  # iadj has no loops
             syllables[i], syllables[i + 1] = w, u
     return Word(tuple(syllables))
 

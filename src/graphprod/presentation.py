@@ -119,12 +119,9 @@ class FiniteTableGroup:
         self.elements = names
         self.table = rows
         self.identity_key = identity
+        self.order = n
         self._inverse = tuple(inverse)
         self._index = {name: i for i, name in enumerate(names)}
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -137,7 +134,7 @@ class FiniteTableGroup:
 
     def nontrivial_keys(self, window: Optional[int] = None) -> Sequence[int]:
         """Every key but the identity's, in ascending order."""
-        return [i for i in range(len(self.elements)) if i != self.identity_key]
+        return [i for i in range(self.order) if i != self.identity_key]
 
     def encode(self, value) -> int:
         key = self._index.get(value)
@@ -157,7 +154,7 @@ class FiniteTableGroup:
         """First t (in table order) with t a t^-1 == b, or None."""
         if a == b:
             return self.identity_key
-        for t in range(len(self.elements)):
+        for t in range(self.order):
             if self.mul(self.mul(t, a), self._inverse[t]) == b:
                 return t
         return None
@@ -211,30 +208,26 @@ class IntegersModGroup:
     def __init__(self, modulus: int):
         if not _is_int(modulus) or modulus < 1:
             raise PresentationError("modulus must be a positive integer")
-        self.modulus = modulus
+        self.order = modulus
         self.identity_key = 0
 
-    @property
-    def order(self) -> int:
-        return self.modulus
-
     def mul(self, a: int, b: int) -> int:
-        return (a + b) % self.modulus
+        return (a + b) % self.order
 
     def inv(self, a: int) -> int:
-        return (-a) % self.modulus
+        return (-a) % self.order
 
     def is_identity(self, a: int) -> bool:
-        return a % self.modulus == 0
+        return a % self.order == 0
 
     def nontrivial_keys(self, window: Optional[int] = None) -> Sequence[int]:
         """The nonzero residues in ascending order, as a lazy range."""
-        return range(1, self.modulus)
+        return range(1, self.order)
 
     def encode(self, value) -> int:
         if type(value) is not int and not _is_int(value):
             raise WordError(f"{value!r} is not an integer residue")
-        return value % self.modulus
+        return value % self.order
 
     def decode(self, key: int) -> int:
         return key
@@ -242,10 +235,10 @@ class IntegersModGroup:
     def parse_value(self, text: str) -> int:
         if not _INT_RE.match(text):
             raise WordError(f"expected an integer residue, got {text!r}")
-        return int(text) % self.modulus
+        return int(text) % self.order
 
     def conjugator_key(self, a: int, b: int) -> Optional[int]:
-        return 0 if (a - b) % self.modulus == 0 else None
+        return 0 if (a - b) % self.order == 0 else None
 
 
 VertexGroup = Union[FiniteTableGroup, IntegerGroup, IntegersModGroup]
@@ -305,12 +298,11 @@ class SimplicialGraph:
         self.vertices = names
         self.edges = frozenset(pairs)
         self.ids = index  # vertex name -> index
-        link = {v: set() for v in names}
-        for (u, v) in pairs:
-            link[u].add(v)
-            link[v].add(u)
-        self._link = {v: frozenset(s) for v, s in link.items()}
-        self.iadj = tuple(frozenset(index[u] for u in self._link[v]) for v in names)
+        adj = [set() for _ in names]
+        for u, v in pairs:
+            adj[index[u]].add(index[v])
+            adj[index[v]].add(index[u])
+        self.iadj = tuple(frozenset(s) for s in adj)  # vertex index -> indices of its neighbours
 
     def index(self, vertex: str) -> int:
         if vertex not in self.ids:
@@ -318,12 +310,10 @@ class SimplicialGraph:
         return self.ids[vertex]
 
     def link(self, vertex: str) -> frozenset:
-        self.index(vertex)
-        return self._link[vertex]
+        return frozenset(self.vertices[j] for j in self.iadj[self.index(vertex)])
 
     def star(self, vertex: str) -> frozenset:
-        self.index(vertex)
-        return self._link[vertex] | {vertex}
+        return self.link(vertex) | {vertex}
 
 
 def link_of(graph: SimplicialGraph, vertices: Iterable[str]) -> frozenset:
@@ -422,9 +412,6 @@ class Word(NamedTuple):
 
     def __len__(self) -> int:  # the syllable count; _replace checks len(), so build a new Word instead
         return len(self.syllables)
-
-
-EMPTY_WORD = Word(())
 
 
 def _parse_key(pres: GroupPresentation, text: str) -> List[Tuple[int, int]]:

@@ -242,16 +242,16 @@ class SeparationWitness(NamedTuple):
         verdict = are_conjugate(self.images[0], self.images[1])
         return not verdict.conjugate and verdict.refutation == self.certificate_tag
 
-    def to_json_obj(self) -> dict:
-        return {
-            "certificate_tag": self.certificate_tag,
-            "images": [img.render() for img in self.images],
-            "mode": self.family.mode.render(),
-            "per_vertex_moduli": {v: self.family.moduli[v] for v in sorted(self.family.moduli)},
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
+        return json.dumps(
+            {
+                "certificate_tag": self.certificate_tag,
+                "images": [img.render() for img in self.images],
+                "mode": self.family.mode.render(),
+                "per_vertex_moduli": self.family.moduli,  # sort_keys orders these too
+            },
+            sort_keys=True,
+        )
 
 
 def residual_witness(g: Element, mode: ClassMode = ALL_FINITE) -> SeparationWitness:

@@ -18,7 +18,8 @@ from graphprod import (
     vertex_conjugate_test,
     vertex_mul,
 )
-from graphprod.presentation import FiniteTableGroup, IntegersModGroup, IntegerGroup
+from graphprod.amalgam import SigmaAmalgam
+from graphprod.presentation import FiniteTableGroup, IntegersModGroup, IntegerGroup, induced_presentation
 
 from oracles import associative_by_triples
 
@@ -322,6 +323,41 @@ def test_link_star_antitone(triangle_mixed, star_racg):
             larger = set(vertices[: i + 1])
             assert link_of(g, larger) <= link_of(g, smaller)
             assert star_of(g, larger) <= star_of(g, smaller)
+
+
+def random_finite_presentation(rng, prefix):
+    """2-8 vertices whose names sort in a different order than their indices, edges in either orientation."""
+    names = [f"{prefix}{k}" for k in rng.sample(range(20), rng.randint(2, 8))]
+    vertices = [{"name": v, "group": rng.choice(["cyclic 2", "cyclic 3"])} for v in names]
+    density = rng.random()
+    edges = [rng.choice([[u, v], [v, u]]) for i, u in enumerate(names) for v in names[i + 1 :] if rng.random() < density]
+    return parse_presentation(doc(vertices, edges))
+
+
+def assert_adjacency_agrees(pres):
+    """iadj is loop-free and symmetric, and edges, link, star and istar all read the same adjacency."""
+    g = pres.graph
+    names = g.vertices
+    pairs = set()
+    for i, adj in enumerate(g.iadj):
+        assert i not in adj
+        assert all(i in g.iadj[j] for j in adj)
+        pairs |= {tuple(sorted((names[i], names[j]))) for j in adj}
+        assert g.link(names[i]) == {names[j] for j in adj}
+        assert g.star(names[i]) == {names[j] for j in adj} | {names[i]}
+        assert pres.istar[i] == adj | {i}
+    assert pairs == g.edges
+
+
+def test_adjacency_has_one_source():
+    rng = random.Random("adjacency")
+    for _ in range(200):
+        q = random_finite_presentation(rng, "q")
+        s = random_finite_presentation(rng, "s")
+        r = rng.sample(q.vertices, rng.randint(0, len(q.vertices)))
+        sub = induced_presentation(q, rng.sample(q.vertices, rng.randint(1, len(q.vertices))))
+        for pres in (q, s, sub, SigmaAmalgam(q, s, r).presentation):
+            assert_adjacency_agrees(pres)
 
 
 DATA = Path(__file__).parent / "data"

@@ -17,6 +17,7 @@ from graphprod.amalgam import (
     ConjugatorClass,
     KernelSampleReport,
     OmegaDescription,
+    SigmaAmalgam,
     SubgroupConjugacy,
     amalgam_conjugate_by,
     amalgam_form,
@@ -24,7 +25,6 @@ from graphprod.amalgam import (
     conjugator_classify,
     consonant_leading_form,
     decompose_at,
-    sigma_map,
 )
 from graphprod.conjugacy import BruteForceConjugacy, ConjugacyVerdict, brute_force_conjugate
 from graphprod.cyclic import CyclicReduction, PSDecomposition, cyclically_reduce, ps_decompose
@@ -38,7 +38,7 @@ from graphprod.parabolic import (
     maximal_full_avoiding,
     parabolic_intersection_search,
 )
-from graphprod.presentation import EMPTY_WORD, Syllable, Word, load_presentation, presentation_from_config
+from graphprod.presentation import Syllable, Word, load_presentation, presentation_from_config
 from graphprod.separability import ALL_FINITE, ClassMode, SeparationWitness, residual_witness
 from graphprod.words import ShapeReport, element_of, shape
 
@@ -121,7 +121,7 @@ def records():
             "kind",
         ),
         (
-            sigma_map(c2("q"), c2("s"), []).kernel_sample_check(4, 4, seed=0),
+            SigmaAmalgam(c2("q"), c2("s"), []).kernel_sample_check(4, 4, seed=0),
             KernelSampleReport(4, 1, ()),
             "KernelSampleReport(samples=4, nontrivial=1, failures=())",
             "failures",
@@ -173,7 +173,7 @@ def test_record_contract(record, twin, text, field):
 
 
 def test_word_length_and_truth_are_its_syllables():
-    assert len(EMPTY_WORD) == 0 and not EMPTY_WORD
+    assert len(Word(())) == 0 and not Word(())
     word = Word((Syllable("a", 1), Syllable("b", 1)))
     assert len(word) == 2 and word
     assert list(word.syllables) == [("a", 1), ("b", 1)]

@@ -5,13 +5,13 @@ import pytest
 from graphprod import corpus
 from graphprod.amalgam import (
     AmalgamError,
+    SigmaAmalgam,
     amalgam_conjugate_by,
     amalgam_form,
     centralizer_check,
     conjugator_classify,
     consonant_leading_form,
     decompose_at,
-    sigma_map,
 )
 from graphprod.conjugacy import conjugate_in_clique_subgroup
 from graphprod.presentation import (
@@ -95,7 +95,7 @@ REJECTIONS = {
         "not cyclically reduced at this apex",
     ),
     "sigma-infinite-vertex": (
-        lambda: sigma_map(FREE, STAR, {"x"}),
+        lambda: SigmaAmalgam(FREE, STAR, {"x"}),
         AmalgamError,
         "must be finite",
     ),
@@ -103,6 +103,11 @@ REJECTIONS = {
         lambda: conjugate_in_clique_subgroup(PATH, ["a", "b"], el(PATH, "c[1]"), el(PATH, "a[1]")),
         PresentationError,
         "not supported in the clique",
+    ),
+    "clique-conjugacy-not-a-clique": (
+        lambda: conjugate_in_clique_subgroup(PATH, ["c", "a"], el(PATH, "a[1]"), el(PATH, "c[1]")),
+        PresentationError,
+        "'a' and 'c' are not adjacent: not a clique",
     ),
     "modulus-on-table-vertex": (
         lambda: QuotientFamily(MIXED, {"u": 2, "v": 3, "w": 4}, ALL_FINITE),
@@ -169,6 +174,7 @@ REJECTIONS = {
     ),
     "graph-duplicate-vertices": (lambda: SimplicialGraph(["a", "a"], []), PresentationError, "duplicate vertex"),
     "graph-bad-vertex-name": (lambda: SimplicialGraph(["1a"], []), PresentationError, "bad vertex name"),
+    "graph-star-unknown-vertex": (lambda: PATH.graph.star("zz"), PresentationError, "unknown vertex 'zz'"),
     "presentation-groups-mismatch": (
         lambda: GroupPresentation(SimplicialGraph(["a"], []), {"b": IntegerGroup()}),
         PresentationError,
@@ -207,7 +213,7 @@ REJECTIONS = {
         "tail piece of g must leave the H-side",
     ),
     "sigma-overlapping-factors": (
-        lambda: sigma_map(PATH, PATH, {"a"}),
+        lambda: SigmaAmalgam(PATH, PATH, {"a"}),
         AmalgamError,
         "vertex names must be disjoint",
     ),
