@@ -85,7 +85,9 @@ MUTANTS = [
     ("ball-no-greater-rejection", W,
      "                    if ui > vi:  # _push would insert before ui\n"
      "                        appends = False\n                        break\n", ""),
-    ("walk-product-not-pushed", W, "                            _push(pres, out, last)\n", ""),
+    ("walk-product-not-pushed", W, "                                _push(pres, out, last)\n", ""),
+    ("walk-fast-path-ignores-join", W, "fast = tail != vi and tail not in link", "fast = tail not in link"),
+    ("walk-fast-path-ignores-link", W, "fast = tail != vi and tail not in link", "fast = tail != vi"),
     ("ball-stops-a-level-early", W, "grown = [] if depth < radius else None",
      "grown = [] if depth < radius - 1 else None"),
     ("residues-descending", PR, "        return range(1, self.order)\n",

@@ -8,6 +8,7 @@ from .presentation import GroupPresentation, InvariantError, PresentationError, 
 from .words import (
     Element,
     _check_same,
+    _push,
     _supported_in,
     conjugate,
     identity,
@@ -119,8 +120,11 @@ def brute_force_conjugate(x: Element, y: Element, radius: int) -> BruteForceConj
     reported as "exhausted", which is weaker than a non-conjugacy proof.
     """
     _check_same(x, y)
-    for w, yw in iter_ball(x.pres, radius, left=y):
-        if multiply(w, x).key == yw:
+    pres, x_key = x.pres, x.key
+    for w, yw in iter_ball(pres, radius, left=y):
+        wx = list(w.key)  # w·x, as one _push of x's key onto w's
+        _push(pres, wx, x_key)
+        if tuple(wx) == yw:
             return BruteForceConjugacy("yes", w)
     return BruteForceConjugacy("exhausted", None)
 

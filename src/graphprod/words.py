@@ -121,7 +121,10 @@ def _check_same(a: Element, b: Element) -> None:
 
 def _supported_in(e: Element, ids) -> bool:
     """True iff every syllable of e lies on a vertex with index in ids."""
-    return all(vi in ids for vi, _ in e.key)
+    for vi, _ in e.key:
+        if vi not in ids:
+            return False
+    return True
 
 
 def key_of_word(pres: GroupPresentation, word: Word) -> Key:
@@ -367,10 +370,11 @@ def iter_ball(
     syllables in (vertex, value) order, so each level comes out sorted
     (`nontrivial_keys` is ascending, and lazy on a `Z/n` vertex).
 
-    The product is carried along the same tree: left·(p·s) = (left·p)·s is
-    one `_push` of the child's last syllable onto its parent's product.  Only
-    the levels that are extended are kept; the last one is yielded but not
-    stored.
+    The product is carried along the same tree: left·(p·s) = (left·p)·s.  When
+    the parent's product is empty, or its last vertex is neither the child's
+    last vertex nor in that vertex's link, the syllable is appended, which is
+    what `_push`'s first scan step does; otherwise it is pushed.  Only the
+    levels that are extended are kept; the last one is yielded but not stored.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -390,6 +394,7 @@ def iter_ball(
     for depth in range(1, radius + 1):
         grown = [] if depth < radius else None
         for key, product in level:
+            tail = product[-1][0] if product else -1  # the product's last vertex, -1 if none
             for vi, vals in gens:
                 link = pres.iadj[vi]
                 # a copy of _push's scan: sharing it slowed reduction, testing with _push slowed the ball
@@ -403,6 +408,7 @@ def iter_ball(
                 else:
                     appends = True
                 if appends:
+                    fast = tail != vi and tail not in link  # _push would append at once
                     for val in vals:
                         last = ((vi, val),)
                         child = key + last
@@ -410,9 +416,12 @@ def iter_ball(
                             yield Element(pres, child)
                             carried = None
                         else:
-                            out = list(product)
-                            _push(pres, out, last)
-                            carried = tuple(out)
+                            if fast:
+                                carried = product + last
+                            else:
+                                out = list(product)
+                                _push(pres, out, last)
+                                carried = tuple(out)
                             yield Element(pres, child), carried
                         if grown is not None:
                             grown.append((child, carried))
@@ -435,12 +444,14 @@ def _compare_centralizer(g: Element, radius: int, predicted, vertices: Optional[
     once: (size, members, violations) are its size, the elements u that
     commute with g, and those where predicted(u, centralizes) is not
     centralizes.  Every centralizer check is this loop and its own prediction.
-    g·u comes from the walk; u·g is multiplied out."""
+    g·u comes from the walk; u·g is one `_push` of g's key onto u's."""
     size = 0
     members, violations = [], []
     for u, gu in iter_ball(g.pres, radius, vertices=vertices, left=g):
         size += 1
-        centralizes = multiply(u, g).key == gu
+        ug = list(u.key)
+        _push(g.pres, ug, g.key)
+        centralizes = tuple(ug) == gu
         if centralizes:
             members.append(u)
         if predicted(u, centralizes) != centralizes:
@@ -449,6 +460,6 @@ def _compare_centralizer(g: Element, radius: int, predicted, vertices: Optional[
 
 
 def retract_key(pres: GroupPresentation, key: Key, vertex_indices) -> Element:
-    """Drop syllables outside the vertex set, then reduce."""
-    keep = set(vertex_indices)
-    return _make(pres, (s for s in key if s[0] in keep))
+    """Drop syllables outside vertex_indices, then reduce.  vertex_indices is
+    any container that supports `in`; it is used as given, without a copy."""
+    return _make(pres, (s for s in key if s[0] in vertex_indices))

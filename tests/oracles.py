@@ -8,7 +8,9 @@ references: `push_syllable`, the one-syllable push that the batched
 `cyclic_reduction_by_repush`, which pushes both end syllables back on at each
 step; and `ball_by_levels`, the ball walk that stored every level.  The
 replaced parse loop, which built one Syllable per token, is kept as
-`parse_word_by_syllables`.
+`parse_word_by_syllables`.  The ball comparisons that multiplied Elements
+per ball element are kept as `brute_force_conjugate_by_multiply` and
+`compare_centralizer_by_multiply`.
 """
 
 import math
@@ -16,7 +18,7 @@ from collections import deque
 from functools import lru_cache
 
 from graphprod.amalgam import AmalgamError, ConjugatorClass, SubgroupConjugacy, amalgam_form
-from graphprod.conjugacy import are_conjugate
+from graphprod.conjugacy import BruteForceConjugacy, are_conjugate
 from graphprod.cyclic import commuting_factors, cyclic_permutations, cyclically_reduce, ps_decompose
 from graphprod.parabolic import ParabolicSubgroup, parabolic_generators, parabolic_membership
 from graphprod.presentation import _TOKEN_RE, Syllable, Word, WordError, induced_presentation
@@ -517,3 +519,27 @@ def parse_word_by_syllables(pres, text):
         key = group.parse_value(value_text)
         syllables.append(Syllable(name, group.decode(key)))
     return Word(tuple(syllables))
+
+
+def brute_force_conjugate_by_multiply(x, y, radius):
+    """`conjugacy.brute_force_conjugate` with w·x multiplied out as an Element
+    for every ball element w."""
+    for w, yw in iter_ball(x.pres, radius, left=y):
+        if multiply(w, x).key == yw:
+            return BruteForceConjugacy("yes", w)
+    return BruteForceConjugacy("exhausted", None)
+
+
+def compare_centralizer_by_multiply(g, radius, predicted, vertices=None):
+    """`words._compare_centralizer` with u·g multiplied out as an Element for
+    every ball element u: (size, members, violations)."""
+    size = 0
+    members, violations = [], []
+    for u, gu in iter_ball(g.pres, radius, vertices=vertices, left=g):
+        size += 1
+        centralizes = multiply(u, g).key == gu
+        if centralizes:
+            members.append(u)
+        if predicted(u, centralizes) != centralizes:
+            violations.append(u)
+    return size, tuple(members), tuple(violations)

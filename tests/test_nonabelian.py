@@ -13,6 +13,7 @@ from graphprod import corpus, parse_presentation
 from graphprod import conjugacy, cyclic, words
 from graphprod.presentation import PresentationError, Word, WordError, induced_presentation, parse_word
 from graphprod.words import (
+    _compare_centralizer,
     _in_ball,
     _make,
     ball,
@@ -72,6 +73,8 @@ from oracles import (
     alternating_form_by_restarts,
     ball_by_enumeration,
     ball_by_levels,
+    brute_force_conjugate_by_multiply,
+    compare_centralizer_by_multiply,
     conjugator_case_by_search,
     cyclic_reduction_by_repush,
     fold_push,
@@ -592,6 +595,44 @@ def test_brute_force_conjugate_matches_the_stored_ball_loop():
         assert verdict.conjugator == expected
         found += expected is not None
     assert 50 < found < 200
+
+
+def build_pentagon(rng):
+    # a 5-cycle with one Z vertex, rotated by the seed, and Z/3 elsewhere
+    z_at = rng.randrange(5)
+    doc = {
+        "vertices": [{"name": f"p{i}", "group": "Z" if i == z_at else "cyclic 3"} for i in range(5)],
+        "edges": [[f"p{i}", f"p{(i + 1) % 5}"] for i in range(5)],
+    }
+    return parse_presentation(json.dumps(doc))
+
+
+KEY_PRODUCT_PRESENTATIONS = {**BALL_PRESENTATIONS, "pentagon": build_pentagon(random.Random(24))}
+
+
+@pytest.mark.parametrize("name", sorted(KEY_PRODUCT_PRESENTATIONS))
+def test_key_comparisons_match_the_multiply_loops(name):
+    # products of keys find the conjugators, members and violations that
+    # products of Elements did, in the same order
+    pres = KEY_PRODUCT_PRESENTATIONS[name]
+    rng = random.Random(name)
+    pool = ball(pres, 2, window=2)
+    found = violated = 0
+    for _ in range(30):
+        radius = rng.randint(0, 3)
+        x = rng.choice(pool)
+        y = conjugate(rng.choice(pool), x) if rng.random() < 0.5 else rng.choice(pool)
+        verdict = brute_force_conjugate(x, y, radius)
+        assert verdict == brute_force_conjugate_by_multiply(x, y, radius)
+        found += verdict.found
+        vertices = rng.sample(pres.vertices, rng.randint(1, len(pres.vertices))) if rng.random() < 0.5 else None
+        # wrong on every element of one length, so some violations are members and some are not
+        length = rng.randint(0, radius)
+        predicted = lambda u, centralizes: centralizes != (len(u) == length)
+        report = _compare_centralizer(x, radius, predicted, vertices)
+        assert report == compare_centralizer_by_multiply(x, radius, predicted, vertices)
+        violated += bool(report[2])
+    assert found and violated
 
 
 FORM_PRESENTATIONS = {**NORMAL_FORM_PRESENTATIONS, "s3-path": build_s3_path()}

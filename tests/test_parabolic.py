@@ -288,7 +288,7 @@ def test_intersection_degenerate_graphs(kind):
             assert exact.core in (shared, frozenset())
             # with g = h1^-1 h2 in G_A G_B, the answer is h1 a G_(A & B) a^-1 h1^-1
             a, b = (
-                retract_key(pres, key_of_word(pres, corpus.random_word(pres, rng, 2)), map(pres.vertex_index, c))
+                retract_key(pres, key_of_word(pres, corpus.random_word(pres, rng, 2)), {pres.vertex_index(v) for v in c})
                 for c in (p1.core, p2.core)
             )
             h1a = multiply(p1.conjugator, a)
