@@ -14,11 +14,11 @@ from typing import Dict, List, NamedTuple, Tuple
 from .presentation import WordError
 from .words import (
     Element,
+    Key,
     _front_letters,
     _make,
     _push,
     identity,
-    multiply,
 )
 
 
@@ -72,11 +72,21 @@ def cyclically_reduce(e: Element) -> CyclicReduction:
     """Conjugate away end syllables until the element is cyclically reduced.
 
     Each step conjugates by the front syllable a of the least movable vertex
-    v: e = a w becomes w a.  Pushing a back on joins it with the back syllable
-    of v, since everything after that syllable commutes with v, so the
-    length strictly drops and the loop terminates.  The movable vertices and
-    their end syllables depend only on the element, so the steps run on a
-    reduced syllable list that is linearized once at the end.
+    v: e = a w becomes w a.  Everything after the back syllable of v commutes
+    with v, so a joins that syllable, the length strictly drops and the loop
+    terminates.
+
+    The steps never rescan the word.  The syllables keep their positions in
+    e's key, a removed one leaves a hole, and each vertex keeps the positions
+    of its first and last live syllable.  The live syllables in position
+    order are the word each step reaches: a step removes v's front syllable
+    and changes or removes v's back syllable, so the others keep their order.
+    v is movable when it has two live syllables and no vertex outside its
+    star has a first position before v's or a last position after v's.  A
+    step changes only v's positions, and only moves them inward, so it can
+    make movable only v and the vertices outside its star; the rest keep
+    their status.  The live syllables are linearized once at the end; an
+    element that peels nothing is returned as it is.
 
     The conjugator is the peeled syllables in peel order, and that list is
     already canonical:
@@ -97,15 +107,59 @@ def cyclically_reduce(e: Element) -> CyclicReduction:
       vertex gives the same element, but its appended key is out of order.
     """
     pres = e.pres
-    key = list(e.key)
+    key = e.key
+    groups, istar = pres.by_index, pres.istar
+    vals: list = [val for _, val in key]  # None marks a removed syllable
+    at: Dict[int, List[int]] = {}  # vertex -> the positions of its syllables
+    for pos, (vi, _) in enumerate(key):
+        at.setdefault(vi, []).append(pos)
+    support = sorted(at)
+    lo = dict.fromkeys(support, 0)  # at[v][lo[v]:hi[v] + 1] are v's live syllables
+    hi = {vi: len(p) - 1 for vi, p in at.items()}
+    first = {vi: p[0] for vi, p in at.items()}
+    last = {vi: p[-1] for vi, p in at.items()}
+
+    def is_movable(v: int) -> bool:
+        f, l = first[v], last[v]
+        if f >= l:
+            return False
+        star = istar[v]
+        for u in support:
+            if u not in star and (first[u] < f or last[u] > l):
+                return False
+        return True
+
+    movable = {v for v in support if is_movable(v)}
+    if not movable:
+        return CyclicReduction(e, identity(pres))
     conj: List[Tuple[int, int]] = []
-    while True:
-        movable = _movable(pres, key)
-        if not movable:
-            return CyclicReduction(_make(pres, key), Element(pres, tuple(conj)))
-        a = key.pop(movable[min(movable)])
-        conj.append(a)
-        _push(pres, key, (a,))
+    while movable:
+        v = min(movable)
+        a = vals[first[v]]
+        conj.append((v, a))
+        vals[first[v]] = None
+        lo[v] += 1
+        first[v] = at[v][lo[v]]
+        group = groups[v]
+        merged = group.mul(vals[last[v]], a)
+        if merged == group.identity_key:
+            vals[last[v]] = None
+            hi[v] -= 1
+            if hi[v] < lo[v]:  # every syllable of v is gone, and it blocks nothing
+                first[v], last[v] = len(key), -1
+            else:
+                last[v] = at[v][hi[v]]
+        else:
+            vals[last[v]] = merged
+        star = istar[v]
+        for u in support:
+            if u == v or u not in star and u not in movable:
+                if is_movable(u):
+                    movable.add(u)
+                else:
+                    movable.discard(u)
+    live = [(vi, val) for (vi, _), val in zip(key, vals) if val is not None]
+    return CyclicReduction(_make(pres, live), Element(pres, tuple(conj)))
 
 
 def cyclic_permutation_conjugators(e: Element) -> Dict[Element, Element]:
@@ -113,27 +167,38 @@ def cyclic_permutation_conjugators(e: Element) -> Dict[Element, Element]:
 
     Returns a map g' -> p such that p^-1 e p = g'.  The closure moves one
     front-readable syllable to the end at a time, so it does not depend on a
-    choice of reduced expression.
+    choice of reduced expression.  It runs on keys and wraps them as
+    Elements once at the end.  The greedy order goes on after its first pick
+    as it would on the rest alone, so a canonical key without its first
+    syllable is canonical, and that rotation is one push.  A later front
+    syllable leaves a cut that is reduced again.
 
     The closure can be exponential in the length of one commuting factor:
     with b adjacent to none of x0 ... x(k-1) and the x's pairwise adjacent,
     b x0 ... x(k-1) has the 2^k rotations S b (X - S), one for each subset S
-    of the x's (16,384 at 15 syllables, 1.4-1.6 s with Python 3.11).
+    of the x's (16,384 at 15 syllables, 0.8-1.0 s with Python 3.11).
     """
     if not is_cyclically_reduced(e):
         raise WordError("element is not cyclically reduced")
     pres = e.pres
-    found: Dict[Element, Element] = {e: identity(pres)}
-    queue: List[Element] = [e]
-    for current in queue:
-        prefix = found[current]
-        for pos in _front_letters(pres, current.key).values():
-            syl = current.key[pos]
-            rotated = _make(pres, current.key[:pos] + current.key[pos + 1 :] + (syl,))
+    found: Dict[Key, Key] = {e.key: ()}  # rotation -> conjugator
+    queue: List[Key] = [e.key]
+    for key in queue:
+        prefix = found[key]
+        for pos in _front_letters(pres, key).values():
+            syl = key[pos]
+            if pos:
+                rotated = _make(pres, key[:pos] + key[pos + 1 :] + (syl,)).key
+            else:
+                out = list(key[1:])
+                _push(pres, out, (syl,))
+                rotated = tuple(out)
             if rotated not in found:
-                found[rotated] = multiply(prefix, Element(pres, (syl,)))
+                conj = list(prefix)
+                _push(pres, conj, (syl,))
+                found[rotated] = tuple(conj)
                 queue.append(rotated)
-    return found
+    return {Element(pres, key): Element(pres, conj) for key, conj in found.items()}
 
 
 def commuting_factors(e: Element) -> Dict[int, Element]:

@@ -142,16 +142,16 @@ def apply_quotient(family: QuotientFamily, e: Element) -> Element:
 
 def _collect_shape_constraints(constraints: Dict[str, set], elements: Iterable[Element]) -> None:
     for e in elements:
-        pres = e.pres
+        names = e.pres.vertices
         for vi, val in e.key:
-            constraints[pres.vertices[vi]].add(val)
+            constraints[names[vi]].add(val)
 
 
 def _collect_distinctness(constraints: Dict[str, set], elements: Sequence[Element]) -> None:
+    inverses = [invert(e) for e in elements]
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):
-            diff = multiply(elements[i], invert(elements[j]))
-            _collect_shape_constraints(constraints, [diff])
+            _collect_shape_constraints(constraints, [multiply(elements[i], inverses[j])])
 
 
 def _family_from_constraints(

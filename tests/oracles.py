@@ -2,17 +2,22 @@
 
 Everything here works on raw syllable tuples with explicit enumeration and
 never calls the reduction engine's internals, apart from the final `_make` of
-`cyclic_reduction_by_repush`.  Three replaced engine loops are kept as
+the two cyclic reductions and the `_make` of each rotation in
+`rotation_closure_by_make`.  Five replaced engine loops are kept as
 references: `push_syllable`, the one-syllable push that the batched
 `words._push` replaced (`fold_push` folds it over a word);
 `cyclic_reduction_by_repush`, which pushes both end syllables back on at each
-step; and `ball_by_levels`, the ball walk that stored every level.  The
+step; `cyclic_reduction_by_rescan`, which rescans the word for its movable
+vertices at each step; `rotation_closure_by_make`, the rotation closure that
+reduced each rotation in full and kept Elements; and `ball_by_levels`, the
+ball walk that stored every level.  The
 replaced parse loop, which built one Syllable per token, is kept as
 `parse_word_by_syllables`.  The ball comparisons that multiplied Elements
 per ball element are kept as `brute_force_conjugate_by_multiply` and
 `compare_centralizer_by_multiply`.
 """
 
+import itertools
 import math
 from collections import deque
 from functools import lru_cache
@@ -132,6 +137,39 @@ def ball_by_levels(pres, radius, window=None, vertices=None):
                     grown.extend(Element(pres, e.key + ((vi, val),)) for val in vals)
         levels.append(grown)
     return [e for level in levels for e in level]
+
+
+def ball_size_by_growth_series(pres, radius, window=None, vertices=None):
+    """The number of elements of each length 0 ... radius in the ball that
+    `iter_ball` walks, from the growth series alone.
+
+    With syllable length a vertex group offering n syllables, the n of
+    `nontrivial_keys(window)`, has the growth series 1 + n z.  The series G of
+    the graph product satisfies 1/G(z) = sum over the cliques s of the graph,
+    the empty one included, of the product over v in s of (1/G_v(z) - 1)
+    (Chiswell, Bull. LMS 26 (1994)), and 1/G_v(z) - 1 is the sum over k >= 1
+    of (-n z)^k.  The series are cut after z^radius; 1/G starts with 1, so G
+    has integer coefficients.
+    """
+    window = radius if window is None else window
+    indices = range(len(pres.vertices)) if vertices is None else sorted({pres.vertex_index(v) for v in vertices})
+
+    def times(a, b):
+        return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(radius + 1)]
+
+    inverse = [1] + [0] * radius  # 1/G, from the empty clique on
+    for size in range(1, len(indices) + 1):
+        for clique in itertools.combinations(indices, size):
+            if all(v in pres.iadj[u] for u, v in itertools.combinations(clique, 2)):
+                term = [1] + [0] * radius
+                for vi in clique:
+                    n = len(pres.by_index[vi].nontrivial_keys(window))
+                    term = times(term, [0] + [(-n) ** k for k in range(1, radius + 1)])
+                inverse = [x + y for x, y in zip(inverse, term)]
+    series = [1]
+    for n in range(1, radius + 1):
+        series.append(-sum(inverse[k] * series[n - k] for k in range(1, n + 1)))
+    return series
 
 
 def first_letters_by_enumeration(pres, element):
@@ -470,20 +508,60 @@ def cyclic_reduction_by_repush(e):
         push_syllable(pres, conj, *front)
 
 
+def cyclic_reduction_by_rescan(e):
+    """(reduced key, conjugator key) by the loop that the first and last
+    positions of `cyclically_reduce` replaced.
+
+    Each step rescans the whole key for the vertices readable at both ends by
+    different syllables, pops the front syllable of the least one, pushes it
+    back on and appends it to the conjugator.
+    """
+    pres = e.pres
+    key = list(e.key)
+    conj = []
+    while True:
+        ends = _end_positions(pres, key)
+        if not ends:
+            return _make(pres, key).key, tuple(conj)
+        a = key.pop(ends[min(ends)][0])
+        conj.append(a)
+        push_syllable(pres, key, *a)
+
+
+def rotation_closure_by_make(e):
+    """The map rotation -> conjugator of `cyclic_permutation_conjugators`,
+    in its insertion order, by the closure that reduced every rotation in
+    full and kept its queue and map on Elements."""
+    pres = e.pres
+    found = {e: identity(pres)}
+    queue = [e]
+    for current in queue:
+        prefix = found[current]
+        for pos in _readable(pres, current.key, range(len(current.key))).values():
+            syl = current.key[pos]
+            rotated = _make(pres, current.key[:pos] + current.key[pos + 1 :] + (syl,))
+            if rotated not in found:
+                found[rotated] = multiply(prefix, Element(pres, (syl,)))
+                queue.append(rotated)
+    return found
+
+
+def _readable(pres, key, positions):
+    """Each vertex whose first syllable met along positions commutes with
+    every syllable met before it -> that syllable's position, in scan order."""
+    found, seen = {}, set()
+    for pos in positions:
+        vi = key[pos][0]
+        if vi not in seen and all(u in pres.iadj[vi] for u in seen):
+            found[vi] = pos
+        seen.add(vi)
+    return found
+
+
 def _end_positions(pres, key):
     """Each vertex with different front- and back-readable syllables -> their positions."""
-
-    def readable(positions):
-        found, seen = {}, set()
-        for pos in positions:
-            vi = key[pos][0]
-            if vi not in seen and all(u in pres.iadj[vi] for u in seen):
-                found[vi] = pos
-            seen.add(vi)
-        return found
-
-    front = readable(range(len(key)))
-    back = readable(reversed(range(len(key))))
+    front = _readable(pres, key, range(len(key)))
+    back = _readable(pres, key, reversed(range(len(key))))
     return {vi: (pos, back[vi]) for vi, pos in front.items() if vi in back and pos != back[vi]}
 
 

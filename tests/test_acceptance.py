@@ -8,7 +8,9 @@ documented inline.  The rewriting-closure oracle gets the fixed budget of
 1e5 states, so sampled pairs are capped at 10 total syllables (8 where every
 vertex pair commutes), which is what that budget can exhaust.  Criteria 1-8
 build their inputs here and run the checks of `graphprod.selftest`, which
-`gp selftest` runs on its own smaller inputs.
+`gp selftest` runs on its own smaller inputs.  The ball sizes are checked
+first, against the growth series: criteria 2, 7 and 8 walk balls, and a
+fault in the walk should fail there in seconds, not slow those searches down.
 """
 
 import itertools
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from graphprod import corpus
+from graphprod.presentation import load_presentation
 from graphprod.words import ball, element_of, iter_ball, reduce
 from graphprod.cyclic import cyclically_reduce
 from graphprod.conjugacy import are_conjugate, brute_force_conjugate, conjugacy_class_in_ball
@@ -46,6 +49,8 @@ from graphprod.selftest import (
     check_reduction,
     check_witness,
 )
+
+from oracles import ball_size_by_growth_series
 
 DATA = Path(__file__).parent / "data"
 RANDOM_WORDS = 500
@@ -76,6 +81,20 @@ def canonical_buckets(corpora):
 def _complete_graph(pres):
     n = len(pres.vertices)
     return len(pres.graph.edges) == n * (n - 1) // 2
+
+
+def test_ball_sizes_match_the_growth_series():
+    """`iter_ball` walks as many elements of each length as the growth series
+    counts, on the corpus and the data files, on every vertex subset."""
+    presentations = {**corpus.corpus_presentations(), **{p.stem: load_presentation(p) for p in DATA.glob("*.json")}}
+    for name, pres in sorted(presentations.items()):
+        for size in range(1, len(pres.vertices) + 1):
+            for vertices in itertools.combinations(pres.vertices, size):
+                for window in (1, 2):
+                    levels = [0] * 4
+                    for e in iter_ball(pres, 3, window, vertices):
+                        levels[len(e)] += 1
+                    assert levels == ball_size_by_growth_series(pres, 3, window, vertices), (name, vertices, window)
 
 
 def test_criterion_1_normal_form_uniqueness(corpora, canonical_buckets):

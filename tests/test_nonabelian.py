@@ -77,9 +77,11 @@ from oracles import (
     compare_centralizer_by_multiply,
     conjugator_case_by_search,
     cyclic_reduction_by_repush,
+    cyclic_reduction_by_rescan,
     fold_push,
     greedy_least_vertex_first,
     parse_word_by_syllables,
+    rotation_closure_by_make,
     witness_constraints_by_parts,
 )
 
@@ -329,6 +331,66 @@ def test_cyclic_reduction_matches_the_repush_step():
             g = conjugate(u, c)
             r = cyclically_reduce(g)
             assert (r.reduced.key, r.conjugator.key) == cyclic_reduction_by_repush(g), (name, g)
+
+
+def clique_factor_presentation(k):
+    # b is adjacent to no x and the x's form a clique, so b x0 ... x(k-1) is one
+    # commuting factor with 2^k rotations
+    xs = [f"x{i}" for i in range(k)]
+    doc = {
+        "vertices": [{"name": v, "group": "Z"} for v in ["b"] + xs],
+        "edges": [[u, v] for i, u in enumerate(xs) for v in xs[i + 1 :]],
+    }
+    return parse_presentation(json.dumps(doc))
+
+
+def test_cyclic_reduction_and_rotations_match_the_replaced_loops():
+    # cyclically_reduce gives the core and conjugator keys of the peel that
+    # rescanned the word and of the one that pushed both end syllables back,
+    # and returns an input that peels nothing as it is; the closure on keys
+    # gives the map of the closure on Elements, in the same insertion order
+    cyclic_2_3 = parse_presentation(json.dumps({
+        "vertices": [{"name": v, "group": g} for v, g in zip("pqrs", ["cyclic 2", "cyclic 3"] * 2)],
+        "edges": [["p", "q"], ["q", "r"], ["r", "s"]],
+    }))
+    presentations = {
+        **corpus.corpus_presentations(),
+        "s3-path": build_s3_path(),
+        "cyclic-2-3": cyclic_2_3,
+        "clique-factor-3": clique_factor_presentation(3),
+        "clique-factor-4": clique_factor_presentation(4),
+    }
+    rng = random.Random(29)
+
+    def check(g):
+        r = cyclically_reduce(g)
+        assert (r.reduced.key, r.conjugator.key) == cyclic_reduction_by_rescan(g) == cyclic_reduction_by_repush(g), g
+        assert (r.reduced is g) == r.conjugator.is_identity, g
+        again = cyclically_reduce(r.reduced)
+        assert again.reduced is r.reduced and again.conjugator.is_identity, g
+        return r.reduced
+
+    for name, pres in sorted(presentations.items()):
+        inputs = [reduce(pres, corpus.random_word(pres, rng, 8)) for _ in range(60)]
+        if name.startswith("clique-factor"):
+            inputs.append(element_of(pres, " ".join(f"{v}[1]" for v in pres.vertices)))
+        for c in inputs:
+            u = reduce(pres, corpus.random_word(pres, rng, 10))
+            check(conjugate(u, c))
+            core = check(c)
+            rotations = cyclic_permutation_conjugators(core)
+            assert list(rotations.items()) == list(rotation_closure_by_make(core).items()), (name, core)
+
+    # long peels: u of 93, 364 and 1,418 syllables after reduction
+    pres = mixed_hexagon()
+    alphabet = corpus.syllable_alphabet(pres, 2)
+    c = element_of(pres, "a[1] g[r] e[1] b[1]")  # a walk in the complement graph
+    assert is_cyclically_reduced(c)
+    for length in (150, 600, 2200):
+        u = reduce(pres, Word(tuple(rng.choice(alphabet) for _ in range(length))))
+        g = conjugate(u, c)
+        check(g)
+        assert len(g) - len(c) > len(u)  # most of the shell survives, so the peel is long
 
 
 def random_word_text(pres, rng, length):
