@@ -14,8 +14,8 @@ deletes a syllable that commutes with everything after it, a maximal element
 of the trace, whose removal leaves the greedy order of the rest as it was.
 
 `_make` and `multiply` call it once per word; `iter_ball` carries its products
-and the rotation closure pushes one syllable per rotation.  Keys that are
-canonical by construction are wrapped as `Element(pres, key)` instead:
+and the rotation closure pushes onto the canonical part of each cut.  Keys
+that are canonical by construction are wrapped as `Element(pres, key)` instead:
 - the S and P parts of `cyclic.ps_decompose` and `cyclic.commuting_factors`
   (a canonical key restricted to a union of commuting components);
 - the conjugators of `cyclic.cyclically_reduce` (its peeled syllables, in
@@ -23,18 +23,17 @@ canonical by construction are wrapped as `Element(pres, key)` instead:
   vertex order);
 - an input of `cyclic.cyclically_reduce` that peels nothing, returned as it
   is;
-- the rest of a canonical key after its first syllable, which
-  `cyclic.cyclic_permutation_conjugators` pushes that syllable onto (the
-  greedy order goes on after its first pick as it would on the rest alone);
+- a canonical key cut before a front syllable, in the rotations of
+  `cyclic.cyclic_permutation_conjugators`: the part before the cut (the
+  greedy order's first picks), or at position 0 the part after it;
 - the children in `iter_ball` and the back peel in
   `parabolic.parabolic_intersection`;
 - the inputs of `separability.conjugacy_witness`, renumbered onto the
   presentation induced on their joint support (it keeps the vertex order
   and the edges among the kept vertices).
-These cuts break the order and go back through `_make`: front cuts after
-position 0 in the rotations, the cyclic core after a peel, the reversal in
-`invert`, retraction onto an arbitrary vertex set, and raw or unreduced
-syllables.
+These cuts break the order and go back through `_make`: the cyclic core
+after a peel, the reversal in `invert`, retraction onto an arbitrary vertex
+set, and raw or unreduced syllables.
 """
 
 from __future__ import annotations

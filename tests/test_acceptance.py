@@ -51,6 +51,7 @@ from graphprod.selftest import (
 )
 
 from oracles import ball_size_by_growth_series
+from test_nonabelian import SMALL_SCOPE, build_s3_path, small_graph_product
 
 DATA = Path(__file__).parent / "data"
 RANDOM_WORDS = 500
@@ -85,16 +86,24 @@ def _complete_graph(pres):
 
 def test_ball_sizes_match_the_growth_series():
     """`iter_ball` walks as many elements of each length as the growth series
-    counts, on the corpus and the data files, on every vertex subset."""
-    presentations = {**corpus.corpus_presentations(), **{p.stem: load_presentation(p) for p in DATA.glob("*.json")}}
+    counts, at radius 0-4 and windows 1 and 2, on every vertex subset of the
+    corpus, the data files, the S3 path and every graph product on at most two
+    vertices."""
+    presentations = {
+        **corpus.corpus_presentations(),
+        **{p.stem: load_presentation(p) for p in DATA.glob("*.json")},
+        "s3-path": build_s3_path(),
+        **{"-".join(names) + ("-edge" if edge else ""): small_graph_product(names, edge) for names, edge in SMALL_SCOPE},
+    }
     for name, pres in sorted(presentations.items()):
         for size in range(1, len(pres.vertices) + 1):
             for vertices in itertools.combinations(pres.vertices, size):
-                for window in (1, 2):
-                    levels = [0] * 4
-                    for e in iter_ball(pres, 3, window, vertices):
+                for window, radius in itertools.product((1, 2), range(5)):
+                    levels = [0] * (radius + 1)
+                    for e in iter_ball(pres, radius, window, vertices):
                         levels[len(e)] += 1
-                    assert levels == ball_size_by_growth_series(pres, 3, window, vertices), (name, vertices, window)
+                    expected = ball_size_by_growth_series(pres, radius, window, vertices)
+                    assert levels == expected, (name, vertices, window, radius)
 
 
 def test_criterion_1_normal_form_uniqueness(corpora, canonical_buckets):

@@ -68,6 +68,11 @@ def test_cyclically_reduce_examples(path_racg, free_zz):
     assert r3.conjugator == element_of(free_zz, "x[1]")
     assert conjugate(r3.conjugator, r3.reduced) == g
 
+    # x's back syllable cancels against the peeled x[1]; only then is y
+    # readable at both ends, and both of its syllables cancel
+    r4 = cyclically_reduce(element_of(free_zz, "x[1] y[1] x[1] y[-1] x[-1]"))
+    assert (r4.reduced.key, r4.conjugator.key) == (((0, 1),), ((0, 1), (1, 1)))
+
 
 def test_cyclic_permutations_examples(path_racg, free_zz):
     e = element_of(path_racg, "a[1] c[1]")

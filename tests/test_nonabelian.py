@@ -359,6 +359,10 @@ def test_cyclic_reduction_and_rotations_match_the_replaced_loops():
         "cyclic-2-3": cyclic_2_3,
         "clique-factor-3": clique_factor_presentation(3),
         "clique-factor-4": clique_factor_presentation(4),
+        "one-vertex-z": small_graph_product(["Z"], False),
+        "one-vertex-s3": small_graph_product(["S3"], False),
+        "edgeless-6": z_presentation("abcdef", False),
+        "complete-6": z_presentation("abcdef", True),
     }
     rng = random.Random(29)
 
@@ -391,6 +395,36 @@ def test_cyclic_reduction_and_rotations_match_the_replaced_loops():
         g = conjugate(u, c)
         check(g)
         assert len(g) - len(c) > len(u)  # most of the shell survives, so the peel is long
+
+    # six Z vertices: edgeless, u of 103 and 956 syllables after reduction
+    # is peeled; complete, u cancels in the product and nothing is
+    for complete in (False, True):
+        pres = z_presentation("abcdef", complete)
+        alphabet = corpus.syllable_alphabet(pres, 2)
+        c = element_of(pres, "a[1] b[1] c[2]")
+        for length in (120, 1200):
+            u = reduce(pres, Word(tuple(rng.choice(alphabet) for _ in range(length))))
+            g = conjugate(u, c)
+            assert check(g) in cyclic_permutations(c)
+            assert g == c if complete else len(g) - len(c) >= len(u)
+
+    # w, the greatest vertex, is the only movable one at 251 of the 501
+    # steps: its front syllable comes before every other vertex's, so the
+    # scan passes a, b, c and d, all blocked; each separator in u is peeled
+    # in the step after it
+    pres = z_presentation("abcdw", False)
+    c = element_of(pres, "a[1] b[1] c[1]")
+    u = element_of(pres, " ".join(f"w[1] {rng.choice('abcd')}[1]" for _ in range(250)) + " w[1]")
+    g = conjugate(u, c)
+    check(g)
+    r = cyclically_reduce(g)
+    assert (r.reduced, r.conjugator) == (c, u)
+
+
+def z_presentation(names, complete):
+    """Z vertices on the given names, pairwise adjacent or not at all."""
+    edges = [list(e) for e in itertools.combinations(names, 2)] if complete else []
+    return parse_presentation(json.dumps({"vertices": [{"name": v, "group": "Z"} for v in names], "edges": edges}))
 
 
 def random_word_text(pres, rng, length):
@@ -1006,12 +1040,16 @@ SMALL_SCOPE = [((name,), False) for name in SMALL_GROUPS] + [
 ]
 
 
+def small_graph_product(names, edge):
+    vertices = [{"name": f"v{i}", "group": SMALL_GROUPS[name]} for i, name in enumerate(names)]
+    return parse_presentation(json.dumps({"vertices": vertices, "edges": [["v0", "v1"]] if edge else []}))
+
+
 @pytest.mark.parametrize(
     "names, edge", SMALL_SCOPE, ids=["-".join(names) + ("-edge" if edge else "") for names, edge in SMALL_SCOPE]
 )
 def test_every_graph_product_on_two_vertices(names, edge):
-    vertices = [{"name": f"v{i}", "group": SMALL_GROUPS[name]} for i, name in enumerate(names)]
-    pres = parse_presentation(json.dumps({"vertices": vertices, "edges": [["v0", "v1"]] if edge else []}))
+    pres = small_graph_product(names, edge)
     conjugators = ball(pres, 1)
     for g in iter_ball(pres, 3, window=1):
         check_cyclic_reduction(g)
