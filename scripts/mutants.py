@@ -118,9 +118,12 @@ MUTANTS = [
      "rotations = list(cyclic_permutation_conjugators(factor_g))"),
     ("witness-no-one-syllable-branch", S,
      'elif len(factor_g) == 1 and tag == "s-part-not-conjugate":', "elif False:"),
-    ("smallest-modulus-is-1", S,
-     '    """Least admissible modulus keeping every constraint value nonzero."""\n',
-     '    """Least admissible modulus keeping every constraint value nonzero."""\n    return 1\n'),
+    ("smallest-modulus-is-1", S, "    n, p = group.order, mode.p\n",
+     "    return 1\n    n, p = group.order, mode.p\n"),
+    ("modulus-cofactors-first", S,
+     "                    yield d\n            yield from (n // d for d in reversed(small) if d * d != n)\n",
+     "                    yield n // d\n            yield from (d for d in reversed(small) if d * d != n)\n"),
+    ("table-vertex-gets-a-modulus", S, '    if group.kind == "table":\n        return None\n', ""),
     ("distinctness-inverts-i", S, "multiply(elements[i], inverses[j])", "multiply(elements[i], inverses[i])"),
     ("primes-by-nine-bases", S, "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)",
      "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23)"),

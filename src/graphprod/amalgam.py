@@ -35,8 +35,10 @@ from .words import (
     key_of_word,
     multiply,
     power,
+    reduce,
     retract_key,
 )
+from .corpus import random_word
 from .cyclic import cyclically_reduce
 from .conjugacy import are_conjugate
 
@@ -473,17 +475,10 @@ class SigmaAmalgam:
         """
         pres = self.presentation
         rng = random.Random(seed)
-        syllables = []
-        for vi, group in enumerate(pres.by_index):
-            for val in group.nontrivial_keys():
-                syllables.append((vi, val))
         failures = []
         nontrivial = 0
         for _ in range(count):
-            length = rng.randint(0, max(1, radius))
-            key = tuple(rng.choice(syllables) for _ in range(length))
-            w = _make(pres, key)
-            k = self.kernel_element_from(w)
+            k = self.kernel_element_from(reduce(pres, random_word(pres, rng, max(1, radius))))
             if k.is_identity:
                 continue
             nontrivial += 1

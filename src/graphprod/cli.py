@@ -25,10 +25,6 @@ from .presentation import InvariantError, load_presentation
 from .words import element_of, identity, shape
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _text(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
@@ -137,7 +133,7 @@ def cmd_normalizer(pres, args) -> int:
     from .parabolic import ParabolicSubgroup, normalizer_membership
     core = frozenset(v for v in args.core.split(",") if v)
     if not core:
-        raise UsageError("--core must not be empty (comma-separated vertex names)")
+        raise ValueError("--core must not be empty (comma-separated vertex names)")
     conjugator = element_of(pres, args.conjugator) if args.conjugator else identity(pres)
     member = normalizer_membership(ParabolicSubgroup(conjugator, core), element_of(pres, args.word))
     _emit(args, {"member": member})

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import random
 from typing import Dict, Iterator, List, Tuple
 
-from .presentation import GroupPresentation, Syllable, Word, parse_presentation
+from .presentation import GroupPresentation, Syllable, Word, presentation_from_config
 from .words import Element, reduce
 
 PATH_RACG = {
@@ -83,7 +82,7 @@ VARIANT_CONFIGS = {
 
 
 def build(config: dict) -> GroupPresentation:
-    return parse_presentation(json.dumps(config))
+    return presentation_from_config(config)
 
 
 def corpus_presentations() -> Dict[str, GroupPresentation]:

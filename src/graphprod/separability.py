@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
+from itertools import count, takewhile
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence
 
 from .presentation import (
     GroupPresentation,
@@ -157,48 +158,46 @@ def _collect_distinctness(constraints: Dict[str, set], elements: Sequence[Elemen
 def _family_from_constraints(
     pres: GroupPresentation, constraints: Dict[str, set], mode: ClassMode
 ) -> QuotientFamily:
-    moduli: Dict[str, Optional[int]] = {}
-    for v in pres.vertices:
-        group = pres.groups[v]
-        if group.kind == "table":
-            moduli[v] = None
-            continue
-        needed = constraints.get(v, set())
-        moduli[v] = _smallest_modulus(group, needed, mode, v)
+    moduli = {v: _smallest_modulus(pres.groups[v], constraints.get(v, set()), mode, v) for v in pres.vertices}
     return QuotientFamily(pres, moduli, mode)
 
 
-def _divisors(n: int, mode: ClassMode) -> List[int]:
-    """The divisors of n in increasing order, by trial division up to sqrt(n);
-    in p-mode only the powers of p that divide n."""
-    if mode.is_p_mode:
-        powers = [1]
-        while n % (powers[-1] * mode.p) == 0:
-            powers.append(powers[-1] * mode.p)
-        return powers
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
+def _smallest_modulus(group, needed: set, mode: ClassMode, vertex: str) -> Optional[int]:
+    """The vertex's modulus: None for a finite-table group, which is kept, and
+    otherwise the first candidate, in increasing order, that keeps every
+    constraint value nonzero.
 
-
-def _smallest_modulus(group, needed: set, mode: ClassMode, vertex: str) -> int:
-    """Least admissible modulus keeping every constraint value nonzero."""
-    if group.kind == "Z":
-        m = 1
-        while any(d % m == 0 for d in needed):
-            m = m * mode.p if mode.is_p_mode else m + 1
-        return m
-    # integers mod n: admissible moduli are divisors of n; an unconstrained
-    # vertex keeps its group whenever the mode allows, so already-finite
-    # presentations get the identity family
-    n = group.order
-    if not needed and (not mode.is_p_mode or _is_p_power(n, mode.p)):
+    The candidates are every m >= 1 for Z, and for Z/n each divisor d up to
+    sqrt(n) as trial division finds it, then the cofactors n/d; in p-mode only
+    the powers of p (that divide n).  An unconstrained Z/n vertex keeps its
+    group whenever the mode allows, so already-finite presentations get the
+    identity family.
+    """
+    if group.kind == "table":
+        return None
+    n, p = group.order, mode.p
+    if n is not None and not needed and (p is None or _is_p_power(n, p)):
         return n
-    for m in _divisors(n, mode):
-        if all(d % m != 0 for d in needed):
+    if p is not None:
+        candidates = (p**k for k in count())
+        if n is not None:
+            candidates = takewhile(lambda m: n % m == 0, candidates)
+    elif n is None:
+        candidates = count(1)
+    else:
+        def divisors():
+            small = []
+            for d in range(1, math.isqrt(n) + 1):
+                if n % d == 0:
+                    small.append(d)
+                    yield d
+            yield from (n // d for d in reversed(small) if d * d != n)
+
+        candidates = divisors()
+    for m in candidates:
+        if all(d % m for d in needed):
             return m
-    raise PresentationError(
-        f"no admissible modulus at {vertex!r} keeps {sorted(needed)} nonzero"
-    )
+    raise PresentationError(f"no admissible modulus at {vertex!r} keeps {sorted(needed)} nonzero")
 
 
 def shape_preserving_family(elements: Sequence[Element], mode: ClassMode) -> QuotientFamily:

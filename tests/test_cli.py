@@ -301,11 +301,15 @@ def test_pinned_outputs(args, expected_code, expected_out):
     assert (code, out) == (expected_code, expected_out)
 
 
-@pytest.mark.parametrize("mode", ["finite", "p:2"])
-def test_witness_on_huge_cyclic_vertex_is_fast(tmp_path, mode):
-    """The modulus comes from divisors found up to sqrt(n), not from a scan to n."""
+@pytest.mark.parametrize(
+    "mode,order",
+    [("finite", 10**12), ("p:2", 10**12), ("finite", 10**18), ("p:2", 10**18)],
+    ids=["finite", "p:2", "finite-1e18", "p:2-1e18"],
+)
+def test_witness_on_huge_cyclic_vertex_is_fast(tmp_path, mode, order):
+    """Each divisor is tried as trial division finds it, so no scan runs to sqrt(n) or n."""
     group = tmp_path / "huge.json"
-    group.write_text(json.dumps({"vertices": [{"name": "a", "group": "cyclic 1000000000000"}], "edges": []}))
+    group.write_text(json.dumps({"vertices": [{"name": "a", "group": f"cyclic {order}"}], "edges": []}))
     start = time.perf_counter()
     code, out, _ = gp("witness", "-g", str(group), "--mode", mode, "a[3]")
     assert time.perf_counter() - start < 1.0

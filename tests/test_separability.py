@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphprod import corpus, parse_presentation
-from graphprod.presentation import IntegersModGroup, PresentationError, Word
+from graphprod.presentation import FiniteTableGroup, IntegerGroup, IntegersModGroup, PresentationError, Word
 from graphprod.words import element_of, multiply, reduce, shape
 from graphprod.cyclic import is_cyclically_reduced
 from graphprod.conjugacy import are_conjugate
@@ -226,6 +226,21 @@ def test_smallest_modulus_matches_divisor_scan():
                         _smallest_modulus(group, needed, mode, "a")
                 else:
                     assert _smallest_modulus(group, needed, mode, "a") == expected, (n, needed, p)
+
+
+def test_smallest_modulus_of_z_and_table_vertices():
+    """A Z vertex gets the least m >= 1 (in p-mode the least power of p) dividing no
+    needed value, by a plain increasing scan; a table vertex is kept."""
+    needed_sets = [set(), {1}, {2, 3}, {-4, 9, 25}, {6, -10, 15, 49}, {12, 60, 7, 1024}, set(range(1, 40))]
+    for mode in [ALL_FINITE, p_group_mode(2), p_group_mode(3)]:
+        for needed in needed_sets:
+            m = 1
+            while any(d % m == 0 for d in needed):
+                m = m * mode.p if mode.is_p_mode else m + 1
+            assert _smallest_modulus(IntegerGroup(), needed, mode, "a") == m, (needed, mode)
+    table = FiniteTableGroup(["e", "t", "tt"], [[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0)
+    for mode in [ALL_FINITE, p_group_mode(3)]:
+        assert _smallest_modulus(table, {1, 2}, mode, "t") is None
 
 
 def test_primality_matches_trial_division():
