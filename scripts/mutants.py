@@ -74,6 +74,12 @@ MUTANTS = [
      "            continue\n        link = iadj[vi]\n        i = len(out) - 1\n        at = min(at, i + 1)\n"),
     ("canonical-form-no-length-check", W,
      '    if len(e.key) != len(key):\n        raise WordError("word is not reduced")\n', ""),
+    # the rewriting-closure oracle on string states
+    ("closure-no-swaps", W, '                    m = pair[::-1] if wi in iadj[ui] else ""\n',
+     '                    m = ""\n'),
+    ("closure-merge-keeps-left", W, "                    m = code((ui, groups[ui].mul(uval, wval)))\n",
+     "                    m = code((ui, uval))\n"),
+    ("closure-trivial-kept", W, "                trivial.add(codes[s])\n", "                pass\n"),
     # reducedness and ball membership each have one source
     ("no-joinable-pairs", W, "                yield i, j\n",
      "                if False:\n                    yield i, j\n"),

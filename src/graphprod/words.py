@@ -39,6 +39,7 @@ set, and raw or unreduced syllables.
 from __future__ import annotations
 
 import functools
+import sys
 from collections import deque
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -292,56 +293,70 @@ def is_reduced_product(parts: Sequence[Element]) -> bool:
     return len(functools.reduce(multiply, parts)) == sum(len(p) for p in parts)
 
 
-def single_step_rewrites(pres: GroupPresentation, key: Key) -> List[Key]:
-    """All words reachable by one elementary transformation.
-
-    The moves: drop a trivial syllable, merge two adjacent syllables of the
-    same vertex group, or swap adjacent syllables of adjacent vertices.
-    """
-    groups = pres.by_index
-    iadj = pres.iadj
-    results = []
-    for i, (vi, val) in enumerate(key):
-        if groups[vi].is_identity(val):
-            results.append(key[:i] + key[i + 1 :])
-    for i in range(len(key) - 1):
-        (ui, uval), (wi, wval) = key[i], key[i + 1]
-        if ui == wi:
-            results.append(key[:i] + ((ui, groups[ui].mul(uval, wval)),) + key[i + 2 :])
-        elif wi in iadj[ui]:
-            results.append(key[:i] + (key[i + 1], key[i]) + key[i + 2 :])
-    return results
-
-
 def brute_force_equal(pres: GroupPresentation, w1: Word, w2: Word, budget: int) -> bool:
-    """Decide w1 = w2 by exhaustive closure of w1 w2^-1 under the elementary moves.
+    """Decide w1 = w2 by breadth-first closure of w1 w2^-1 under the elementary
+    moves, in this order: drop a trivial syllable (by position), then for each
+    adjacent pair merge two syllables of one vertex or swap two of adjacent
+    vertices.  Succeeds iff the empty word is reached.
 
-    Succeeds iff the empty word is reached.  Raises BudgetExceededError when
-    the closure is not exhausted within the given number of states; that
-    outcome is distinct from "not equal".
+    Raises BudgetExceededError, an outcome distinct from "not equal", when the
+    closure is not exhausted within the given number of states.  A state is a
+    str, one character per distinct syllable, so slicing and hashing run in C.
+    On n syllables in all, a call interns at most n + budget * (n - 1) distinct
+    ones; past the 1,114,112 characters of a str it raises BudgetExceededError.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    groups = pres.by_index
-    k1 = key_of_word(pres, w1)
-    k2 = key_of_word(pres, w2)
+    groups, iadj = pres.by_index, pres.iadj
+    k1, k2 = key_of_word(pres, w1), key_of_word(pres, w2)
     start = k1 + tuple((vi, groups[vi].inv(val)) for vi, val in reversed(k2))
     if not start:
         return True
-    seen = {start}
-    queue = deque([start])
+    syllables, codes, trivial, moves = [], {}, set(), {}  # by character, by syllable, trivial, by pair
+
+    def code(s: Tuple[int, int]) -> str:
+        if s not in codes:
+            if len(syllables) > sys.maxunicode:
+                raise BudgetExceededError("more distinct syllables than a str has characters")
+            codes[s] = chr(len(syllables))
+            syllables.append(s)
+            if s[1] == groups[s[0]].identity_key:  # keys are canonical, so one key is the identity
+                trivial.add(codes[s])
+        return codes[s]
+
+    state = "".join(map(code, start))
+    seen = {state}
+    queue = deque([state])
     explored = 0
     while queue:
         state = queue.popleft()
         explored += 1
         if explored > budget:
             raise BudgetExceededError(f"budget of {budget} states exhausted")
-        for nxt in single_step_rewrites(pres, state):
-            if not nxt:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+        for i, c in enumerate(state):
+            if c in trivial:
+                if len(state) == 1:
+                    return True
+                nxt = state[:i] + state[i + 1 :]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        for i in range(len(state) - 1):
+            pair = state[i : i + 2]
+            try:
+                m = moves[pair]  # the merged character, the swapped pair, or "" for no move
+            except KeyError:
+                (ui, uval), (wi, wval) = syllables[ord(pair[0])], syllables[ord(pair[1])]
+                if ui == wi:
+                    m = code((ui, groups[ui].mul(uval, wval)))
+                else:
+                    m = pair[::-1] if wi in iadj[ui] else ""
+                moves[pair] = m
+            if m:
+                nxt = state[:i] + m + state[i + 2 :]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
     return False
 
 

@@ -12,7 +12,10 @@ vertices at each step; `rotation_closure_by_make`, the rotation closure that
 reduced each rotation in full and kept Elements; and `ball_by_levels`, the
 ball walk that stored every level.  The
 replaced parse loop, which built one Syllable per token, is kept as
-`parse_word_by_syllables`.  The ball comparisons that multiplied Elements
+`parse_word_by_syllables`.  The rewriting closure that searched tuple
+states, one `single_step_rewrites` call per state, is kept as
+`brute_force_equal_by_tuples`, the reference for `words.brute_force_equal`
+on string states.  The ball comparisons that multiplied Elements
 per ball element are kept as `brute_force_conjugate_by_multiply` and
 `compare_centralizer_by_multiply`.
 """
@@ -28,12 +31,14 @@ from graphprod.cyclic import commuting_factors, cyclic_permutations, cyclically_
 from graphprod.parabolic import ParabolicSubgroup, parabolic_generators, parabolic_membership
 from graphprod.presentation import _TOKEN_RE, Syllable, Word, WordError, induced_presentation
 from graphprod.words import (
+    BudgetExceededError,
     Element,
     _make,
     conjugate,
     identity,
     invert,
     iter_ball,
+    key_of_word,
     multiply,
     power,
     reduce,
@@ -621,3 +626,53 @@ def compare_centralizer_by_multiply(g, radius, predicted, vertices=None):
         if predicted(u, centralizes) != centralizes:
             violations.append(u)
     return size, tuple(members), tuple(violations)
+
+
+def single_step_rewrites(pres, key):
+    """All words reachable by one elementary transformation.
+
+    The moves: drop a trivial syllable, merge two adjacent syllables of the
+    same vertex group, or swap adjacent syllables of adjacent vertices.
+    """
+    groups = pres.by_index
+    iadj = pres.iadj
+    results = []
+    for i, (vi, val) in enumerate(key):
+        if groups[vi].is_identity(val):
+            results.append(key[:i] + key[i + 1 :])
+    for i in range(len(key) - 1):
+        (ui, uval), (wi, wval) = key[i], key[i + 1]
+        if ui == wi:
+            results.append(key[:i] + ((ui, groups[ui].mul(uval, wval)),) + key[i + 2 :])
+        elif wi in iadj[ui]:
+            results.append(key[:i] + (key[i + 1], key[i]) + key[i + 2 :])
+    return results
+
+
+def brute_force_equal_by_tuples(pres, w1, w2, budget):
+    """(equal, explored): `words.brute_force_equal` on tuple states, and the
+    number of states it expanded.  Raises BudgetExceededError when that
+    number would pass the budget."""
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    groups = pres.by_index
+    k1 = key_of_word(pres, w1)
+    k2 = key_of_word(pres, w2)
+    start = k1 + tuple((vi, groups[vi].inv(val)) for vi, val in reversed(k2))
+    if not start:
+        return True, 0
+    seen = {start}
+    queue = deque([start])
+    explored = 0
+    while queue:
+        state = queue.popleft()
+        explored += 1
+        if explored > budget:
+            raise BudgetExceededError(f"budget of {budget} states exhausted")
+        for nxt in single_step_rewrites(pres, state):
+            if not nxt:
+                return True, explored
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return False, explored

@@ -1032,9 +1032,9 @@ def test_degenerate_graphs_match_ball_oracle(groups, edges):
     assert len(sample) < yes < len(sample) ** 2
 
 
-SMALL_GROUPS = {"Z": "Z", "Z2": "cyclic 2", "Z3": "cyclic 3", "S3": s3_config()}
+SMALL_GROUPS = {"Z": "Z", "Z2": "cyclic 2", "Z3": "cyclic 3", "S3": s3_config(), "Z1": "cyclic 1"}
 # every graph product on one or two vertices over these groups, up to
-# isomorphism: 4 on one vertex, 10 pairs with the edge and 10 without
+# isomorphism: 5 on one vertex, 15 pairs with the edge and 15 without
 SMALL_SCOPE = [((name,), False) for name in SMALL_GROUPS] + [
     (names, edge) for names in itertools.combinations_with_replacement(SMALL_GROUPS, 2) for edge in (False, True)
 ]

@@ -1,13 +1,14 @@
 import itertools
 import json
 import random
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphprod import corpus, parse_presentation
-from graphprod.presentation import Word, WordError, parse_word, render_word
+from graphprod.presentation import Syllable, Word, WordError, parse_word, render_word
 from graphprod.words import (
     BudgetExceededError,
     brute_force_equal,
@@ -22,15 +23,17 @@ from graphprod.words import (
     reduce,
     shape,
 )
-from graphprod.selftest import check_equality, check_reduction
+from graphprod.selftest import ORACLE_BUDGET, check_equality, check_reduction
 
 from oracles import (
+    brute_force_equal_by_tuples,
     first_letters_by_enumeration,
     last_letters_by_enumeration,
     lexicographic_least_shuffle,
     shuffle_class,
     word_of_key,
 )
+from test_nonabelian import build_s3_path, small_graph_product
 
 PRESENTATIONS = corpus.corpus_presentations()
 
@@ -139,6 +142,68 @@ def test_brute_force_budget_is_an_error(path_racg):
         brute_force_equal(path_racg, w, w, 2)
     with pytest.raises(ValueError):
         brute_force_equal(path_racg, w, w, 0)
+
+
+def normal_forms_oracle_inputs(seed):
+    """(pres, w1, w2) for each oracle call of the selftest's normal_forms suite."""
+    rng = random.Random(seed)
+    for pres in corpus.corpus_presentations().values():
+        words = corpus.random_words(pres, 100, 8, seed=rng.randrange(1 << 30))
+        yield from ((pres, w, Word(())) for w in words if len(w) <= 6)
+        for _ in range(40):
+            w1, w2 = rng.choice(words), rng.choice(words)
+            if len(w1) + len(w2) <= 10:
+                yield pres, w1, w2
+
+
+def pairs_with_trivial_syllables(pres, rng, count, max_len):
+    """count random (w1, w2) of at most max_len syllables in all, over every
+    value of each finite vertex group (the identity too) and the exponents
+    -2..2, each followed by the front of w1 and a shuffle of it (an equal pair)."""
+    alphabet = [
+        Syllable(v, g.decode(k))
+        for v, g in pres.groups.items()
+        for k in (range(-2, 3) if g.order is None else range(g.order))
+    ]
+    for _ in range(count):
+        n1 = rng.randint(0, max_len)
+        w1 = Word(tuple(rng.choices(alphabet, k=n1)))
+        yield pres, w1, Word(tuple(rng.choices(alphabet, k=rng.randint(0, max_len - n1))))
+        front = Word(w1.syllables[: max_len // 2])
+        yield pres, front, corpus.shuffled_variant(pres, front, rng)
+
+
+def test_string_states_search_the_tuple_closure(path_racg):
+    """brute_force_equal gives the tuple-state reference's answer, and the
+    reference's count E of explored states is its budget boundary: it answers
+    at budget E and gives up at E - 1."""
+    rng = random.Random(5)
+    inputs = list(itertools.islice(normal_forms_oracle_inputs(0), 0, None, 3))
+    for pres in (
+        build_s3_path(),
+        small_graph_product(("Z2", "Z3"), False),
+        small_graph_product(("Z3", "Z3"), True),
+        small_graph_product(("Z1", "Z2"), False),
+        small_graph_product(("Z1", "S3"), True),
+    ):
+        inputs += pairs_with_trivial_syllables(pres, rng, 20, 7)
+    w = lambda text: parse_word(path_racg, text)
+    inputs += [(path_racg, w(a), w(b)) for a, b in [("a[0]", ""), ("a[0] a[0]", ""), ("", ""), ("a[0]", "b[0] a[1]")]]
+    for pres, w1, w2 in inputs:
+        equal, explored = brute_force_equal_by_tuples(pres, w1, w2, ORACLE_BUDGET)
+        assert brute_force_equal(pres, w1, w2, max(explored, 1)) == equal, (render_word(pres, w1), render_word(pres, w2))
+        if explored > 1:
+            with pytest.raises(BudgetExceededError):
+                brute_force_equal(pres, w1, w2, explored - 1)
+
+
+def test_brute_force_code_space_is_an_unknown(path_racg, monkeypatch):
+    # a state holds one character per distinct syllable; past the last
+    # character the closure is undecided, never an answer
+    w = parse_word(path_racg, "a[1] b[1] c[1]")
+    monkeypatch.setattr(sys, "maxunicode", 1)
+    with pytest.raises(BudgetExceededError, match="characters"):
+        brute_force_equal(path_racg, w, w, 100)
 
 
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
