@@ -74,6 +74,10 @@ MUTANTS = [
      "            continue\n        link = iadj[vi]\n        i = len(out) - 1\n        at = min(at, i + 1)\n"),
     ("canonical-form-no-length-check", W,
      '    if len(e.key) != len(key):\n        raise WordError("word is not reduced")\n', ""),
+    # each distinct syllable is translated once per call, and only equal syllables share a translation
+    ("key-memo-any-type", W, "        exact = type(s.value) in _EXACT\n", "        exact = True\n"),
+    ("word-memo-by-value", W, "get(p) or setdefault(p, decode(*p))", "get(p[1]) or setdefault(p[1], decode(*p))"),
+    ("invert-memo-by-vertex", W, "        q = get(p)\n", "        q = get(p[0])\n"),
     # the rewriting-closure oracle on string states
     ("closure-no-swaps", W, '                    m = pair[::-1] if wi in iadj[ui] else ""\n',
      '                    m = ""\n'),

@@ -414,29 +414,33 @@ class Word(NamedTuple):
         return len(self.syllables)
 
 
-def _parse_key(pres: GroupPresentation, text: str) -> List[Tuple[int, int]]:
-    """The unreduced (vertex index, value key) pairs of whitespace-separated
-    NAME[VALUE] tokens; "1" or "" gives none."""
+def _parse_key(pres: GroupPresentation, text: str, make=lambda vi, key: (vi, key)) -> list:
+    """make(vertex index, value key) of each whitespace-separated NAME[VALUE]
+    token, unreduced and made once per distinct token; "1" or "" gives none."""
     stripped = text.strip()
     if stripped == "1":
         return []
     ids, groups = pres.graph.ids, pres.by_index
-    key = []
+    memo = {}  # token -> what make gave for it
+    get, key = memo.get, []
     for token in stripped.split():
-        match = _TOKEN_RE.match(token)
-        if not match:
-            raise WordError(f"bad token {token!r} (expected NAME[VALUE])")
-        name, value_text = match.groups()
-        vi = ids.get(name)
-        if vi is None:
-            raise WordError(f"unknown vertex {name!r}")
-        key.append((vi, groups[vi].parse_value(value_text)))
+        item = get(token)
+        if item is None:
+            match = _TOKEN_RE.match(token)
+            if not match:
+                raise WordError(f"bad token {token!r} (expected NAME[VALUE])")
+            name, value_text = match.groups()
+            vi = ids.get(name)
+            if vi is None:
+                raise WordError(f"unknown vertex {name!r}")
+            item = memo[token] = make(vi, groups[vi].parse_value(value_text))
+        key.append(item)
     return key
 
 
 def parse_word(pres: GroupPresentation, text: str) -> Word:
     """Parse whitespace-separated NAME[VALUE] tokens; "1" or "" is the identity."""
-    return Word(tuple(pres.decode_syllable(vi, val) for vi, val in _parse_key(pres, text)))
+    return Word(tuple(_parse_key(pres, text, pres.decode_syllable)))
 
 
 def render_word(pres: GroupPresentation, word: Word) -> str:

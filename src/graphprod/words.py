@@ -4,7 +4,8 @@ Internally a word is a tuple of (vertex_index, value_key) pairs.  An Element
 wraps the canonical fully-reduced form: no trivial syllables, no two joinable
 syllables, linearized greedily so that the least available vertex always comes
 first.  Two elements are equal in the graph product iff their canonical forms
-are identical.
+are identical.  `key_of_word`, `Element.word` and `invert` translate each
+distinct syllable once per call, in a dict that lives only for that call.
 
 Reduction produces that form in one pass: `_push`, the one reduction loop,
 multiplies syllables onto a reduced list and keeps it in least-vertex-first
@@ -51,6 +52,7 @@ from .presentation import (
 )
 
 Key = Tuple[Tuple[int, int], ...]
+_EXACT = frozenset((int, str))  # equal values of these types are interchangeable; True == 1 and 2.0 == 2 are not
 
 
 class BudgetExceededError(RuntimeError):
@@ -98,7 +100,9 @@ class Element:
         return frozenset(names[vi] for vi, _ in self.key)
 
     def word(self) -> Word:
-        return Word(tuple(self.pres.decode_syllable(vi, val) for vi, val in self.key))
+        memo = {}  # (vertex index, value key) -> its Syllable; a key of an int subclass is decoded each time
+        get, setdefault, decode = memo.get, memo.setdefault, self.pres.decode_syllable
+        return Word(tuple([get(p) or setdefault(p, decode(*p)) if type(p[1]) is int else decode(*p) for p in self.key]))
 
     def render(self) -> str:
         """The word text of the normal form, as parse_word reads it; "1" when empty."""
@@ -135,12 +139,19 @@ def _supported_in(e: Element, ids) -> bool:
 
 def key_of_word(pres: GroupPresentation, word: Word) -> Key:
     ids, groups = pres.graph.ids, pres.by_index
-    key = []
+    memo = {}  # syllable -> its pair, for values of a type in _EXACT; any other value is encoded each time
+    get, key = memo.get, []
     for s in word.syllables:
-        vi = ids.get(s.vertex)
-        if vi is None:
-            vi = pres.vertex_index(s.vertex)  # raises on an unknown vertex
-        key.append((vi, groups[vi].encode(s.value)))
+        exact = type(s.value) in _EXACT
+        pair = get(s) if exact else None
+        if pair is None:
+            vi = ids.get(s.vertex)
+            if vi is None:
+                vi = pres.vertex_index(s.vertex)  # raises on an unknown vertex
+            pair = (vi, groups[vi].encode(s.value))
+            if exact:
+                memo[s] = pair
+        key.append(pair)
     return tuple(key)
 
 
@@ -268,8 +279,13 @@ def multiply(a: Element, b: Element) -> Element:
 
 
 def invert(a: Element) -> Element:
-    groups = a.pres.by_index
-    key = tuple((vi, groups[vi].inv(val)) for vi, val in reversed(a.key))
+    groups, memo = a.pres.by_index, {}  # (vertex index, value key) -> its inverse; equal keys have equal int inverses
+    get, key = memo.get, []
+    for p in reversed(a.key):
+        q = get(p)
+        if q is None:
+            q = memo[p] = (p[0], groups[p[0]].inv(p[1]))
+        key.append(q)
     return _make(a.pres, key)
 
 

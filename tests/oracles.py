@@ -2,7 +2,7 @@
 
 Everything here works on raw syllable tuples with explicit enumeration and
 never calls the reduction engine's internals, apart from the final `_make` of
-the two cyclic reductions and the `_make` of each rotation in
+the two cyclic reductions, of `invert_by_syllable` and of each rotation in
 `rotation_closure_by_make`.  Five replaced engine loops are kept as
 references: `push_syllable`, the one-syllable push that the batched
 `words._push` replaced (`fold_push` folds it over a word);
@@ -10,13 +10,16 @@ references: `push_syllable`, the one-syllable push that the batched
 step; `cyclic_reduction_by_rescan`, which rescans the word for its movable
 vertices at each step; `rotation_closure_by_make`, the rotation closure that
 reduced each rotation in full and kept Elements; and `ball_by_levels`, the
-ball walk that stored every level.  The
-replaced parse loop, which built one Syllable per token, is kept as
-`parse_word_by_syllables`.  The rewriting closure that searched tuple
-states, one `single_step_rewrites` call per state, is kept as
+ball walk that stored every level.  The replaced parse loop, which built one
+Syllable per token, is kept as `parse_word_by_syllables`.  The loops that
+translated every position of a word, which the per-call dicts of
+`words.key_of_word`, `Element.word` and `words.invert` replaced, are kept as
+`key_of_word_by_syllable` (encode), `word_of_key` (decode) and
+`invert_by_syllable`.  The rewriting closure that searched tuple states, one
+`single_step_rewrites` call per state, is kept as
 `brute_force_equal_by_tuples`, the reference for `words.brute_force_equal`
-on string states.  The ball comparisons that multiplied Elements
-per ball element are kept as `brute_force_conjugate_by_multiply` and
+on string states.  The ball comparisons that multiplied Elements per ball
+element are kept as `brute_force_conjugate_by_multiply` and
 `compare_centralizer_by_multiply`.
 """
 
@@ -602,6 +605,28 @@ def parse_word_by_syllables(pres, text):
         key = group.parse_value(value_text)
         syllables.append(Syllable(name, group.decode(key)))
     return Word(tuple(syllables))
+
+
+
+def key_of_word_by_syllable(pres, word):
+    """The key of a word, encoded at every position: the loop that
+    `words.key_of_word` replaced, kept as it was."""
+    ids, groups = pres.graph.ids, pres.by_index
+    key = []
+    for s in word.syllables:
+        vi = ids.get(s.vertex)
+        if vi is None:
+            vi = pres.vertex_index(s.vertex)  # raises on an unknown vertex
+        key.append((vi, groups[vi].encode(s.value)))
+    return tuple(key)
+
+
+def invert_by_syllable(a):
+    """The inverse of an Element, one `inv` call per position: the loop that
+    `words.invert` replaced, kept as it was."""
+    groups = a.pres.by_index
+    key = tuple((vi, groups[vi].inv(val)) for vi, val in reversed(a.key))
+    return _make(a.pres, key)
 
 
 def brute_force_conjugate_by_multiply(x, y, radius):

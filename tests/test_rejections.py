@@ -47,6 +47,8 @@ from graphprod.words import (
     reduce,
 )
 
+from oracles import key_of_word_by_syllable
+
 P = corpus.corpus_presentations()
 PATH, STAR, FREE, EDGE, MIXED = P["path-racg"], P["star-racg"], P["free-zz"], P["edge-zz"], P["triangle-mixed"]
 AT_C = decompose_at(PATH, "c")
@@ -161,6 +163,27 @@ REJECTIONS = {
         "not an integer exponent",
     ),
     "reduce-bool-residue": (lambda: reduce(PATH, Word((Syllable("a", True),))), WordError, "not an integer residue"),
+    # a valid syllable, then an equal-hashing invalid one (True == 1, 2.0 == 2, False == 0)
+    "reduce-bool-after-equal-exponent": (
+        lambda: reduce(FREE, Word((Syllable("x", 1), Syllable("x", True)))),
+        WordError,
+        "not an integer exponent",
+    ),
+    "reduce-float-after-equal-exponent": (
+        lambda: reduce(FREE, Word((Syllable("x", 2), Syllable("x", 2.0)))),
+        WordError,
+        "not an integer exponent",
+    ),
+    "reduce-bool-after-equal-residue": (
+        lambda: reduce(PATH, Word((Syllable("a", 1), Syllable("a", True)))),
+        WordError,
+        "not an integer residue",
+    ),
+    "reduce-false-after-equal-residue": (
+        lambda: reduce(PATH, Word((Syllable("a", 0), Syllable("a", False)))),
+        WordError,
+        "not an integer residue",
+    ),
     # vertex groups, graphs and presentations
     "group-table-missing-keys": (
         lambda: vertex_group_from_config({"table": {"elements": ["e"]}}),
@@ -225,6 +248,32 @@ def test_rejects(name):
     call, error, message = REJECTIONS[name]
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "pres, valid, invalid",
+    [(FREE, 1, True), (FREE, 2, 2.0), (PATH, 1, True), (PATH, 0, False)],
+    ids=["exponent-1-True", "exponent-2-2.0", "residue-1-True", "residue-0-False"],
+)
+def test_equal_hashing_value_is_rejected_as_when_alone(pres, valid, invalid):
+    vertex = pres.vertices[0]
+    with pytest.raises(WordError) as alone:
+        key_of_word(pres, Word((Syllable(vertex, invalid),)))
+    with pytest.raises(WordError) as after:
+        key_of_word(pres, Word((Syllable(vertex, valid), Syllable(vertex, invalid))))
+    assert str(after.value) == str(alone.value)
+
+
+def test_key_values_keep_the_reference_types():
+    # exact ints, an int subclass equal to them and table names, repeated along a long word
+    count = type("Count", (int,), {})
+    values = {"x": [2, count(2), -1, count(-1)], "y": [count(3), 3]}
+    syllables = [Syllable(v, values[v][i % len(values[v])]) for i in range(1500) for v in "xy"]
+    key = key_of_word(FREE, Word(tuple(syllables)))
+    reference = key_of_word_by_syllable(FREE, Word(tuple(syllables)))
+    assert key == reference
+    assert [type(val) for _, val in key] == [type(val) for _, val in reference]
+    assert {type(val) for _, val in key} == {int, count}
 
 
 def test_degenerate_answers():

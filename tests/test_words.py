@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,12 +29,15 @@ from graphprod.selftest import ORACLE_BUDGET, check_equality, check_reduction
 from oracles import (
     brute_force_equal_by_tuples,
     first_letters_by_enumeration,
+    invert_by_syllable,
+    key_of_word_by_syllable,
     last_letters_by_enumeration,
     lexicographic_least_shuffle,
+    parse_word_by_syllables,
     shuffle_class,
     word_of_key,
 )
-from test_nonabelian import build_s3_path, small_graph_product
+from test_nonabelian import build_s3_path, s3_config, small_graph_product
 
 PRESENTATIONS = corpus.corpus_presentations()
 
@@ -327,3 +331,65 @@ def test_ball_window_must_be_nonnegative(free_zz, path_racg):
     # window 0 leaves no integer syllables; finite vertex groups keep theirs
     assert ball(free_zz, 2, window=0) == [identity(free_zz)]
     assert ball(path_racg, 6, window=0) == ball(path_racg, 6)
+
+
+def translation_presentations():
+    """Every tests/data presentation, S3 -- C2 -- Z, and a cyclic 1 vertex beside a Z one."""
+    data = Path(__file__).parent / "data"
+    named = {path.stem: parse_presentation(path.read_text()) for path in sorted(data.glob("*.json"))}
+    named["s3-path"] = build_s3_path()
+    named["s3-cyclic-1"] = parse_presentation(
+        json.dumps(
+            {
+                "vertices": [{"name": "g", "group": s3_config()}, {"name": "o", "group": "cyclic 1"}],
+                "edges": [["g", "o"]],
+            }
+        )
+    )
+    named["cyclic-1-z"] = parse_presentation(
+        json.dumps({"vertices": [{"name": "o", "group": "cyclic 1"}, {"name": "z", "group": "Z"}], "edges": []})
+    )
+    return named
+
+
+def translation_words(pres, length, repeated, rng):
+    """A word of the given length: its syllables as distinct as the vertex groups
+    allow (integer values are all distinct), or drawn from two per vertex with
+    an int subclass among them, so most positions repeat an earlier one."""
+    count = type("Count", (int,), {})
+    alphabet = []
+    for v in pres.vertices:
+        group = pres.groups[v]
+        if group.kind == "table":
+            names = list(group.elements)
+            alphabet += [Syllable(v, name) for name in (names[:2] if repeated else names)]
+        elif repeated:
+            alphabet += [Syllable(v, 1), Syllable(v, count(1))]
+        else:
+            alphabet += [Syllable(v, value) for value in range(-length, length + 1)]
+    if repeated:
+        return Word(tuple(rng.choice(alphabet) for _ in range(length)))
+    rng.shuffle(alphabet)
+    return Word(tuple(alphabet[i % len(alphabet)] for i in range(length)))
+
+
+def typed(pairs):
+    return [(a, b, type(b)) for a, b in pairs]
+
+
+def test_translation_matches_the_per_syllable_loops():
+    # encode, decode, invert and parse against the loops they replaced, value types included
+    rng = random.Random(31)
+    for name, pres in translation_presentations().items():
+        for length in (0, 1, 30, 3000):
+            for repeated in (False, True):
+                word = translation_words(pres, length, repeated, rng)
+                key = key_of_word(pres, word)
+                assert typed(key) == typed(key_of_word_by_syllable(pres, word)), (name, length, repeated)
+                e = reduce(pres, word)
+                assert typed(e.word().syllables) == typed(word_of_key(pres, e.key).syllables)
+                assert typed(invert(e).key) == typed(invert_by_syllable(e).key)
+                text = render_word(pres, word)
+                parsed = parse_word_by_syllables(pres, text)
+                assert typed(parse_word(pres, text).syllables) == typed(parsed.syllables)
+                assert element_of(pres, text) == reduce(pres, parsed)
