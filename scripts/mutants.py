@@ -76,8 +76,12 @@ MUTANTS = [
      '    if len(e.key) != len(key):\n        raise WordError("word is not reduced")\n', ""),
     # each distinct syllable is translated once per call, and only equal syllables share a translation
     ("key-memo-any-type", W, "        exact = type(s.value) in _EXACT\n", "        exact = True\n"),
-    ("word-memo-by-value", W, "get(p) or setdefault(p, decode(*p))", "get(p[1]) or setdefault(p[1], decode(*p))"),
-    ("invert-memo-by-vertex", W, "        q = get(p)\n", "        q = get(p[0])\n"),
+    ("word-memo-by-value", W, "s = memo.get(p) if exact else None\n            if s is None:\n                s = decode(*p)\n"
+     "                if exact:\n                    memo[p] = s\n",
+     "s = memo.get(p[1]) if exact else None\n            if s is None:\n                s = decode(*p)\n"
+     "                if exact:\n                    memo[p[1]] = s\n"),
+    ("invert-memo-by-vertex", W, "        q = memo.get(p)\n        if q is None:\n            q = memo[p] = ",
+     "        q = memo.get(p[0])\n        if q is None:\n            q = memo[p[0]] = "),
     # the rewriting-closure oracle on string states
     ("closure-no-swaps", W, '                    m = pair[::-1] if wi in iadj[ui] else ""\n',
      '                    m = ""\n'),

@@ -416,25 +416,20 @@ class Word(NamedTuple):
 
 def _parse_key(pres: GroupPresentation, text: str, make=lambda vi, key: (vi, key)) -> list:
     """make(vertex index, value key) of each whitespace-separated NAME[VALUE]
-    token, unreduced and made once per distinct token; "1" or "" gives none."""
+    token, unreduced; "1" or "" gives none."""
     stripped = text.strip()
     if stripped == "1":
         return []
-    ids, groups = pres.graph.ids, pres.by_index
-    memo = {}  # token -> what make gave for it
-    get, key = memo.get, []
+    ids, groups, key = pres.graph.ids, pres.by_index, []
     for token in stripped.split():
-        item = get(token)
-        if item is None:
-            match = _TOKEN_RE.match(token)
-            if not match:
-                raise WordError(f"bad token {token!r} (expected NAME[VALUE])")
-            name, value_text = match.groups()
-            vi = ids.get(name)
-            if vi is None:
-                raise WordError(f"unknown vertex {name!r}")
-            item = memo[token] = make(vi, groups[vi].parse_value(value_text))
-        key.append(item)
+        match = _TOKEN_RE.match(token)
+        if not match:
+            raise WordError(f"bad token {token!r} (expected NAME[VALUE])")
+        name, value_text = match.groups()
+        vi = ids.get(name)
+        if vi is None:
+            raise WordError(f"unknown vertex {name!r}")
+        key.append(make(vi, groups[vi].parse_value(value_text)))
     return key
 
 

@@ -100,9 +100,16 @@ class Element:
         return frozenset(names[vi] for vi, _ in self.key)
 
     def word(self) -> Word:
-        memo = {}  # (vertex index, value key) -> its Syllable; a key of an int subclass is decoded each time
-        get, setdefault, decode = memo.get, memo.setdefault, self.pres.decode_syllable
-        return Word(tuple([get(p) or setdefault(p, decode(*p)) if type(p[1]) is int else decode(*p) for p in self.key]))
+        memo, out, decode = {}, [], self.pres.decode_syllable  # memo: key pair -> its Syllable, for exact int values
+        for p in self.key:
+            exact = type(p[1]) is int
+            s = memo.get(p) if exact else None
+            if s is None:
+                s = decode(*p)
+                if exact:
+                    memo[p] = s
+            out.append(s)
+        return Word(tuple(out))
 
     def render(self) -> str:
         """The word text of the normal form, as parse_word reads it; "1" when empty."""
@@ -138,9 +145,8 @@ def _supported_in(e: Element, ids) -> bool:
 
 
 def key_of_word(pres: GroupPresentation, word: Word) -> Key:
-    ids, groups = pres.graph.ids, pres.by_index
-    memo = {}  # syllable -> its pair, for values of a type in _EXACT; any other value is encoded each time
-    get, key = memo.get, []
+    ids, groups, memo, key = pres.graph.ids, pres.by_index, {}, []  # memo: syllable -> its pair, for values in _EXACT
+    get = memo.get  # bound once: most syllables of a short word miss
     for s in word.syllables:
         exact = type(s.value) in _EXACT
         pair = get(s) if exact else None
@@ -279,10 +285,9 @@ def multiply(a: Element, b: Element) -> Element:
 
 
 def invert(a: Element) -> Element:
-    groups, memo = a.pres.by_index, {}  # (vertex index, value key) -> its inverse; equal keys have equal int inverses
-    get, key = memo.get, []
+    groups, memo, key = a.pres.by_index, {}, []  # memo: key pair -> its inverse; equal pairs have equal int inverses
     for p in reversed(a.key):
-        q = get(p)
+        q = memo.get(p)
         if q is None:
             q = memo[p] = (p[0], groups[p[0]].inv(p[1]))
         key.append(q)
