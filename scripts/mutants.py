@@ -2,9 +2,9 @@
 """Mutation check: each named source edit must make Tier-1 fail.
 
 Every entry of MUTANTS is one deliberate fault: a file, its exact old text and
-the new text.  Each edit is applied in a fresh temporary copy of src/, tests/
-and scripts/, Tier-1 runs there with -x, and the script prints one line per
-edit:
+the new text.  Each edit is applied in a fresh temporary copy of src/,
+tests/, scripts/ and perfbench/, Tier-1 runs there with -x, and the script
+prints one line per edit:
 
     killed    Tier-1 failed (or ran out of time or memory)
     survived  Tier-1 passed: no test sees the fault
@@ -35,7 +35,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "scripts")
+COPIED = ("src", "tests", "scripts", "perfbench")
 # tests/test_mutants.py checks that each old text occurs once in the unmutated
 # tree; in a mutated copy it is gone by design, so that file is not run there.
 TIER1 = [
@@ -76,10 +76,8 @@ MUTANTS = [
      '    if len(e.key) != len(key):\n        raise WordError("word is not reduced")\n', ""),
     # each distinct syllable is translated once per call, and only equal syllables share a translation
     ("key-memo-any-type", W, "        exact = type(s.value) in _EXACT\n", "        exact = True\n"),
-    ("word-memo-by-value", W, "s = memo.get(p) if exact else None\n            if s is None:\n                s = decode(*p)\n"
-     "                if exact:\n                    memo[p] = s\n",
-     "s = memo.get(p[1]) if exact else None\n            if s is None:\n                s = decode(*p)\n"
-     "                if exact:\n                    memo[p[1]] = s\n"),
+    ("word-memo-by-value", W, "s = memo.get(p)\n            if s is None:\n                s = memo[p] = decode(*p)\n",
+     "s = memo.get(p[1])\n            if s is None:\n                s = memo[p[1]] = decode(*p)\n"),
     ("invert-memo-by-vertex", W, "        q = memo.get(p)\n        if q is None:\n            q = memo[p] = ",
      "        q = memo.get(p[0])\n        if q is None:\n            q = memo[p[0]] = "),
     # the rewriting-closure oracle on string states
@@ -176,9 +174,9 @@ MUTANTS = [
     ("trivial-mod-vertex-generates", PB, "keys = [1] if group.order > 1 else []", "keys = [1] if group.order >= 1 else []"),
     # the integer encoders reject bools, which JSON true and false load as
     ("encode-fast-path-takes-bool", PR,
-     '        if type(value) is not int and not _is_int(value):\n'
+     '        if type(value) is int:\n            return value\n        if not _is_int(value):\n'
      '            raise WordError(f"{value!r} is not an integer exponent")\n',
-     '        if not isinstance(value, int):\n'
+     '        if isinstance(value, int):\n            return value\n        if not _is_int(value):\n'
      '            raise WordError(f"{value!r} is not an integer exponent")\n'),
     # adjacency is stored once, as iadj, in both directions
     ("adjacency-one-sided", PR, "            adj[index[v]].add(index[u])\n", ""),
@@ -194,6 +192,10 @@ MUTANTS = [
      "import dataclasses\nfrom typing import Dict, List, NamedTuple, Tuple\n"),
     ("parabolic-imports-dataclasses", PB, "from typing import Iterable, List, NamedTuple\n",
      "import dataclasses\nfrom typing import Iterable, List, NamedTuple\n"),
+    # every top-level definition serves gp, gp selftest or the public API
+    ("unreachable-definition", C, "    return {root: Element(pres, tuple(part)) for root, part in sorted(parts.items())}\n",
+     "    return {root: Element(pres, tuple(part)) for root, part in sorted(parts.items())}\n\n\n"
+     "def factor_count(e: Element) -> int:\n    return len(commuting_factors(e))\n"),
 ]
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional, Set, Tuple
 
-from .presentation import GroupPresentation, InvariantError, PresentationError, WordError
+from .presentation import GroupPresentation, InvariantError, PresentationError
 from .words import (
     Element,
     _check_same,
@@ -20,15 +20,7 @@ from .cyclic import (
     commuting_factors,
     cyclic_permutation_conjugators,
     cyclically_reduce,
-    is_cyclically_reduced,
     ps_decompose,
-)
-
-REFUTATION_TAGS = (
-    "support-mismatch",
-    "length-mismatch",
-    "p-part-not-cyclic-permutation",
-    "s-part-not-conjugate",
 )
 
 
@@ -157,15 +149,4 @@ def _rotation_conjugator(g: Element, g_prime: Element) -> Optional[Element]:
         if target not in table:
             return None
         p = multiply(p, table[target])
-    return p
-
-
-def conjugator_of_cyclic_permutation(g: Element, g_prime: Element) -> Element:
-    """The prefix p with p^-1 g p = g_prime, replayed factor by factor."""
-    _check_same(g, g_prime)
-    if not is_cyclically_reduced(g):
-        raise WordError("element is not cyclically reduced")
-    p = _rotation_conjugator(g, g_prime)
-    if p is None:
-        raise ValueError("second element is not a cyclic permutation of the first")
     return p

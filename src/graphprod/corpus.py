@@ -75,18 +75,9 @@ CORPUS_CONFIGS = {
     "triangle-mixed": TRIANGLE_MIXED,
 }
 
-VARIANT_CONFIGS = {
-    "path-c3-end": PATH_C3_END,
-    "path-c3-mid": PATH_C3_MID,
-}
-
-
-def build(config: dict) -> GroupPresentation:
-    return presentation_from_config(config)
-
 
 def corpus_presentations() -> Dict[str, GroupPresentation]:
-    return {name: build(cfg) for name, cfg in CORPUS_CONFIGS.items()}
+    return {name: presentation_from_config(cfg) for name, cfg in CORPUS_CONFIGS.items()}
 
 
 def syllable_alphabet(pres: GroupPresentation, z_window: int = 2) -> List[Syllable]:

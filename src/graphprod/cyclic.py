@@ -211,8 +211,3 @@ def commuting_factors(e: Element) -> Dict[int, Element]:
     for syl in e.key:
         parts.setdefault(root_of[syl[0]], []).append(syl)
     return {root: Element(pres, tuple(part)) for root, part in sorted(parts.items())}
-
-
-def cyclic_permutations(e: Element) -> frozenset:
-    """The set of cyclic permutations of a cyclically reduced element."""
-    return frozenset(cyclic_permutation_conjugators(e))

@@ -184,9 +184,11 @@ class IntegerGroup:
         return [e for e in range(-window, window + 1) if e != 0]
 
     def encode(self, value) -> int:
-        if type(value) is not int and not _is_int(value):
+        if type(value) is int:
+            return value
+        if not _is_int(value):
             raise WordError(f"{value!r} is not an integer exponent")
-        return value
+        return int(value)  # keys are exact ints
 
     def decode(self, key: int) -> int:
         return key
@@ -225,9 +227,11 @@ class IntegersModGroup:
         return range(1, self.order)
 
     def encode(self, value) -> int:
-        if type(value) is not int and not _is_int(value):
+        if type(value) is int:
+            return value % self.order
+        if not _is_int(value):
             raise WordError(f"{value!r} is not an integer residue")
-        return value % self.order
+        return int(value) % self.order
 
     def decode(self, key: int) -> int:
         return key

@@ -14,18 +14,18 @@ import traceback
 from typing import Callable, List
 
 from . import corpus
-from .presentation import Word, render_word
+from .presentation import Word, presentation_from_config, render_word
 from .words import (
     _compare_centralizer,
     _in_ball,
     _joinable_pairs,
-    ball,
     brute_force_equal,
     canonical_form,
     conjugate,
     element_of,
     invert,
     is_reduced_key,
+    iter_ball,
     key_of_word,
     multiply,
     reduce,
@@ -305,7 +305,7 @@ def _suite_consonants(seed: int) -> str:
 def _suite_centralizers(seed: int) -> str:
     reports = 0
     for config in (corpus.PATH_RACG, corpus.PATH_C3_END, corpus.PATH_C3_MID):
-        pres = corpus.build(config)
+        pres = presentation_from_config(config)
         view = decompose_at(pres, "c")
         for text in ("c[1] b[1]", "c[1] a[1]"):
             check_centralizer(view, element_of(pres, text), 3)
@@ -323,7 +323,7 @@ def _suite_parabolics(seed: int) -> str:
         elements = corpus.corpus_elements(pres, max_len=3)
         sample = [e for e in elements if not e.is_identity]
         rng.shuffle(sample)
-        small = ball(pres, 2)
+        small = list(iter_ball(pres, 2))
         for g in sample[:6]:
             check_parabolic_closure(g, small)
             checked += 1
@@ -355,7 +355,7 @@ def _suite_witnesses(seed: int) -> str:
                 check_witness(conjugacy_witness(x, y))
                 pairs += 1
                 built += 1
-    z1 = corpus.build({"vertices": [{"name": "x", "group": "Z"}], "edges": []})
+    z1 = presentation_from_config({"vertices": [{"name": "x", "group": "Z"}], "edges": []})
     fam = shape_preserving_family([element_of(z1, "x[1]"), element_of(z1, "x[2]")], ALL_FINITE)
     _ensure(fam.moduli == {"x": 3}, "modulus selection drifted for {x, x^2}")
     fam2 = shape_preserving_family([element_of(z1, "x[6]")], p_group_mode(2))

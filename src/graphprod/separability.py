@@ -21,7 +21,7 @@ from .presentation import (
     PresentationError,
     induced_presentation,
 )
-from .words import Element, _check_same, _make, invert, multiply, retract_key
+from .words import Element, _check_same, _make, invert, multiply
 from .cyclic import commuting_factors, cyclic_permutation_conjugators, cyclically_reduce
 from .conjugacy import are_conjugate
 
@@ -213,14 +213,6 @@ def shape_preserving_family(elements: Sequence[Element], mode: ClassMode) -> Quo
     _collect_shape_constraints(constraints, elements)
     _collect_distinctness(constraints, list(dict.fromkeys(elements)))
     return _family_from_constraints(pres, constraints, mode)
-
-
-def retraction(pres: GroupPresentation, vertices: Iterable[str], e: Element) -> Element:
-    """Kill the syllables outside the vertex set; a homomorphic retraction."""
-    ids = {pres.vertex_index(v) for v in vertices}
-    if e.pres is not pres:
-        raise PresentationError("element does not belong to the presentation")
-    return retract_key(pres, e.key, ids)
 
 
 class SeparationWitness(NamedTuple):

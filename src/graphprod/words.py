@@ -1,6 +1,7 @@
 """The reduction engine: normal forms, shapes, products, and a rewriting oracle.
 
-Internally a word is a tuple of (vertex_index, value_key) pairs.  An Element
+Internally a word is a tuple of (vertex_index, value_key) pairs, and every
+value key is an exact int: a table index, an exponent or a residue.  An Element
 wraps the canonical fully-reduced form: no trivial syllables, no two joinable
 syllables, linearized greedily so that the least available vertex always comes
 first.  Two elements are equal in the graph product iff their canonical forms
@@ -100,14 +101,11 @@ class Element:
         return frozenset(names[vi] for vi, _ in self.key)
 
     def word(self) -> Word:
-        memo, out, decode = {}, [], self.pres.decode_syllable  # memo: key pair -> its Syllable, for exact int values
+        memo, out, decode = {}, [], self.pres.decode_syllable  # memo: key pair -> its Syllable; key values are exact ints
         for p in self.key:
-            exact = type(p[1]) is int
-            s = memo.get(p) if exact else None
+            s = memo.get(p)
             if s is None:
-                s = decode(*p)
-                if exact:
-                    memo[p] = s
+                s = memo[p] = decode(*p)
             out.append(s)
         return Word(tuple(out))
 
@@ -474,10 +472,6 @@ def _in_ball(e: Element, radius: int) -> bool:
     each value among the `nontrivial_keys(radius)` of its vertex group."""
     groups = e.pres.by_index
     return len(e.key) <= radius and all(val in groups[vi].nontrivial_keys(radius) for vi, val in e.key)
-
-
-def ball(pres, radius, window=None, vertices=None) -> List[Element]:
-    return list(iter_ball(pres, radius, window, vertices))
 
 
 def _compare_centralizer(g: Element, radius: int, predicted, vertices: Optional[Iterable[str]] = None):

@@ -3,31 +3,32 @@ import json
 import pytest
 
 from graphprod import corpus, parse_presentation
+from graphprod.presentation import presentation_from_config
 
 
 @pytest.fixture(scope="session")
 def path_racg():
-    return corpus.build(corpus.PATH_RACG)
+    return presentation_from_config(corpus.PATH_RACG)
 
 
 @pytest.fixture(scope="session")
 def star_racg():
-    return corpus.build(corpus.STAR_RACG)
+    return presentation_from_config(corpus.STAR_RACG)
 
 
 @pytest.fixture(scope="session")
 def free_zz():
-    return corpus.build(corpus.FREE_ZZ)
+    return presentation_from_config(corpus.FREE_ZZ)
 
 
 @pytest.fixture(scope="session")
 def edge_zz():
-    return corpus.build(corpus.EDGE_ZZ)
+    return presentation_from_config(corpus.EDGE_ZZ)
 
 
 @pytest.fixture(scope="session")
 def triangle_mixed():
-    return corpus.build(corpus.TRIANGLE_MIXED)
+    return presentation_from_config(corpus.TRIANGLE_MIXED)
 
 
 @pytest.fixture(scope="session")

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from graphprod.amalgam import AmalgamError, ConjugatorClass, SubgroupConjugacy, amalgam_form
 from graphprod.conjugacy import BruteForceConjugacy, are_conjugate
-from graphprod.cyclic import commuting_factors, cyclic_permutations, cyclically_reduce, ps_decompose
+from graphprod.cyclic import commuting_factors, cyclic_permutation_conjugators, cyclically_reduce, ps_decompose
 from graphprod.parabolic import ParabolicSubgroup, parabolic_generators, parabolic_membership
 from graphprod.presentation import _TOKEN_RE, Syllable, Word, WordError, induced_presentation
 from graphprod.words import (
@@ -392,7 +392,7 @@ def witness_constraints_by_parts(f, g):
     if tag == "p-part-not-cyclic-permutation":
         factors_f = commuting_factors(ps_decompose(f0).p_part)
         for root, factor_g in commuting_factors(ps_decompose(g0).p_part).items():
-            rs = [factors_f[root]] + sorted(cyclic_permutations(factor_g))
+            rs = [factors_f[root]] + sorted(cyclic_permutation_conjugators(factor_g))
             collect(rs)
             collect(multiply(rs[i], invert(rs[j])) for i in range(len(rs)) for j in range(i + 1, len(rs)))
     elif tag == "s-part-not-conjugate":

@@ -23,8 +23,8 @@ from pathlib import Path
 import pytest
 
 from graphprod import corpus
-from graphprod.presentation import load_presentation
-from graphprod.words import ball, element_of, iter_ball, reduce
+from graphprod.presentation import load_presentation, presentation_from_config
+from graphprod.words import element_of, iter_ball, reduce
 from graphprod.cyclic import cyclically_reduce
 from graphprod.conjugacy import are_conjugate, brute_force_conjugate, conjugacy_class_in_ball
 from graphprod.amalgam import (
@@ -209,7 +209,7 @@ def test_criterion_5_consonant_invariance(corpora):
 
 def test_criterion_6_centralizer_formulas():
     for config in (corpus.PATH_RACG, corpus.PATH_C3_END, corpus.PATH_C3_MID):
-        pres = corpus.build(config)
+        pres = presentation_from_config(config)
         for apex in pres.vertices:
             view = decompose_at(pres, apex)
             rng = random.Random(31)
@@ -226,7 +226,7 @@ def test_criterion_6_centralizer_formulas():
                 check_centralizer(view, g, 4)
                 check_centralizer_split(g, 4)
     # the pinned value: the centralizer of c*b at apex c in the path
-    pres = corpus.build(corpus.PATH_RACG)
+    pres = presentation_from_config(corpus.PATH_RACG)
     view = decompose_at(pres, "c")
     report = centralizer_check(view, element_of(pres, "c[1] b[1]"), 4)
     expected = {"1", "b[1]", "c[1]", "b[1] c[1]"}
@@ -238,7 +238,7 @@ def test_criterion_7_parabolic_suite(corpora, canonical_buckets):
     for name, (pres, _) in corpora.items():
         rng = random.Random(37)
         elements = _element_samples(pres, canonical_buckets[name], rng, 12)
-        small_conjugators = ball(pres, 3, window=3)
+        small_conjugators = list(iter_ball(pres, 3, window=3))
         for g in elements:
             if not g.is_identity:
                 check_parabolic_closure(g, small_conjugators)
@@ -274,7 +274,7 @@ def test_criterion_8_witnesses(corpora, canonical_buckets):
                 built += 1
             assert built > 0
     # pinned values
-    free_zz = corpus.build(corpus.FREE_ZZ)
+    free_zz = presentation_from_config(corpus.FREE_ZZ)
     pair = conjugacy_witness(element_of(free_zz, "x[1]"), element_of(free_zz, "x[2]"), ALL_FINITE)
     assert pair.family.moduli == {"x": 3} and pair.verify()
     res = residual_witness(element_of(free_zz, "x[6]"), p_group_mode(2))

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphprod import corpus, parse_presentation
-from graphprod.presentation import Syllable, Word, parse_word
+from graphprod.presentation import Syllable, Word, parse_word, presentation_from_config
 from graphprod.words import conjugate, element_of, identity, invert, iter_ball, multiply, reduce
-from graphprod.cyclic import cyclically_reduce
+from graphprod.cyclic import cyclic_permutation_conjugators, cyclically_reduce
 from graphprod.amalgam import (
     AmalgamError,
     SigmaAmalgam,
@@ -183,11 +183,9 @@ def test_conjugacy_transfer_through_rotations(path_racg):
         form = amalgam_form(view, g)
         if form.consonant_length < 1:
             continue
-        from graphprod.cyclic import cyclic_permutations
-
         hits = [
             rotated
-            for rotated in cyclic_permutations(g)
+            for rotated in cyclic_permutation_conjugators(g)
             if amalgam_conjugate_by(view, view.h_vertices, f, rotated, 6).status == "yes"
         ]
         assert hits, f"no rotation of {g.render()} is H-conjugate to {f.render()}"
@@ -217,7 +215,7 @@ def test_centralizer_rotation_case(path_racg):
 
 def test_centralizer_check_c3_variants():
     for config in (corpus.PATH_C3_END, corpus.PATH_C3_MID):
-        pres = corpus.build(config)
+        pres = presentation_from_config(config)
         view = decompose_at(pres, "c")
         for text in ("c[1] b[1]", "c[1] a[1]", "c[1] a[1] c[1] a[1]"):
             g = element_of(pres, text)
@@ -402,7 +400,7 @@ def test_an_unresolved_prefix_excuses_what_it_would_factor(path_racg, monkeypatc
 
 def test_conjugate_by_exhausting_a_finite_h_side_is_no():
     # the H-side at apex c is G_b = Z/2: a ball of radius >= 1 is all of it
-    pres = corpus.build(corpus.PATH_C3_END)
+    pres = presentation_from_config(corpus.PATH_C3_END)
     view = decompose_at(pres, "c")
     g = element_of(pres, "c[1] a[1] c[1] a[2]")
     rotated = element_of(pres, "c[1] a[2] c[1] a[1]")
@@ -524,7 +522,7 @@ def test_conjugate_by_matches_coset_criterion():
 def test_centralizer_formulas_at_two_consonants(config, apex, text):
     # two consonants give three x-pieces, so the coset intersection runs over
     # more than one prefix
-    pres = corpus.build(config)
+    pres = presentation_from_config(config)
     view = decompose_at(pres, apex)
     g = element_of(pres, text)
     assert amalgam_form(view, g).consonant_length >= 2

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from graphprod import corpus, parse_presentation
 from graphprod.presentation import PresentationError, Word
 from graphprod.words import (
-    ball,
     conjugate,
     element_of,
     identity,
@@ -234,7 +233,7 @@ def test_intersection_against_ball_oracle():
     equal = 0
     for _ in range(60):
         pres = random_graph(rng)
-        probe = ball(pres, 3, window=1)
+        probe = list(iter_ball(pres, 3, window=1))
         for _ in range(5):
             p1, p2 = random_parabolic(pres, rng), random_parabolic(pres, rng)
             exact = check_exact(p1, p2, probe)
@@ -266,7 +265,7 @@ def test_intersection_degenerate_graphs(kind):
     """
     pres = presentation(*DEGENERATE[kind])
     rng = random.Random(kind)
-    probe = ball(pres, 3, window=1)
+    probe = list(iter_ball(pres, 3, window=1))
     equal = 0
     for _ in range(25):
         p1, p2 = random_parabolic(pres, rng), random_parabolic(pres, rng)

@@ -366,4 +366,4 @@ DATA = Path(__file__).parent / "data"
 def test_data_files_match_corpus_configs():
     # the goldens and the benchmark read these files; gp selftest builds the configs
     files = {path.stem: json.loads(path.read_text()) for path in DATA.glob("*.json")}
-    assert files == {**corpus.CORPUS_CONFIGS, **corpus.VARIANT_CONFIGS}
+    assert files == {**corpus.CORPUS_CONFIGS, "path-c3-end": corpus.PATH_C3_END, "path-c3-mid": corpus.PATH_C3_MID}
