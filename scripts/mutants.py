@@ -122,6 +122,10 @@ MUTANTS = [
     ("later-front-cut-not-relinearized", C, "(key[:pos], key[pos + 1 :]) if pos",
      "(key[:pos] + key[pos + 1 :], ()) if pos"),
     ("rotation-prefix-overlaps", C, "(key[:pos], key[pos + 1 :]) if pos", "(key[:pos + 1], key[pos + 1 :]) if pos"),
+    # a factor is matched by a filter on its syllables, then a walk that stops at the target
+    ("closure-no-early-stop", K, "_rotations(pres, factor.key)", "list(_rotations(pres, factor.key))"),
+    ("rotation-filter-ignores-values", K, "if sorted(factor.key) != sorted(target):",
+     "if sorted(vi for vi, _ in factor.key) != sorted(vi for vi, _ in target):"),
     # conjugacy and its witnesses
     ("no-s-part-test", K, "    if not ok:\n        return ConjugacyVerdict(False, None, \"s-part-not-conjugate\")\n",
      ""),
@@ -132,11 +136,13 @@ MUTANTS = [
      'elif len(factor_g) == 1 and tag == "s-part-not-conjugate":', "elif False:"),
     ("smallest-modulus-is-1", S, "    n, p = group.order, mode.p\n",
      "    return 1\n    n, p = group.order, mode.p\n"),
-    ("modulus-cofactors-first", S,
-     "                    yield d\n            yield from (n // d for d in reversed(small) if d * d != n)\n",
-     "                    yield n // d\n            yield from (d for d in reversed(small) if d * d != n)\n"),
+    ("modulus-cofactors-first", S, "                    yield d\n", "                    yield n // d\n"),
     ("table-vertex-gets-a-modulus", S, '    if group.kind == "table":\n        return None\n', ""),
-    ("distinctness-inverts-i", S, "multiply(elements[i], inverses[j])", "multiply(elements[i], inverses[i])"),
+    # witness values from the boundary of each pair, without forming a·b^-1
+    ("distinctness-inverts-i", S, "_boundary(a, b)", "_boundary(a, a)"),
+    ("distinctness-join-reversed", S, "groups[vi].mul(x, groups[vi].inv(y))", "groups[vi].mul(y, groups[vi].inv(x))"),
+    ("distinctness-drops-kept-inverses", S, "            constraints[names[vi]].add(groups[vi].inv(val))\n",
+     "            pass\n"),
     ("primes-by-nine-bases", S, "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)",
      "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23)"),
     ("no-prime-bound", S, "    if p >= _MR_BOUND:\n", "    if False:\n"),
@@ -188,8 +194,8 @@ MUTANTS = [
     # a cold gp process loads only what its subcommand runs
     ("cli-imports-amalgam-eagerly", CLI, "from .words import element_of, identity, shape\n",
      "from .words import element_of, identity, shape\nfrom .amalgam import decompose_at\n"),
-    ("cyclic-imports-dataclasses", C, "from typing import Dict, List, NamedTuple, Tuple\n",
-     "import dataclasses\nfrom typing import Dict, List, NamedTuple, Tuple\n"),
+    ("cyclic-imports-dataclasses", C, "from typing import Dict, Iterator, List, NamedTuple, Tuple\n",
+     "import dataclasses\nfrom typing import Dict, Iterator, List, NamedTuple, Tuple\n"),
     ("parabolic-imports-dataclasses", PB, "from typing import Iterable, List, NamedTuple\n",
      "import dataclasses\nfrom typing import Iterable, List, NamedTuple\n"),
     # every top-level definition serves gp, gp selftest or the public API

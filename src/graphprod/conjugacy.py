@@ -16,12 +16,7 @@ from .words import (
     iter_ball,
     multiply,
 )
-from .cyclic import (
-    commuting_factors,
-    cyclic_permutation_conjugators,
-    cyclically_reduce,
-    ps_decompose,
-)
+from .cyclic import _rotations, commuting_factors, cyclically_reduce, ps_decompose
 
 
 class ConjugacyVerdict(NamedTuple):
@@ -132,21 +127,25 @@ def _rotation_conjugator(g: Element, g_prime: Element) -> Optional[Element]:
 
     Rotating one commuting factor leaves the others in place, so g_prime is a
     cyclic permutation of g iff each factor of g_prime is a cyclic
-    permutation of the matching factor of g.  p is the product of the
-    per-factor conjugators: the same element that the closure of the whole of
-    g records.
+    permutation of the matching factor of g.  A rotation of a cyclically
+    reduced factor only permutes its syllables, so a factor whose sorted key
+    differs from its target's is refuted before any rotation is built.
+    Otherwise the factor's closure is walked until it reaches the target.  p
+    is the product of the per-factor conjugators: the same element that the
+    closure of the whole of g records.
     """
     factors = commuting_factors(g)
     factors_prime = commuting_factors(g_prime)
     if factors.keys() != factors_prime.keys():
         return None
-    p = identity(g.pres)
+    pres = g.pres
+    p = identity(pres)
     for root, factor in factors.items():
-        target = factors_prime[root]
-        if len(target) != len(factor):
+        target = factors_prime[root].key
+        if sorted(factor.key) != sorted(target):
             return None
-        table = cyclic_permutation_conjugators(factor)
-        if target not in table:
+        conj = next((c for key, c in _rotations(pres, factor.key) if key == target), None)
+        if conj is None:
             return None
-        p = multiply(p, table[target])
+        p = multiply(p, Element(pres, conj))
     return p

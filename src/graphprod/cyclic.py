@@ -9,9 +9,9 @@ expression at the same time.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
-from .presentation import WordError
+from .presentation import GroupPresentation, WordError
 from .words import (
     Element,
     Key,
@@ -149,14 +149,8 @@ def cyclically_reduce(e: Element) -> CyclicReduction:
 def cyclic_permutation_conjugators(e: Element) -> Dict[Element, Element]:
     """All cyclic permutations of a cyclically reduced element, with witnesses.
 
-    Returns a map g' -> p such that p^-1 e p = g'.  The closure moves one
-    front-readable syllable to the end at a time, so it does not depend on a
-    choice of reduced expression.  It runs on keys and wraps them as
-    Elements once at the end.  A cut before the front syllable at position
-    pos keeps key[:pos], the greedy order's first picks, and pushes the rest
-    of the key and the moved syllable onto it.  At position 0 it keeps
-    key[1:] instead, since the greedy order goes on after its first pick as
-    it would on the rest alone, and pushes one syllable.
+    Returns a map g' -> p such that p^-1 e p = g', in the order in which
+    `_rotations` finds them.
 
     The closure can be exponential in the length of one commuting factor:
     with b adjacent to none of x0 ... x(k-1) and the x's pairwise adjacent,
@@ -166,8 +160,26 @@ def cyclic_permutation_conjugators(e: Element) -> Dict[Element, Element]:
     if not is_cyclically_reduced(e):
         raise WordError("element is not cyclically reduced")
     pres = e.pres
-    found: Dict[Key, Key] = {e.key: ()}  # rotation -> conjugator
-    queue: List[Key] = [e.key]
+    return {Element(pres, key): Element(pres, conj) for key, conj in _rotations(pres, e.key)}
+
+
+def _rotations(pres: GroupPresentation, key: Key) -> Iterator[Tuple[Key, Key]]:
+    """Walk the rotation closure of a cyclically reduced key lazily: yield each
+    rotation with its conjugator p (p^-1 key p = rotation) when it is first
+    found, starting with the key itself and ().
+
+    The closure moves one front-readable syllable to the end at a time, so it
+    does not depend on a choice of reduced expression, and it records each
+    conjugator once, so a walk stopped early yields the same pairs as a whole
+    one.  A cut before the front syllable at position pos keeps key[:pos],
+    the greedy order's first picks, and pushes the rest of the key and the
+    moved syllable onto it.  At position 0 it keeps key[1:] instead, since the
+    greedy order goes on after its first pick as it would on the rest alone,
+    and pushes one syllable.
+    """
+    found: Dict[Key, Key] = {key: ()}  # rotation -> conjugator
+    yield key, ()
+    queue: List[Key] = [key]
     for key in queue:
         prefix = found[key]
         for pos in _front_letters(pres, key).values():
@@ -179,9 +191,9 @@ def cyclic_permutation_conjugators(e: Element) -> Dict[Element, Element]:
             if rotated not in found:
                 conj = list(prefix)
                 _push(pres, conj, (syl,))
-                found[rotated] = tuple(conj)
+                found[rotated] = conj = tuple(conj)
                 queue.append(rotated)
-    return {Element(pres, key): Element(pres, conj) for key, conj in found.items()}
+                yield rotated, conj
 
 
 def commuting_factors(e: Element) -> Dict[int, Element]:

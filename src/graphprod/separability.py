@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import count, takewhile
-from typing import Dict, Iterable, NamedTuple, Optional, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .presentation import (
     GroupPresentation,
@@ -21,7 +21,7 @@ from .presentation import (
     PresentationError,
     induced_presentation,
 )
-from .words import Element, _check_same, _make, invert, multiply
+from .words import Element, Key, _check_same, _make
 from .cyclic import commuting_factors, cyclic_permutation_conjugators, cyclically_reduce
 from .conjugacy import are_conjugate
 
@@ -148,11 +148,113 @@ def _collect_shape_constraints(constraints: Dict[str, set], elements: Iterable[E
             constraints[names[vi]].add(val)
 
 
+class _FromBack(NamedTuple):
+    """A key read from its back: positions count from the back syllable."""
+
+    pres: GroupPresentation
+    syllables: Key  # the key reversed
+    support: frozenset  # the vertex indices
+    last: Dict[Tuple[int, int], int]  # syllable -> the position of its frontmost copy
+    back: Dict[int, int]  # vertex -> the position of its back-readable syllable
+
+
+def _from_back(pres: GroupPresentation, key: Key) -> _FromBack:
+    syllables = key[::-1]
+    last = {syl: pos for pos, syl in enumerate(syllables)}
+    read = _FromBack(pres, syllables, frozenset(vi for vi, _ in key), last, {})
+    return read._replace(back=_heads(read, 0, set()))
+
+
+def _heads(read: _FromBack, m: int, gone: set) -> Dict[int, int]:
+    """Each vertex -> the position of its back-readable syllable once the
+    first m positions and those in gone are removed.
+
+    A syllable is back-readable when every syllable left behind it lies on
+    its link.  The candidates are the vertices whose link holds every vertex
+    met so far; the scan stops when none is left.
+    """
+    heads, candidates, iadj, syllables = {}, set(read.support), read.pres.iadj, read.syllables
+    for pos in range(m, len(syllables)):
+        if not candidates:
+            break
+        if pos not in gone:
+            vi = syllables[pos][0]
+            if vi in candidates:
+                heads[vi] = pos
+            candidates &= iadj[vi]
+    return heads
+
+
+def _boundary(a: _FromBack, b: _FromBack):
+    """Cancel equal back-readable syllables of a and b until none are left.
+
+    Returns m, the positions of a and of b cancelled beyond the first m, and
+    the (a, b) position pairs left to join.  The common prefix of the two
+    reversed keys, of length m, cancels as it stands, so it is taken at once.
+    """
+    x, y = a.syllables, b.syllables
+    m, end = 0, min(len(x), len(y))
+    while m < end and x[m] == y[m]:
+        m += 1
+    gone_a, gone_b = set(), set()
+    heads_a, heads_b = (_heads(a, m, gone_a), _heads(b, m, gone_b)) if m else (a.back, b.back)
+    while equal := [vi for vi, pos in heads_a.items() if vi in heads_b and x[pos] == y[heads_b[vi]]]:
+        for vi in equal:
+            gone_a.add(heads_a[vi])
+            gone_b.add(heads_b[vi])
+        heads_a, heads_b = _heads(a, m, gone_a), _heads(b, m, gone_b)
+    return m, gone_a, gone_b, [(pos, heads_b[vi]) for vi, pos in heads_a.items() if vi in heads_b]
+
+
 def _collect_distinctness(constraints: Dict[str, set], elements: Sequence[Element]) -> None:
-    inverses = [invert(e) for e in elements]
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            _collect_shape_constraints(constraints, [multiply(elements[i], inverses[j])])
+    """Add the syllable values of each reduced a·b^-1, a = elements[i] and
+    b = elements[j] for i < j, without forming the product.
+
+    The boundary lemma (Green, thesis, 1990; Hermiller and Meier, J. Algebra
+    171 (1995)): cancel equal back-readable syllables of a and b until none
+    are left, so that a = a'd and b = b'd.  Then a·b^-1 = a'·b'^-1, and its
+    reduced form is a' followed by b'^-1, except that where a' and b' have
+    back-readable syllables x and y on one vertex, the two meet and join to
+    x·y^-1, which is not trivial since x != y.  A join removes no syllable,
+    so no other pair meets and nothing more cancels.  The values are
+    therefore the joins, the values of a's syllables and the inverses of
+    b's, less the syllables that the pair cancels or joins.
+
+    The union is exact.  A pair removes, per vertex, syllables from the back
+    only, so it removes every copy of a syllable iff it removes the copy
+    nearest the front.  The value of a's syllable s is in the product of
+    some pair (i, j) iff some such pair keeps a copy of s, that is, iff s is
+    not among the syllables that every pair (i, j) removes all copies of;
+    likewise for b.  So each pair looks only at its boundary, and each
+    element adds its values once, at the end.
+    """
+    if len(elements) < 2:
+        return
+    pres = elements[0].pres
+    names, groups = pres.vertices, pres.by_index
+    reads = [_from_back(pres, e.key) for e in elements]
+    # per element, as a and as b: the syllables that each of its pairs so far removes all copies of
+    lost_a = [set(read.last) for read in reads]
+    lost_b = [set(read.last) for read in reads]
+    for i, a in enumerate(reads):
+        for j in range(i + 1, len(reads)):
+            b = reads[j]
+            m, gone_a, gone_b, joins = _boundary(a, b)
+            for pa, pb in joins:
+                (vi, x), (_, y) = a.syllables[pa], b.syllables[pb]
+                constraints[names[vi]].add(groups[vi].mul(x, groups[vi].inv(y)))
+                gone_a.add(pa)
+                gone_b.add(pb)
+            if lost_a[i]:
+                lost_a[i] = {syl for syl in lost_a[i] if a.last[syl] < m or a.last[syl] in gone_a}
+            if lost_b[j]:
+                lost_b[j] = {syl for syl in lost_b[j] if b.last[syl] < m or b.last[syl] in gone_b}
+    for read, lost in zip(reads[:-1], lost_a):
+        for vi, val in read.last.keys() - lost:
+            constraints[names[vi]].add(val)
+    for read, lost in zip(reads[1:], lost_b[1:]):
+        for vi, val in read.last.keys() - lost:
+            constraints[names[vi]].add(groups[vi].inv(val))
 
 
 def _family_from_constraints(
@@ -168,10 +270,13 @@ def _smallest_modulus(group, needed: set, mode: ClassMode, vertex: str) -> Optio
     constraint value nonzero.
 
     The candidates are every m >= 1 for Z, and for Z/n each divisor d up to
-    sqrt(n) as trial division finds it, then the cofactors n/d; in p-mode only
-    the powers of p (that divide n).  An unconstrained Z/n vertex keeps its
-    group whenever the mode allows, so already-finite presentations get the
-    identity family.
+    sqrt(n) as trial division finds it, then the larger divisors in
+    increasing order; in p-mode only the powers of p (that divide n).  Trial
+    division divides each prime it finds out of the cofactor rest and stops
+    once rest is 1 or a prime (always so past sqrt(n); `_is_prime` decides it
+    below _MR_BOUND, where it is exact): the primes found and rest then give
+    every divisor.  An unconstrained Z/n vertex keeps its group whenever the
+    mode allows, so already-finite presentations get the identity family.
     """
     if group.kind == "table":
         return None
@@ -186,12 +291,19 @@ def _smallest_modulus(group, needed: set, mode: ClassMode, vertex: str) -> Optio
         candidates = count(1)
     else:
         def divisors():
-            small = []
+            rest, known = n, [1]  # known: the divisors of n // rest
             for d in range(1, math.isqrt(n) + 1):
                 if n % d == 0:
-                    small.append(d)
                     yield d
-            yield from (n // d for d in reversed(small) if d * d != n)
+                    e = 0
+                    while d > 1 and rest % d == 0:  # only a prime d divides rest
+                        rest, e = rest // d, e + 1
+                    if e:
+                        known = [k * d**i for k in known for i in range(e + 1)]
+                    if (e or d == 1) and (rest == 1 or rest < _MR_BOUND and _is_prime(rest)):
+                        break
+            every = known if rest == 1 else known + [k * rest for k in known]
+            yield from sorted(m for m in every if m > d)
 
         candidates = divisors()
     for m in candidates:

@@ -25,9 +25,9 @@ that are canonical by construction are wrapped as `Element(pres, key)` instead:
   vertex order);
 - an input of `cyclic.cyclically_reduce` that peels nothing, returned as it
   is;
-- a canonical key cut before a front syllable, in the rotations of
-  `cyclic.cyclic_permutation_conjugators`: the part before the cut (the
-  greedy order's first picks), or at position 0 the part after it;
+- a canonical key cut before a front syllable, in the rotation walk
+  `cyclic._rotations`: the part before the cut (the greedy order's first
+  picks), or at position 0 the part after it;
 - the children in `iter_ball` and the back peel in
   `parabolic.parabolic_intersection`;
 - the inputs of `separability.conjugacy_witness`, renumbered onto the

@@ -20,7 +20,10 @@ translated every position of a word, which the per-call dicts of
 `brute_force_equal_by_tuples`, the reference for `words.brute_force_equal`
 on string states.  The ball comparisons that multiplied Elements per ball
 element are kept as `brute_force_conjugate_by_multiply` and
-`compare_centralizer_by_multiply`.
+`compare_centralizer_by_multiply`.  The witness loop that formed every
+product r_i·r_j^-1 is kept as `distinctness_by_products`, the reference for
+`separability._collect_distinctness`, which reads the products' values off
+the boundary of each pair.
 """
 
 import itertools
@@ -33,6 +36,7 @@ from graphprod.conjugacy import BruteForceConjugacy, are_conjugate
 from graphprod.cyclic import commuting_factors, cyclic_permutation_conjugators, cyclically_reduce, ps_decompose
 from graphprod.parabolic import ParabolicSubgroup, parabolic_generators, parabolic_membership
 from graphprod.presentation import _TOKEN_RE, Syllable, Word, WordError, induced_presentation
+from graphprod.separability import _collect_shape_constraints
 from graphprod.words import (
     BudgetExceededError,
     Element,
@@ -434,6 +438,15 @@ def intersection_by_ball(p1, p2, radius):
             if all(parabolic_membership(candidate, u) for u in in_both):
                 return candidate
     return None
+
+
+def distinctness_by_products(constraints, elements):
+    """The values of every reduced r_i·r_j^-1 (i < j), added per vertex: the
+    product loop that `separability._collect_distinctness` replaced."""
+    inverses = [invert(e) for e in elements]
+    for i in range(len(elements)):
+        for j in range(i + 1, len(elements)):
+            _collect_shape_constraints(constraints, [multiply(elements[i], inverses[j])])
 
 
 @lru_cache(maxsize=None)

@@ -302,15 +302,25 @@ def test_pinned_outputs(args, expected_code, expected_out):
 
 
 @pytest.mark.parametrize(
-    "mode,order",
-    [("finite", 10**12), ("p:2", 10**12), ("finite", 10**18), ("p:2", 10**18)],
-    ids=["finite", "p:2", "finite-1e18", "p:2-1e18"],
+    "mode,order,word,modulus",
+    [
+        ("finite", 10**12, "a[3]", 2),
+        ("p:2", 10**12, "a[3]", 2),
+        ("finite", 10**18, "a[3]", 2),
+        ("p:2", 10**18, "a[3]", 2),
+        ("finite", 2 * 100000000000031, "a[2]", 100000000000031),
+        ("finite", 2 * 500000000000000021, "a[2]", 500000000000000021),
+    ],
+    ids=["finite", "p:2", "finite-1e18", "p:2-1e18", "finite-2q", "finite-2q-1e18"],
 )
-def test_witness_on_huge_cyclic_vertex_is_fast(tmp_path, mode, order):
-    """Each divisor is tried as trial division finds it, so no scan runs to sqrt(n) or n."""
+def test_witness_on_huge_cyclic_vertex_is_fast(tmp_path, mode, order, word, modulus):
+    """Each divisor is tried as trial division finds it, and trial division stops
+    once the undivided cofactor is 1 or a prime, so no scan runs to sqrt(n) or n.
+    On 2q, q prime, the modulus is q: a scan to sqrt(n) took 0.8 s at q near
+    10^14, and would take minutes near 10^18."""
     group = tmp_path / "huge.json"
     group.write_text(json.dumps({"vertices": [{"name": "a", "group": f"cyclic {order}"}], "edges": []}))
     start = time.perf_counter()
-    code, out, _ = gp("witness", "-g", str(group), "--mode", mode, "a[3]")
+    code, out, _ = gp("witness", "-g", str(group), "--mode", mode, word)
     assert time.perf_counter() - start < 1.0
-    assert code == 0 and json.loads(out)["per_vertex_moduli"] == {"a": 2}
+    assert code == 0 and json.loads(out)["per_vertex_moduli"] == {"a": modulus}

@@ -75,6 +75,7 @@ from oracles import (
     conjugator_case_by_search,
     cyclic_reduction_by_repush,
     cyclic_reduction_by_rescan,
+    distinctness_by_products,
     fold_push,
     greedy_least_vertex_first,
     parse_word_by_syllables,
@@ -899,7 +900,7 @@ def test_witness_moduli_match_whole_closure(blocks):
             _collect_shape_constraints(constraints, [f0, g0])
             elements = [ps_decompose(f0).p_part] + sorted(cyclic_permutation_conjugators(ps_decompose(g0).p_part))
             _collect_shape_constraints(constraints, elements)
-            _collect_distinctness(constraints, elements)
+            distinctness_by_products(constraints, elements)
             reference = _family_from_constraints(sub, constraints, ALL_FINITE)
             assert witness.family.moduli == reference.moduli
             checked += 1
@@ -908,14 +909,16 @@ def test_witness_moduli_match_whole_closure(blocks):
 
 def test_rotation_closure_is_a_sum_not_a_product(blocks, monkeypatch):
     # five factors of six syllables: the whole closure has 6^5 = 7776 rotations
-    enumerated = []
+    walk = cyclic._rotations
+    enumerated = []  # per walk, the rotations it yielded
 
-    def counting(e):
-        table = cyclic_permutation_conjugators(e)
-        enumerated.append(len(table))
-        return table
+    def counting(pres, key):
+        enumerated.append(0)
+        for item in walk(pres, key):
+            enumerated[-1] += 1
+            yield item
 
-    monkeypatch.setattr(conjugacy, "cyclic_permutation_conjugators", counting)
+    monkeypatch.setattr(conjugacy, "_rotations", counting)
     rng = random.Random(3)
     for mode in ("", "p"):
         x, y = block_pair(blocks, 5, mode, rng, [6] * 5)
@@ -927,7 +930,94 @@ def test_rotation_closure_is_a_sum_not_a_product(blocks, monkeypatch):
         assert verdict.conjugate == (mode == "")
         if verdict.conjugate:
             assert conjugate(verdict.conjugator, x) == y
-        assert sum(enumerated) <= sum(sizes)
+        assert 0 < sum(enumerated) <= sum(sizes)
+    # the walk stops at its target: the rotation the closure finds i-th costs i + 1
+    g = ps_decompose(cyclically_reduce(block_pair(blocks, 1, "", rng, [8])[0]).reduced).p_part
+    for i, (rotated, p) in enumerate(cyclic_permutation_conjugators(g).items()):
+        enumerated.clear()
+        assert conjugacy._rotation_conjugator(g, rotated) == p
+        assert enumerated == [i + 1]
+    # a negative with one value changed is refuted before any rotation is built
+    for _ in range(10):
+        x, y = block_pair(blocks, 1, "p", rng, [rng.randint(2, 8)])
+        enumerated.clear()
+        assert are_conjugate(x, y).refutation == "p-part-not-cyclic-permutation"
+        assert sum(enumerated) == 0
+    # one 15-syllable factor with 2^14 rotations (0.77 s when the closure was built whole)
+    pres = clique_factor_presentation(14)
+    xs = " ".join(f"x{i}[1]" for i in range(14))
+    enumerated.clear()
+    verdict = are_conjugate(element_of(pres, f"b[1] {xs}"), element_of(pres, f"b[2] {xs}"))
+    assert verdict.refutation == "p-part-not-cyclic-permutation"
+    assert sum(enumerated) == 0
+    # every closure rotation keeps its factor's sorted key
+    for g in [element_of(clique_factor_presentation(4), "b[1] x0[1] x1[2] x2[-1] x3[1]"), *factors.values()]:
+        assert {tuple(sorted(r.key)) for r in cyclic_permutation_conjugators(g)} == {tuple(sorted(g.key))}
+
+
+def assert_distinctness_matches_products(elements):
+    pres = elements[0].pres
+    expected = {v: set() for v in pres.vertices}
+    distinctness_by_products(expected, elements)
+    constraints = {v: set() for v in pres.vertices}
+    _collect_distinctness(constraints, elements)
+    assert constraints == expected, [e.render() for e in elements]
+
+
+def closure_list(other, factor):
+    """What conjugacy_witness passes on: the other factor, then the sorted rotations."""
+    return [other, *sorted(cyclic_permutation_conjugators(factor))]
+
+
+def test_distinctness_matches_the_product_loop(blocks, free_zz):
+    """The boundary values of each pair are the values of its reduced product:
+    whole constraint dicts, signs and table values included."""
+    rng = random.Random(5)
+    checked = 0
+    for k in (1, 2, 3, 4):
+        for mode in ("", "p", "s"):
+            for _ in range(4):
+                f, g = block_pair(blocks, k, mode, rng, [rng.randint(2, 6) for _ in range(k)])
+                factors_f = commuting_factors(ps_decompose(cyclically_reduce(f).reduced).p_part)
+                for root, factor in commuting_factors(ps_decompose(cyclically_reduce(g).reduced).p_part).items():
+                    assert_distinctness_matches_products(closure_list(factors_f.get(root, factor), factor))
+                    checked += 1
+    groups = ["Z", "cyclic 2", "cyclic 3", "cyclic 4", "S3"]
+    for _ in range(120):
+        n = rng.randint(2, 6)
+        vertices = [{"name": f"v{i}", "group": s3_config() if (gr := rng.choice(groups)) == "S3" else gr} for i in range(n)]
+        density = rng.random()
+        edges = [[f"v{i}", f"v{j}"] for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+        pres = parse_presentation(json.dumps({"vertices": vertices, "edges": edges}))
+        alphabet = corpus.syllable_alphabet(pres, 3)
+
+        def element(length):
+            return reduce(pres, Word(tuple(rng.choice(alphabet) for _ in range(length))))
+
+        g = cyclically_reduce(element(rng.randint(2, 14))).reduced
+        for factor in commuting_factors(ps_decompose(g).p_part).values():
+            if 1 < len(factor) and len(cyclic_permutation_conjugators(factor)) <= 200:
+                other = rng.choice([factor, element(len(factor)), cyclically_reduce(element(len(factor))).reduced])
+                assert_distinctness_matches_products(closure_list(other, factor))
+                checked += 1
+        assert_distinctness_matches_products(list(dict.fromkeys(element(rng.randint(0, 10)) for _ in range(6))))
+        checked += 1
+    # proper powers: their rotations share long suffixes
+    for text, pres in [("x[1] y[2]", free_zz), ("x[1] y[-1] x[2] y[1]", free_zz), ("x0[1] t0[r] x0[-2] t0[s]", blocks)]:
+        h = element_of(pres, text)
+        for e in (2, 3, 5):
+            g = power(h, e)
+            changed = _make(pres, g.key[:-1] + ((g.key[-1][0], g.key[0][1]),))
+            for other in (g, changed, power(h, e + 1)):
+                assert_distinctness_matches_products(closure_list(other, g))
+                checked += 1
+    # one alternating free-zz factor, and the same with one exponent changed
+    for n in (50, 200):
+        alternating = element_of(free_zz, " ".join(["x[1] y[1]"] * (n // 2)))
+        changed = element_of(free_zz, " ".join(["x[2] y[1]"] + ["x[1] y[1]"] * (n // 2 - 1)))
+        assert_distinctness_matches_products(closure_list(alternating, changed))
+        checked += 1
+    assert checked >= 250
 
 
 WITNESS_GROUPS = ["Z", "cyclic 2", "cyclic 3", "cyclic 5", "S3"]

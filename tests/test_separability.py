@@ -213,10 +213,12 @@ def test_witness_soundness_random(name):
 
 
 def test_smallest_modulus_matches_divisor_scan():
-    """Every Z/n with n <= 2000, in modes finite, p:2 and p:3, against the 1..n divisor list."""
-    needed_sets = [set(), {1}, {2, 3}, {4, 9, 25}, {6, 10, 15, 49}, {12, 60, 7, 1024}]
+    """Every Z/n with n <= 2000, and n = 2q, 6q, 12q and p^2 whose trial division
+    stops early, in modes finite, p:2 and p:3, against the 1..n divisor list."""
+    needed_sets = [set(), {1}, {2, 3}, {4, 9, 25}, {6, 10, 15, 49}, {12, 60, 7, 1024}, set(range(1, 13))]
     modes = [(ALL_FINITE, None), (p_group_mode(2), 2), (p_group_mode(3), 3)]
-    for n in range(1, 2001):
+    q, p = 10007, 1009
+    for n in [*range(1, 2001), 2 * q, 6 * q, 12 * q, 2 * 65537, p * p, 4 * p * p]:
         group = IntegersModGroup(n)
         for needed in needed_sets:
             for mode, p in modes:
