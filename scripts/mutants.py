@@ -28,6 +28,7 @@ MEMORY_BYTES of address space, so no mutant exhausts the machine.
 import os
 import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -86,6 +87,19 @@ MUTANTS = [
     ("closure-merge-keeps-left", W, "                    m = code((ui, groups[ui].mul(uval, wval)))\n",
      "                    m = code((ui, uval))\n"),
     ("closure-trivial-kept", W, "                trivial.add(codes[s])\n", "                pass\n"),
+    # readable syllables have one scan, which skips removed positions and stops once no vertex is left
+    ("front-letters-ignores-removed", W, "        if pos in removed:\n            continue\n", ""),
+    ("front-letters-ignores-start", W, "    for pos in range(start, len(key)):\n", "    for pos in range(len(key)):\n"),
+    ("front-letters-stops-before-recording", W,
+     "        if common is None or vi in common:\n            front[vi] = pos\n"
+     "        if common is None or not common <= iadj[vi]:\n"
+     "            common = iadj[vi] if common is None else common & iadj[vi]\n"
+     "            if not common:\n                break\n",
+     "        readable = common is None or vi in common\n"
+     "        if common is None or not common <= iadj[vi]:\n"
+     "            common = iadj[vi] if common is None else common & iadj[vi]\n"
+     "            if not common:\n                break\n"
+     "        if readable:\n            front[vi] = pos\n"),
     # reducedness and ball membership each have one source
     ("no-joinable-pairs", W, "                yield i, j\n",
      "                if False:\n                    yield i, j\n"),
@@ -139,13 +153,16 @@ MUTANTS = [
     ("modulus-cofactors-first", S, "                    yield d\n", "                    yield n // d\n"),
     ("table-vertex-gets-a-modulus", S, '    if group.kind == "table":\n        return None\n', ""),
     # witness values from the boundary of each pair, without forming a·b^-1
-    ("distinctness-inverts-i", S, "_boundary(a, b)", "_boundary(a, a)"),
+    ("distinctness-inverts-i", S, "_boundary(pres, a, b, backs[i], backs[j])",
+     "_boundary(pres, a, a, backs[i], backs[i])"),
     ("distinctness-join-reversed", S, "groups[vi].mul(x, groups[vi].inv(y))", "groups[vi].mul(y, groups[vi].inv(x))"),
     ("distinctness-drops-kept-inverses", S, "            constraints[names[vi]].add(groups[vi].inv(val))\n",
      "            pass\n"),
     ("primes-by-nine-bases", S, "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)",
      "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23)"),
     ("no-prime-bound", S, "    if p >= _MR_BOUND:\n", "    if False:\n"),
+    ("cofactor-prime-only-below-bound", S, "(rest == 1 or _is_prime(rest))",
+     "(rest == 1 or rest < _MR_BOUND and _is_prime(rest))"),
     # amalgam forms and conjugacy by a subgroup
     ("fold-before-skip", A,
      "        if piece.is_identity:\n            continue\n"
@@ -211,19 +228,22 @@ def _limit_memory():
 
 def tier1_passes(tree: Path, seconds: float) -> bool:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    try:
-        proc = subprocess.run(
-            [sys.executable, *TIER1],
-            cwd=tree,
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-            timeout=seconds,
-            preexec_fn=_limit_memory,
-        )
-    except subprocess.TimeoutExpired:
-        return False
-    return proc.returncode == 0
+    # A session of its own, so that running out of time also stops the
+    # processes the tests start (a gp or script child that loops forever).
+    with subprocess.Popen(
+        [sys.executable, *TIER1],
+        cwd=tree,
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        preexec_fn=_limit_memory,
+        start_new_session=True,
+    ) as proc:
+        try:
+            return proc.wait(timeout=seconds) == 0
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            return False
 
 
 def fresh_copy(scratch: Path) -> Path:

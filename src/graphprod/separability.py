@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import count, takewhile
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 from .presentation import (
     GroupPresentation,
@@ -21,7 +21,7 @@ from .presentation import (
     PresentationError,
     induced_presentation,
 )
-from .words import Element, Key, _check_same, _make
+from .words import Element, Key, _check_same, _front_letters, _make
 from .cyclic import commuting_factors, cyclic_permutation_conjugators, cyclically_reduce
 from .conjugacy import are_conjugate
 
@@ -148,62 +148,26 @@ def _collect_shape_constraints(constraints: Dict[str, set], elements: Iterable[E
             constraints[names[vi]].add(val)
 
 
-class _FromBack(NamedTuple):
-    """A key read from its back: positions count from the back syllable."""
-
-    pres: GroupPresentation
-    syllables: Key  # the key reversed
-    support: frozenset  # the vertex indices
-    last: Dict[Tuple[int, int], int]  # syllable -> the position of its frontmost copy
-    back: Dict[int, int]  # vertex -> the position of its back-readable syllable
-
-
-def _from_back(pres: GroupPresentation, key: Key) -> _FromBack:
-    syllables = key[::-1]
-    last = {syl: pos for pos, syl in enumerate(syllables)}
-    read = _FromBack(pres, syllables, frozenset(vi for vi, _ in key), last, {})
-    return read._replace(back=_heads(read, 0, set()))
-
-
-def _heads(read: _FromBack, m: int, gone: set) -> Dict[int, int]:
-    """Each vertex -> the position of its back-readable syllable once the
-    first m positions and those in gone are removed.
-
-    A syllable is back-readable when every syllable left behind it lies on
-    its link.  The candidates are the vertices whose link holds every vertex
-    met so far; the scan stops when none is left.
-    """
-    heads, candidates, iadj, syllables = {}, set(read.support), read.pres.iadj, read.syllables
-    for pos in range(m, len(syllables)):
-        if not candidates:
-            break
-        if pos not in gone:
-            vi = syllables[pos][0]
-            if vi in candidates:
-                heads[vi] = pos
-            candidates &= iadj[vi]
-    return heads
-
-
-def _boundary(a: _FromBack, b: _FromBack):
-    """Cancel equal back-readable syllables of a and b until none are left.
+def _boundary(pres: GroupPresentation, a: Key, b: Key, back_a: Dict[int, int], back_b: Dict[int, int]):
+    """Cancel equal back-readable syllables of a and b, two reversed keys with
+    their `_front_letters` back_a and back_b, until none are left.
 
     Returns m, the positions of a and of b cancelled beyond the first m, and
     the (a, b) position pairs left to join.  The common prefix of the two
     reversed keys, of length m, cancels as it stands, so it is taken at once.
     """
-    x, y = a.syllables, b.syllables
-    m, end = 0, min(len(x), len(y))
-    while m < end and x[m] == y[m]:
+    m, end = 0, min(len(a), len(b))
+    while m < end and a[m] == b[m]:
         m += 1
     gone_a, gone_b = set(), set()
-    heads_a, heads_b = (_heads(a, m, gone_a), _heads(b, m, gone_b)) if m else (a.back, b.back)
-    while equal := [vi for vi, pos in heads_a.items() if vi in heads_b and x[pos] == y[heads_b[vi]]]:
+    if m:
+        back_a, back_b = _front_letters(pres, a, gone_a, m), _front_letters(pres, b, gone_b, m)
+    while equal := [vi for vi, pos in back_a.items() if vi in back_b and a[pos] == b[back_b[vi]]]:
         for vi in equal:
-            gone_a.add(heads_a[vi])
-            gone_b.add(heads_b[vi])
-        heads_a, heads_b = _heads(a, m, gone_a), _heads(b, m, gone_b)
-    return m, gone_a, gone_b, [(pos, heads_b[vi]) for vi, pos in heads_a.items() if vi in heads_b]
+            gone_a.add(back_a[vi])
+            gone_b.add(back_b[vi])
+        back_a, back_b = _front_letters(pres, a, gone_a, m), _front_letters(pres, b, gone_b, m)
+    return m, gone_a, gone_b, [(pos, back_b[vi]) for vi, pos in back_a.items() if vi in back_b]
 
 
 def _collect_distinctness(constraints: Dict[str, set], elements: Sequence[Element]) -> None:
@@ -232,29 +196,40 @@ def _collect_distinctness(constraints: Dict[str, set], elements: Sequence[Elemen
         return
     pres = elements[0].pres
     names, groups = pres.vertices, pres.by_index
-    reads = [_from_back(pres, e.key) for e in elements]
+    keys = [e.key[::-1] for e in elements]
+    backs = [_front_letters(pres, key) for key in keys]
+    lasts = [{syl: pos for pos, syl in enumerate(key)} for key in keys]  # syllable -> its frontmost copy
     # per element, as a and as b: the syllables that each of its pairs so far removes all copies of
-    lost_a = [set(read.last) for read in reads]
-    lost_b = [set(read.last) for read in reads]
-    for i, a in enumerate(reads):
-        for j in range(i + 1, len(reads)):
-            b = reads[j]
-            m, gone_a, gone_b, joins = _boundary(a, b)
+    lost_a = [set(last) for last in lasts]
+    lost_b = [set(last) for last in lasts]
+    for i, a in enumerate(keys):
+        for j, b in enumerate(keys[i + 1 :], i + 1):
+            m, gone_a, gone_b, joins = _boundary(pres, a, b, backs[i], backs[j])
             for pa, pb in joins:
-                (vi, x), (_, y) = a.syllables[pa], b.syllables[pb]
+                (vi, x), (_, y) = a[pa], b[pb]
                 constraints[names[vi]].add(groups[vi].mul(x, groups[vi].inv(y)))
                 gone_a.add(pa)
                 gone_b.add(pb)
             if lost_a[i]:
-                lost_a[i] = {syl for syl in lost_a[i] if a.last[syl] < m or a.last[syl] in gone_a}
+                lost_a[i] = {syl for syl in lost_a[i] if lasts[i][syl] < m or lasts[i][syl] in gone_a}
             if lost_b[j]:
-                lost_b[j] = {syl for syl in lost_b[j] if b.last[syl] < m or b.last[syl] in gone_b}
-    for read, lost in zip(reads[:-1], lost_a):
-        for vi, val in read.last.keys() - lost:
+                lost_b[j] = {syl for syl in lost_b[j] if lasts[j][syl] < m or lasts[j][syl] in gone_b}
+    for last, lost in zip(lasts[:-1], lost_a):
+        for vi, val in last.keys() - lost:
             constraints[names[vi]].add(val)
-    for read, lost in zip(reads[1:], lost_b[1:]):
-        for vi, val in read.last.keys() - lost:
+    for last, lost in zip(lasts[1:], lost_b[1:]):
+        for vi, val in last.keys() - lost:
             constraints[names[vi]].add(groups[vi].inv(val))
+
+
+def _on_support(elements: Sequence[Element]) -> List[Element]:
+    """The elements on the presentation induced on their joint support, which keeps the vertex
+    order and the edges among the kept vertices, so renumbering keeps each key canonical."""
+    pres = elements[0].pres
+    joint = sorted({vi for e in elements for vi, _ in e.key})
+    sub = induced_presentation(pres, (pres.vertices[vi] for vi in joint))
+    renumber = {vi: i for i, vi in enumerate(joint)}
+    return [Element(sub, tuple((renumber[vi], val) for vi, val in e.key)) for e in elements]
 
 
 def _family_from_constraints(
@@ -273,10 +248,11 @@ def _smallest_modulus(group, needed: set, mode: ClassMode, vertex: str) -> Optio
     sqrt(n) as trial division finds it, then the larger divisors in
     increasing order; in p-mode only the powers of p (that divide n).  Trial
     division divides each prime it finds out of the cofactor rest and stops
-    once rest is 1 or a prime (always so past sqrt(n); `_is_prime` decides it
-    below _MR_BOUND, where it is exact): the primes found and rest then give
-    every divisor.  An unconstrained Z/n vertex keeps its group whenever the
-    mode allows, so already-finite presentations get the identity family.
+    once rest is 1 or `_is_prime(rest)`: the primes found and rest then give
+    every divisor, unless rest >= _MR_BOUND is a strong pseudoprime to all 13
+    bases, whose divisors a stop would skip; each candidate still divides n.
+    An unconstrained Z/n vertex keeps its group whenever the mode allows, so
+    already-finite presentations get the identity family.
     """
     if group.kind == "table":
         return None
@@ -300,7 +276,7 @@ def _smallest_modulus(group, needed: set, mode: ClassMode, vertex: str) -> Optio
                         rest, e = rest // d, e + 1
                     if e:
                         known = [k * d**i for k in known for i in range(e + 1)]
-                    if (e or d == 1) and (rest == 1 or rest < _MR_BOUND and _is_prime(rest)):
+                    if (e or d == 1) and (rest == 1 or _is_prime(rest)):
                         break
             every = known if rest == 1 else known + [k * rest for k in known]
             yield from sorted(m for m in every if m > d)
@@ -323,7 +299,8 @@ def shape_preserving_family(elements: Sequence[Element], mode: ClassMode) -> Quo
         _check_same(elements[0], e)
     constraints: Dict[str, set] = {v: set() for v in pres.vertices}
     _collect_shape_constraints(constraints, elements)
-    _collect_distinctness(constraints, list(dict.fromkeys(elements)))
+    distinct = list(dict.fromkeys(elements))  # read on their support, where the scans can stop early
+    _collect_distinctness(constraints, _on_support(distinct) if len(distinct) > 1 else distinct)
     return _family_from_constraints(pres, constraints, mode)
 
 
@@ -383,14 +360,8 @@ def conjugacy_witness(f: Element, g: Element, mode: ClassMode = ALL_FINITE) -> S
     verdict = are_conjugate(f, g)
     if verdict.conjugate:
         raise ValueError("inputs are conjugate; no witness exists")
-    pres = f.pres
-    joint = sorted(pres.vertex_index(v) for v in f.support() | g.support())
-    sub = induced_presentation(pres, (pres.vertices[vi] for vi in joint))
-    # the induced presentation keeps the vertex order and the edges among
-    # the kept vertices, so renumbering maps a canonical key to a canonical key
-    renumber = {vi: i for i, vi in enumerate(joint)}
-    f_sub = Element(sub, tuple((renumber[vi], val) for vi, val in f.key))
-    g_sub = Element(sub, tuple((renumber[vi], val) for vi, val in g.key))
+    f_sub, g_sub = _on_support([f, g])
+    sub = f_sub.pres
     f0 = cyclically_reduce(f_sub).reduced
     g0 = cyclically_reduce(g_sub).reduced
     constraints: Dict[str, set] = {v: set() for v in sub.vertices}
@@ -399,13 +370,14 @@ def conjugacy_witness(f: Element, g: Element, mode: ClassMode = ALL_FINITE) -> S
     factors_f = commuting_factors(f0)
     for root, factor_g in commuting_factors(g0).items():
         if len(factor_g) > 1 and tag == "p-part-not-cyclic-permutation":
-            # A rotation only permutes the syllables of a cyclically reduced
-            # factor, so [f0, g0] already gave its values.  Two whole
-            # rotations differ only in the factors where they differ, so the
-            # per-factor products give the values of the whole closure up to
-            # sign, which no modulus test d % m can see.
+            # A rotation only permutes the syllables of a cyclically reduced factor, so
+            # [f0, g0] already gave its values.  Two whole rotations differ only in the
+            # factors where they differ, so the per-factor products give the values of the
+            # whole closure up to sign, which no modulus test d % m can see.  On the
+            # factor's own support, the readable-syllable scans stop once nothing is left.
+            other, factor_g = _on_support([factors_f[root], factor_g])
             rotations = sorted(cyclic_permutation_conjugators(factor_g))
-            _collect_distinctness(constraints, [factors_f[root], *rotations])
+            _collect_distinctness(constraints, [other, *rotations])
         elif len(factor_g) == 1 and tag == "s-part-not-conjugate":
             (vi, a), (_, b) = factors_f[root].key[0], factor_g.key[0]
             if sub.by_index[vi].conjugator_key(a, b) is None:

@@ -30,9 +30,9 @@ that are canonical by construction are wrapped as `Element(pres, key)` instead:
   picks), or at position 0 the part after it;
 - the children in `iter_ball` and the back peel in
   `parabolic.parabolic_intersection`;
-- the inputs of `separability.conjugacy_witness`, renumbered onto the
-  presentation induced on their joint support (it keeps the vertex order
-  and the edges among the kept vertices).
+- the inputs of `separability.conjugacy_witness` and their factors,
+  renumbered onto the presentation induced on their joint support (it keeps
+  the vertex order and the edges among the kept vertices).
 These cuts break the order and go back through `_make`: the cyclic core
 after a peel, the reversal in `invert`, retraction onto an arbitrary vertex
 set, and raw or unreduced syllables.
@@ -198,17 +198,25 @@ def _push(pres: GroupPresentation, out: List[Tuple[int, int]], syllables: Iterab
             out.insert(at, (vi, val))
 
 
-def _front_letters(pres: GroupPresentation, key: Sequence[Tuple[int, int]]) -> Dict[int, int]:
-    """Each vertex with a front-readable syllable -> that position, in position order.
+def _front_letters(pres: GroupPresentation, key: Sequence[Tuple[int, int]], removed=(), start=0) -> Dict[int, int]:
+    """Each vertex with a front-readable syllable -> that position, in position
+    order, skipping the positions before start and those in removed.
 
-    On the reversed key: the back-readable syllables, counted from the end."""
-    seen: set = set()
-    front = {}
-    iadj = pres.iadj
-    for pos, (vi, _) in enumerate(key):
-        if seen <= iadj[vi]:
+    A syllable is front-readable when every syllable before it lies on its
+    link.  The scan keeps the vertices on the link of every syllable read so
+    far, and ends once none is left.  On the reversed key: the back-readable
+    syllables, counted from the end."""
+    iadj, front, common = pres.iadj, {}, None
+    for pos in range(start, len(key)):
+        if pos in removed:
+            continue
+        vi = key[pos][0]
+        if common is None or vi in common:
             front[vi] = pos
-        seen.add(vi)
+        if common is None or not common <= iadj[vi]:
+            common = iadj[vi] if common is None else common & iadj[vi]
+            if not common:
+                break
     return front
 
 

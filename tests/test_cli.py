@@ -14,6 +14,7 @@ def gp(*args):
         [sys.executable, "-m", "graphprod.cli", *args],
         capture_output=True,
         text=True,
+        timeout=30,  # a hang fails the test instead of stalling the suite
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -310,14 +311,17 @@ def test_pinned_outputs(args, expected_code, expected_out):
         ("p:2", 10**18, "a[3]", 2),
         ("finite", 2 * 100000000000031, "a[2]", 100000000000031),
         ("finite", 2 * 500000000000000021, "a[2]", 500000000000000021),
+        ("finite", 2 * 3317044064679887385962123, "a[2]", 3317044064679887385962123),
     ],
-    ids=["finite", "p:2", "finite-1e18", "p:2-1e18", "finite-2q", "finite-2q-1e18"],
+    ids=["finite", "p:2", "finite-1e18", "p:2-1e18", "finite-2q", "finite-2q-1e18", "finite-2q-above-mr-bound"],
 )
 def test_witness_on_huge_cyclic_vertex_is_fast(tmp_path, mode, order, word, modulus):
     """Each divisor is tried as trial division finds it, and trial division stops
     once the undivided cofactor is 1 or a prime, so no scan runs to sqrt(n) or n.
     On 2q, q prime, the modulus is q: a scan to sqrt(n) took 0.8 s at q near
-    10^14, and would take minutes near 10^18."""
+    10^14, and would take minutes near 10^18.  The last q is a probable prime
+    just above the bound where the primality test is exact; the cofactor is
+    tested there too, so the scan stops after one division as well."""
     group = tmp_path / "huge.json"
     group.write_text(json.dumps({"vertices": [{"name": "a", "group": f"cyclic {order}"}], "edges": []}))
     start = time.perf_counter()

@@ -64,6 +64,7 @@ from graphprod.separability import (
     conjugacy_witness,
     p_group_mode,
     residual_witness,
+    shape_preserving_family,
 )
 
 from oracles import (
@@ -81,6 +82,7 @@ from oracles import (
     parse_word_by_syllables,
     rotation_closure_by_make,
     witness_constraints_by_parts,
+    _readable,
 )
 
 
@@ -589,6 +591,70 @@ def test_outputs_match_greedy_least_vertex_first(name, data):
         assert_least_vertex_first(e)
 
 
+def mixed_clique():
+    # mixed_hexagon's vertex groups, every pair adjacent
+    names = ["a", "b", "g", "d", "e", "f"]
+    groups = ["Z", "cyclic 5", s3_config(), "Z", "cyclic 3", s3_config()]
+    doc = {
+        "vertices": [{"name": v, "group": group} for v, group in zip(names, groups)],
+        "edges": [[u, v] for i, u in enumerate(names) for v in names[i + 1 :]],
+    }
+    return parse_presentation(json.dumps(doc))
+
+
+class CountingKey(tuple):
+    """A key that counts the positions read from it."""
+
+    reads = 0
+
+    def __getitem__(self, pos):
+        self.reads += 1
+        return tuple.__getitem__(self, pos)
+
+
+@pytest.mark.parametrize("name", sorted(NORMAL_FORM_PRESENTATIONS) + ["clique", "random"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_front_letters_match_the_readable_oracle(name, data):
+    # the one readable-syllable scan, with its early stop, its start and its
+    # removed positions, against the oracle's scan of the positions left
+    if name == "random":
+        pres = random_graph_product(data)
+    else:
+        pres = mixed_clique() if name == "clique" else NORMAL_FORM_PRESENTATIONS[name]
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    alphabet = corpus.syllable_alphabet(pres)
+    e = reduce(pres, Word(tuple(rng.choice(alphabet) for _ in range(data.draw(st.integers(0, 300))))))
+    for key in (e.key, e.key[::-1]):
+        n = len(key)
+        first = list(_readable(pres, key, range(n)).values())
+        removed_sets = [(), set(rng.sample(range(n), rng.randint(0, n)))]
+        removed_sets += [set(first[:r]) for r in range(1, len(first) + 1)]
+        gone = set()  # rounds that each remove every readable syllable left, as a boundary does
+        for _ in range(3):
+            gone |= set(_readable(pres, key, [p for p in range(n) if p not in gone]).values())
+            removed_sets.append(set(gone))
+        for start in (0, rng.randint(0, n)):
+            for removed in removed_sets:
+                expected = _readable(pres, key, [p for p in range(start, n) if p not in removed])
+                assert list(words._front_letters(pres, key, removed, start).items()) == list(expected.items())
+        assert list(words._front_letters(pres, key).items()) == list(_readable(pres, key, range(n)).items())
+
+
+def test_front_letters_stop_once_no_vertex_is_left(free_zz):
+    # on a free pair the first syllable commutes with no vertex: one position is read
+    key = CountingKey(element_of(free_zz, " ".join(["x[1] y[1]"] * 150)).key)
+    assert words._front_letters(free_zz, key) == {0: 0} and key.reads == 1
+    key = CountingKey(key[::-1])
+    assert words._front_letters(free_zz, key, {0}) == {0: 1} and key.reads == 1  # position 0 is skipped unread
+    # on a clique every syllable is readable and the scan reads every position
+    clique = mixed_clique()
+    for text in ("a[1] b[2] g[r] d[-1] e[1] f[s]", "b[1] d[2] f[sr]"):
+        key = CountingKey(element_of(clique, text).key)
+        assert list(words._front_letters(clique, key).values()) == list(range(len(key)))
+        assert key.reads == len(key)
+
+
 def test_clique_conjugator_is_the_product_of_its_syllables():
     # a triangle s -- c -- t -- s: S3, Z/3, S3, with names out of index order
     doc = {
@@ -1018,6 +1084,20 @@ def test_distinctness_matches_the_product_loop(blocks, free_zz):
         assert_distinctness_matches_products(closure_list(alternating, changed))
         checked += 1
     assert checked >= 250
+
+
+def test_shape_preserving_family_reads_on_the_support():
+    # c commutes with x and y, so the scans stop early only on the elements'
+    # own support; the family is the one the product loop gives
+    doc = {"vertices": [{"name": v, "group": "Z"} for v in "xyc"], "edges": [["x", "c"], ["y", "c"]]}
+    pres = parse_presentation(json.dumps(doc))
+    g = element_of(pres, " ".join(["x[2] y[1]"] + ["x[1] y[1]"] * 19))
+    for elements in (sorted(cyclic_permutation_conjugators(g)), [g, element_of(pres, "c[3] x[1]")]):
+        constraints = {v: set() for v in pres.vertices}
+        _collect_shape_constraints(constraints, elements)
+        distinctness_by_products(constraints, elements)
+        expected = _family_from_constraints(pres, constraints, ALL_FINITE).moduli
+        assert shape_preserving_family(elements, ALL_FINITE).moduli == expected
 
 
 WITNESS_GROUPS = ["Z", "cyclic 2", "cyclic 3", "cyclic 5", "S3"]
