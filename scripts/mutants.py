@@ -60,19 +60,16 @@ CLI = "src/graphprod/cli.py"
 # (name, file, old text, new text)
 MUTANTS = [
     # reduction keeps least-vertex-first order
-    ("push-always-appends", W, "                out.insert(at, (vi, val))\n                break\n",
-     "                out.append((vi, val))\n                break\n"),
-    ("push-always-appends-at-start", W, "        else:\n            out.insert(at, (vi, val))\n",
-     "        else:\n            out.append((vi, val))\n"),
+    ("push-always-appends", W, "                out.insert(at, pair)\n                break\n",
+     "                out.append(pair)\n                break\n"),
+    ("push-always-appends-at-start", W, "        else:\n            out.insert(at, pair)\n",
+     "        else:\n            out.append(pair)\n"),
     ("push-before-rightmost-greater", W, "            if ui > vi:\n                at = i\n",
      "            if ui > vi and at == len(out):\n                at = i\n"),
-    ("push-insertion-point-carried", W,
-     "    for vi, val in syllables:\n        group = groups[vi]\n"
-     "        if val == group.identity_key:  # keys are canonical, so one key is the identity\n"
-     "            continue\n        link = iadj[vi]\n        i = len(out) - 1\n        at = i + 1\n",
-     "    at = len(out)\n    for vi, val in syllables:\n        group = groups[vi]\n"
-     "        if val == group.identity_key:  # keys are canonical, so one key is the identity\n"
-     "            continue\n        link = iadj[vi]\n        i = len(out) - 1\n        at = min(at, i + 1)\n"),
+    ("push-insertion-point-carried", W, "        at = i if ui > vi else i + 1\n",
+     "        at = min(locals().get(\"at\", i + 1), i if ui > vi else i + 1)\n"),
+    ("push-last-join-keeps-identity", W, "                out.pop()\n", "                out[i] = (vi, merged)\n"),
+    ("push-last-greater-not-carried", W, "        at = i if ui > vi else i + 1\n", "        at = i + 1\n"),
     ("canonical-form-no-length-check", W,
      '    if len(e.key) != len(key):\n        raise WordError("word is not reduced")\n', ""),
     # each distinct syllable is translated once per call, and only equal syllables share a translation

@@ -15,12 +15,12 @@ from .words import (
     _check_same,
     _compare_centralizer,
     _make,
+    _push,
     _supported_in,
     conjugate,
     identity,
     invert,
     multiply,
-    retract_key,
 )
 from .cyclic import cyclically_reduce, is_cyclically_reduced
 
@@ -122,8 +122,11 @@ def centralizer_structure_check(g: Element, radius: int) -> CentralizerStructure
     def factored(u, centralizes):
         if not _supported_in(u, allowed_ids):
             return False
-        u_core = retract_key(pres, u.key, core_ids)
-        return multiply(u_core, g) == multiply(g, u_core)
+        # halo syllables commute with core ones, so u's core syllables, in order, are its canonical retraction
+        ug, gu = [s for s in u.key if s[0] in core_ids], list(g.key)
+        _push(pres, gu, ug)
+        _push(pres, ug, g.key)
+        return ug == gu
 
     return CentralizerStructureReport(core, halo, *_compare_centralizer(g, radius, factored))
 

@@ -347,6 +347,7 @@ class GroupPresentation:
         self.by_index = tuple(groups[v] for v in graph.vertices)
         self.iadj = graph.iadj
         self.istar = tuple(adj | {i} for i, adj in enumerate(graph.iadj))
+        self.identity_keys = tuple(group.identity_key for group in self.by_index)
 
     @property
     def vertices(self):

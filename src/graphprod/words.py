@@ -30,6 +30,8 @@ that are canonical by construction are wrapped as `Element(pres, key)` instead:
   picks), or at position 0 the part after it;
 - the children in `iter_ball` and the back peel in
   `parabolic.parabolic_intersection`;
+- the core syllables of a ball element in
+  `parabolic.centralizer_structure_check` (every other one commutes with them);
 - the inputs of `separability.conjugacy_witness` and their factors,
   renumbered onto the presentation induced on their joint support (it keeps
   the vertex order and the edges among the kept vertices).
@@ -162,40 +164,54 @@ def key_of_word(pres: GroupPresentation, word: Word) -> Key:
 def _push(pres: GroupPresentation, out: List[Tuple[int, int]], syllables: Iterable) -> None:
     """Multiply syllables onto a reduced word, one at a time, in least-vertex-first order.
 
-    Each syllable scans backwards over the syllables that commute with its
-    vertex and joins with a syllable of its own vertex that it reaches.
-    Otherwise it is a new maximal element of the trace, available once the
-    syllable that stopped the scan is emitted; the greedy order emits it before
-    the first scanned syllable of a greater vertex, so it is inserted there (or
-    appended).  A join keeps the order, and one that cancels deletes a maximal
-    element, which leaves the greedy order of the rest as it was; by the
-    commutation constraints no new join appears, so no fixpoint pass is needed.
-    """
-    groups, iadj = pres.by_index, pres.iadj
-    for vi, val in syllables:
-        group = groups[vi]
-        if val == group.identity_key:  # keys are canonical, so one key is the identity
+    Most syllables are settled at the list's last syllable, which a syllable of
+    its own vertex joins; a syllable is appended to an empty list, or when that
+    last syllable lies on another vertex off its link.  Otherwise it scans back
+    over the syllables that commute with its vertex and joins one of its own
+    vertex that it reaches, or else is a new maximal element of the trace,
+    available once the syllable that stopped the scan is emitted; the greedy
+    order emits it before the first scanned syllable of a greater vertex, so it
+    is inserted there (or appended).  A join keeps the order, and a cancelling
+    one deletes a maximal element, which leaves the greedy order of the rest as
+    it was; by the commutation constraints no new join appears, so no fixpoint
+    pass is needed.  Pairs are stored as the caller passed them."""
+    groups, iadj, identities = pres.by_index, pres.iadj, pres.identity_keys
+    for pair in syllables:
+        vi, val = pair
+        if val == identities[vi]:  # keys are canonical, so one key is the identity
+            continue
+        i = len(out) - 1
+        ui, uval = out[i] if out else (-1, None)  # an empty list ends on vertex -1, in no link
+        if ui == vi:
+            merged = groups[vi].mul(uval, val)
+            if merged == identities[vi]:
+                out.pop()
+            else:
+                out[i] = (vi, merged)
             continue
         link = iadj[vi]
-        i = len(out) - 1
-        at = i + 1
+        if ui not in link:
+            out.append(pair)
+            continue
+        at = i if ui > vi else i + 1
+        i -= 1
         while i >= 0:
             ui, uval = out[i]
             if ui == vi:
-                merged = group.mul(uval, val)
-                if merged == group.identity_key:
+                merged = groups[vi].mul(uval, val)
+                if merged == identities[vi]:
                     del out[i]
                 else:
                     out[i] = (vi, merged)
                 break
             if ui not in link:
-                out.insert(at, (vi, val))
+                out.insert(at, pair)
                 break
             if ui > vi:
                 at = i
             i -= 1
         else:
-            out.insert(at, (vi, val))
+            out.insert(at, pair)
 
 
 def _front_letters(pres: GroupPresentation, key: Sequence[Tuple[int, int]], removed=(), start=0) -> Dict[int, int]:
@@ -420,7 +436,7 @@ def iter_ball(
     The product is carried along the same tree: left·(p·s) = (left·p)·s.  When
     the parent's product is empty, or its last vertex is neither the child's
     last vertex nor in that vertex's link, the syllable is appended, which is
-    what `_push`'s first scan step does; otherwise it is pushed.  Only the
+    what `_push` does at the last syllable; otherwise it is pushed.  Only the
     levels that are extended are kept; the last one is yielded but not stored.
     """
     if radius < 0:

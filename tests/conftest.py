@@ -1,9 +1,32 @@
 import json
+import signal
 
 import pytest
 
 from graphprod import corpus, parse_presentation
 from graphprod.presentation import presentation_from_config
+
+TEST_SECONDS = 60  # the slowest test takes about 5 s
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs longer than TEST_SECONDS, so a hang fails it
+    instead of stalling the suite.  Skipped where there is no SIGALRM."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"test ran longer than {TEST_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

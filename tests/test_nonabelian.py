@@ -520,6 +520,9 @@ def test_batched_push_matches_the_one_syllable_fold(name):
     def inverse(key):
         return [(vi, pres.by_index[vi].inv(val)) for vi, val in reversed(key)]
 
+    def exact(key):  # _push stores the pairs it is given, so every caller must pass (int, int) tuples
+        return all(type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is int for p in key)
+
     for _ in range(60):
         w = raw(rng.randint(0, 12))
         key = tuple(raw(rng.randint(0, 6)) + w + raw(rng.randint(0, 2)) + inverse(w) + raw(rng.randint(0, 6)))
@@ -530,6 +533,33 @@ def test_batched_push_matches_the_one_syllable_fold(name):
         other = raw(rng.randint(0, 12))
         b = _make(pres, other + inverse(a.key) + raw(rng.randint(0, 4)))
         assert multiply(a, b).key == fold_push(pres, b.key, a.key) == fold_push(pres, key + tuple(b.key))
+        assert all(exact(e.key) for e in (a, invert(a), b, multiply(a, b)))
+
+    # one syllable pushed at each step of the settling at the list's last
+    # syllable: onto an empty list, a join and a cancel there, an append off
+    # the link, and a last syllable on the link of a greater or smaller vertex
+    def step(out, vi, val):
+        if not out:
+            return "empty"
+        ui, uval = out[-1]
+        if ui == vi:
+            return "cancel" if pres.by_index[vi].mul(uval, val) == pres.by_index[vi].identity_key else "join"
+        return "off-link" if ui not in pres.iadj[vi] else "greater" if ui > vi else "smaller"
+
+    reached = set()
+    for (u, us), (v, vs) in itertools.product(enumerate(values), repeat=2):
+        for a, b in itertools.product(us, vs):
+            for out in ([], [(u, a)], list(_make(pres, raw(rng.randint(0, 6)) + [(u, a)]).key)):
+                reached.add(step(out, v, b))
+                before = tuple(out)
+                words._push(pres, out, [(v, b)])
+                assert tuple(out) == fold_push(pres, [(v, b)], before) and exact(out)
+    n = len(values)
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    expected = {"empty", "cancel"} | ({"join"} if any(len(vals) > 1 for vals in values) else set())
+    expected |= {"off-link"} if any(v not in pres.iadj[u] for u, v in pairs) else set()
+    expected |= {"greater", "smaller"} if any(pres.iadj) else set()
+    assert reached == expected
 
 
 def test_cyclic_reduction_conjugator_needs_no_reordering(monkeypatch):
