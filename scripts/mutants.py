@@ -191,13 +191,15 @@ MUTANTS = [
     ("intersection-no-adjacency", PB, "for vi in a_ids & b_ids if d_ids <= pres.iadj[vi])",
      "for vi in a_ids & b_ids)"),
     ("peel-without-blockers", PB, "        if vi in ids and blockers <= iadj[vi]:\n", "        if vi in ids:\n"),
-    ("trivial-mod-vertex-generates", PB, "keys = [1] if group.order > 1 else []", "keys = [1] if group.order >= 1 else []"),
-    # the integer encoders reject bools, which JSON true and false load as
-    ("encode-fast-path-takes-bool", PR,
-     '        if type(value) is int:\n            return value\n        if not _is_int(value):\n'
-     '            raise WordError(f"{value!r} is not an integer exponent")\n',
-     '        if isinstance(value, int):\n            return value\n        if not _is_int(value):\n'
-     '            raise WordError(f"{value!r} is not an integer exponent")\n'),
+    ("trivial-mod-vertex-generates", PB, "keys = [1] if group.order != 1 else []", "keys = [1]"),
+    # the cyclic encoder rejects bools, which JSON true and false load as
+    ("encode-fast-path-takes-bool", PR, "        if type(value) is not int:\n            if not _is_int(value):\n",
+     "        if not isinstance(value, int):\n            if not _is_int(value):\n"),
+    # Z/n keys are residues, and a syllable is trivial when it is its vertex's identity key
+    ("cyclic-mul-unreduced", PR, "return a + b if n is None else (a + b) % n", "return a + b if n is None else a + b"),
+    ("reduced-key-trivial-is-zero", W, "if any(val == identities[vi] for vi, val in key):",
+     "if any(val == 0 for vi, val in key):"),
+    ("mod-null-is-z", PR, 'CyclicGroup(config["mod"] or 0)', 'CyclicGroup(config["mod"])'),
     # adjacency is stored once, as iadj, in both directions
     ("adjacency-one-sided", PR, "            adj[index[v]].add(index[u])\n", ""),
     # table groups

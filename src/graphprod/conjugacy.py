@@ -52,7 +52,7 @@ def conjugate_in_clique_subgroup(
         t = group.conjugator_key(va, vb)
         if t is None:
             return False, None
-        if not group.is_identity(t):
+        if t != group.identity_key:
             conj_key.append((vi, t))
     return True, Element(pres, tuple(conj_key))  # commuting, ascending: canonical
 

@@ -73,12 +73,10 @@ def parabolic_generators(p: ParabolicSubgroup) -> List[Element]:
     for v in sorted(p.core, key=pres.vertex_index):
         vi = pres.vertex_index(v)
         group = pres.by_index[vi]
-        if group.kind == "Z":
-            keys = [1]  # either sign generates Z
-        elif group.kind == "mod":
-            keys = [1] if group.order > 1 else []
-        else:
+        if group.kind == "table":
             keys = group.nontrivial_keys()
+        else:
+            keys = [1] if group.order != 1 else []  # 1 generates Z and Z/n; Z/1 is trivial
         for val in keys:
             gens.append(conjugate(p.conjugator, Element(pres, ((vi, val),))))
     return gens

@@ -1,7 +1,8 @@
 """Presentations of graph products: simplicial graphs, vertex groups, words.
 
 A presentation is a simplicial graph together with one concrete group per
-vertex (a finite multiplication table, the integers, or the integers mod n).
+vertex: a finite multiplication table, or a cyclic group (the integers, or
+the integers mod n).
 Everything is immutable after construction and all operations are pure, so
 values can be shared freely between threads.
 """
@@ -35,10 +36,11 @@ def _is_int(value) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Vertex groups.  Element "keys" are the internal representation: table
-# indices for table groups, plain ints for the integers, residues in [0, n)
-# for the integers mod n.  Public values are element names (table groups)
-# or ints (the rest).
+# Vertex groups: FiniteTableGroup and CyclicGroup (Z or Z/n).  Element
+# "keys" are the internal representation: table indices for table groups,
+# plain ints for Z, residues in [0, n) for Z/n.  Keys are canonical, so a key
+# is trivial exactly when it equals the group's identity_key.  Public values
+# are element names (table groups) or ints (cyclic groups).
 # ---------------------------------------------------------------------------
 
 
@@ -129,9 +131,6 @@ class FiniteTableGroup:
     def inv(self, a: int) -> int:
         return self._inverse[a]
 
-    def is_identity(self, a: int) -> bool:
-        return a == self.identity_key
-
     def nontrivial_keys(self, window: Optional[int] = None) -> Sequence[int]:
         """Every key but the identity's, in ascending order."""
         return [i for i in range(self.order) if i != self.identity_key]
@@ -160,92 +159,56 @@ class FiniteTableGroup:
         return None
 
 
-class IntegerGroup:
-    """The additive group of integers."""
-
-    kind = "Z"
-    order = None
+class CyclicGroup:
+    """The additive group Z (order None) or Z/n (order n >= 1); a key is an
+    int, and a residue in [0, n) when the order is finite."""
 
     identity_key = 0
 
+    def __init__(self, order: Optional[int] = None):
+        if order is not None and (not _is_int(order) or order < 1):
+            raise PresentationError("modulus must be a positive integer")
+        self.order = order
+        self.kind = "Z" if order is None else "mod"
+        self._noun = "exponent" if order is None else "residue"
+
     def mul(self, a: int, b: int) -> int:
-        return a + b
+        n = self.order
+        return a + b if n is None else (a + b) % n
 
     def inv(self, a: int) -> int:
-        return -a
-
-    def is_identity(self, a: int) -> bool:
-        return a == 0
+        n = self.order
+        return -a if n is None else -a % n
 
     def nontrivial_keys(self, window: Optional[int] = None) -> Sequence[int]:
-        """The nonzero exponents in [-window, window], in ascending order."""
+        """The nonzero keys in ascending order: every residue, as a lazy
+        range, or the exponents in [-window, window]."""
+        if self.order is not None:
+            return range(1, self.order)
         if window is None:
             raise ValueError("integer vertex group needs an exponent window")
         return [e for e in range(-window, window + 1) if e != 0]
 
     def encode(self, value) -> int:
-        if type(value) is int:
-            return value
-        if not _is_int(value):
-            raise WordError(f"{value!r} is not an integer exponent")
-        return int(value)  # keys are exact ints
+        if type(value) is not int:
+            if not _is_int(value):
+                raise WordError(f"{value!r} is not an integer {self._noun}")
+            value = int(value)  # keys are exact ints
+        return value if self.order is None else value % self.order
 
     def decode(self, key: int) -> int:
         return key
 
     def parse_value(self, text: str) -> int:
         if not _INT_RE.match(text):
-            raise WordError(f"expected an integer exponent, got {text!r}")
-        return int(text)
+            raise WordError(f"expected an integer {self._noun}, got {text!r}")
+        return self.encode(int(text))
 
     def conjugator_key(self, a: int, b: int) -> Optional[int]:
-        return 0 if a == b else None
+        return 0 if a == b else None  # keys are canonical and the group abelian
 
 
-class IntegersModGroup:
-    """The additive group of integers modulo n (n >= 1); keys live in [0, n)."""
-
-    kind = "mod"
-
-    def __init__(self, modulus: int):
-        if not _is_int(modulus) or modulus < 1:
-            raise PresentationError("modulus must be a positive integer")
-        self.order = modulus
-        self.identity_key = 0
-
-    def mul(self, a: int, b: int) -> int:
-        return (a + b) % self.order
-
-    def inv(self, a: int) -> int:
-        return (-a) % self.order
-
-    def is_identity(self, a: int) -> bool:
-        return a % self.order == 0
-
-    def nontrivial_keys(self, window: Optional[int] = None) -> Sequence[int]:
-        """The nonzero residues in ascending order, as a lazy range."""
-        return range(1, self.order)
-
-    def encode(self, value) -> int:
-        if type(value) is int:
-            return value % self.order
-        if not _is_int(value):
-            raise WordError(f"{value!r} is not an integer residue")
-        return int(value) % self.order
-
-    def decode(self, key: int) -> int:
-        return key
-
-    def parse_value(self, text: str) -> int:
-        if not _INT_RE.match(text):
-            raise WordError(f"expected an integer residue, got {text!r}")
-        return int(text) % self.order
-
-    def conjugator_key(self, a: int, b: int) -> Optional[int]:
-        return 0 if (a - b) % self.order == 0 else None
-
-
-VertexGroup = Union[FiniteTableGroup, IntegerGroup, IntegersModGroup]
+VertexGroup = Union[FiniteTableGroup, CyclicGroup]
 
 
 def vertex_group_from_config(config) -> VertexGroup:
@@ -255,15 +218,15 @@ def vertex_group_from_config(config) -> VertexGroup:
     {"table": {"elements": [...], "mul": [[...]], "identity": i}}.
     """
     if config == "Z":
-        return IntegerGroup()
+        return CyclicGroup()
     if isinstance(config, str):
         parts = config.split()
         if len(parts) == 2 and parts[0] == "cyclic" and parts[1].isdecimal():
-            return IntegersModGroup(int(parts[1]))
+            return CyclicGroup(int(parts[1]))
         raise PresentationError(f"unknown vertex group {config!r}")
     if isinstance(config, dict):
         if set(config) == {"mod"}:
-            return IntegersModGroup(config["mod"])
+            return CyclicGroup(config["mod"] or 0)  # null is rejected like 0, not read as order None (Z)
         if set(config) == {"table"}:
             t = config["table"]
             if not isinstance(t, dict) or set(t) != {"elements", "mul", "identity"}:

@@ -93,7 +93,7 @@ def check_confluence(pres, w: Word, rng: random.Random) -> None:
     """Joining random joinable pairs until none is left reaches the normal form."""
     key = list(key_of_word(pres, w))
     while True:
-        key = [s for s in key if not pres.by_index[s[0]].is_identity(s[1])]
+        key = [s for s in key if s[1] != pres.identity_keys[s[0]]]
         joinable = list(_joinable_pairs(pres, key))
         if not joinable:
             break

@@ -15,8 +15,8 @@ from itertools import count, takewhile
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 from .presentation import (
+    CyclicGroup,
     GroupPresentation,
-    IntegersModGroup,
     InvariantError,
     PresentationError,
     induced_presentation,
@@ -122,7 +122,7 @@ class QuotientFamily:
                 raise PresentationError(f"modulus {m} does not divide {group.order} at {v!r}")
             if mode.is_p_mode and not _is_p_power(m, mode.p):
                 raise PresentationError(f"modulus {m} at {v!r} is not a power of {mode.p}")
-            groups[v] = IntegersModGroup(m)
+            groups[v] = CyclicGroup(m)
         self.pres = pres
         self.moduli = dict(moduli)
         self.mode = mode

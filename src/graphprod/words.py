@@ -277,8 +277,8 @@ def _joinable_pairs(pres: GroupPresentation, key: Sequence[Tuple[int, int]]):
 
 def is_reduced_key(pres: GroupPresentation, key: Sequence[Tuple[int, int]]) -> bool:
     """No trivial syllables and no two joinable syllables."""
-    groups = pres.by_index
-    if any(groups[vi].is_identity(val) for vi, val in key):
+    identities = pres.identity_keys
+    if any(val == identities[vi] for vi, val in key):
         return False
     return next(_joinable_pairs(pres, key), None) is None
 

@@ -477,7 +477,7 @@ def push_syllable(pres, out, vi, val):
     leftmost scanned syllable of a greater vertex (or appends).
     """
     group = pres.by_index[vi]
-    if group.is_identity(val):
+    if val == group.identity_key:
         return
     link = pres.iadj[vi]
     i = len(out) - 1
@@ -486,7 +486,7 @@ def push_syllable(pres, out, vi, val):
         ui, uval = out[i]
         if ui == vi:
             merged = group.mul(uval, val)
-            if group.is_identity(merged):
+            if merged == group.identity_key:
                 del out[i]
             else:
                 out[i] = (vi, merged)
@@ -676,7 +676,7 @@ def single_step_rewrites(pres, key):
     iadj = pres.iadj
     results = []
     for i, (vi, val) in enumerate(key):
-        if groups[vi].is_identity(val):
+        if val == groups[vi].identity_key:
             results.append(key[:i] + key[i + 1 :])
     for i in range(len(key) - 1):
         (ui, uval), (wi, wval) = key[i], key[i + 1]

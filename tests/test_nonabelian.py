@@ -497,6 +497,9 @@ def push_presentations():
         "one-vertex-s3": graph([s3_identity_third()], lambda names: []),
         "complete": graph(mixed, lambda names: [list(e) for e in itertools.combinations(names, 2)]),
         "edgeless": graph(mixed, lambda names: []),
+        # pushing v1 onto [v0, v2] scans past v2 on its link and stops at v0
+        # off it, so v1 goes in before v2: [v0, v1, v2]
+        "insert-before-greater": graph(["Z"] * 3, lambda names: [names[1:]]),
     }
 
 
@@ -533,7 +536,8 @@ def test_batched_push_matches_the_one_syllable_fold(name):
         other = raw(rng.randint(0, 12))
         b = _make(pres, other + inverse(a.key) + raw(rng.randint(0, 4)))
         assert multiply(a, b).key == fold_push(pres, b.key, a.key) == fold_push(pres, key + tuple(b.key))
-        assert all(exact(e.key) for e in (a, invert(a), b, multiply(a, b)))
+        # one-vertex-s3's identity key is 3, so its key 0 is a nontrivial syllable
+        assert all(exact(e.key) and is_reduced_key(pres, e.key) for e in (a, invert(a), b, multiply(a, b)))
 
     # one syllable pushed at each step of the settling at the list's last
     # syllable: onto an empty list, a join and a cancel there, an append off

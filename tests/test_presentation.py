@@ -19,7 +19,7 @@ from graphprod import (
     vertex_mul,
 )
 from graphprod.amalgam import SigmaAmalgam
-from graphprod.presentation import FiniteTableGroup, IntegersModGroup, IntegerGroup, induced_presentation
+from graphprod.presentation import CyclicGroup, FiniteTableGroup, induced_presentation
 
 from oracles import associative_by_triples
 
@@ -153,13 +153,29 @@ def test_json_nested_too_deep_to_decode_rejected():
 
 
 def test_table_group_axioms_hold_after_load():
+    # S3, Z on the keys -4..4, and Z/1, Z/2, Z/6: the group axioms hold, every
+    # key an operation returns is an exact int (in [0, n) for a finite group),
+    # and parsing a value's text gives the key that encoding the value gives
     names, table, _ = s3_table()
-    group = FiniteTableGroup(names, table, 0)
-    for a, b, c in itertools.product(range(6), repeat=3):
-        assert group.mul(group.mul(a, b), c) == group.mul(a, group.mul(b, c))
-    for a in range(6):
-        assert group.mul(a, group.inv(a)) == 0
-        assert group.mul(0, a) == a == group.mul(a, 0)
+    for group in [FiniteTableGroup(names, table, 0), CyclicGroup(), CyclicGroup(1), CyclicGroup(2), CyclicGroup(6)]:
+        e = group.identity_key
+        nontrivial = list(group.nontrivial_keys(4))
+        assert nontrivial == sorted(nontrivial) and e not in nontrivial
+        keys = [e, *nontrivial]
+        assert len(keys) == (9 if group.order is None else group.order)
+
+        def canonical(key):
+            return type(key) is int and (group.order is None or 0 <= key < group.order)
+
+        for a, b, c in itertools.product(keys, repeat=3):
+            assert group.mul(group.mul(a, b), c) == group.mul(a, group.mul(b, c))
+        for a in keys:
+            assert group.mul(a, group.inv(a)) == e == group.mul(group.inv(a), a)
+            assert group.mul(e, a) == a == group.mul(a, e)
+            assert canonical(group.inv(a)) and all(canonical(group.mul(a, b)) for b in keys)
+        values = names if group.kind == "table" else range(-13, 14)
+        for value in values:
+            assert canonical(group.encode(value)) and group.parse_value(str(value)) == group.encode(value)
 
 
 def random_loop(n, rng):
@@ -267,9 +283,9 @@ def test_word_render_roundtrip(all_presentations):
 
 
 def test_vertex_mul_examples():
-    assert vertex_mul(IntegersModGroup(2), 1, 1) == 0
-    assert vertex_mul(IntegerGroup(), 3, -2) == 1
-    assert vertex_mul(IntegersModGroup(4), 3, 2) == 1
+    assert vertex_mul(CyclicGroup(2), 1, 1) == 0
+    assert vertex_mul(CyclicGroup(), 3, -2) == 1
+    assert vertex_mul(CyclicGroup(4), 3, 2) == 1
 
 
 def test_vertex_conjugacy_in_s3_matches_permutation_search():
@@ -296,10 +312,10 @@ def test_vertex_conjugacy_in_s3_matches_permutation_search():
 
 
 def test_conjugacy_in_abelian_groups_is_equality():
-    z = IntegerGroup()
+    z = CyclicGroup()
     assert vertex_conjugate_test(z, 1, 2) == (False, None)
     assert vertex_conjugate_test(z, 2, 2) == (True, 0)
-    m = IntegersModGroup(4)
+    m = CyclicGroup(4)
     assert vertex_conjugate_test(m, 1, 3) == (False, None)
     assert vertex_conjugate_test(m, 3, 3) == (True, 0)
 

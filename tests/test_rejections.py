@@ -15,10 +15,9 @@ from graphprod.amalgam import (
 )
 from graphprod.conjugacy import conjugate_in_clique_subgroup
 from graphprod.presentation import (
+    CyclicGroup,
     FiniteTableGroup,
     GroupPresentation,
-    IntegerGroup,
-    IntegersModGroup,
     PresentationError,
     SimplicialGraph,
     Syllable,
@@ -145,9 +144,9 @@ REJECTIONS = {
         "not an element of this table group",
     ),
     "table-parse-unknown-name": (lambda: parse_word(MIXED, "u[zz]"), WordError, "unknown table element"),
-    "integer-keys-without-window": (lambda: IntegerGroup().nontrivial_keys(), ValueError, "exponent window"),
-    "integer-encode-text": (lambda: IntegerGroup().encode("1"), WordError, "not an integer exponent"),
-    "residue-encode-text": (lambda: IntegersModGroup(3).encode("1"), WordError, "not an integer residue"),
+    "integer-keys-without-window": (lambda: CyclicGroup().nontrivial_keys(), ValueError, "exponent window"),
+    "integer-encode-text": (lambda: CyclicGroup().encode("1"), WordError, "not an integer exponent"),
+    "residue-encode-text": (lambda: CyclicGroup(3).encode("1"), WordError, "not an integer residue"),
     "residue-parse-text": (lambda: parse_word(PATH, "a[x]"), WordError, "expected an integer residue"),
     # the encoder that reduce runs on a Word's syllables; JSON true loads as the bool 1
     "reduce-unknown-vertex": (lambda: reduce(PATH, Word((Syllable("zz", 1),))), PresentationError, "unknown vertex"),
@@ -184,6 +183,12 @@ REJECTIONS = {
         PresentationError,
         "needs elements, mul, identity",
     ),
+    # a null modulus is rejected, not read as CyclicGroup's order None (Z)
+    "group-mod-null": (
+        lambda: vertex_group_from_config({"mod": None}),
+        PresentationError,
+        "modulus must be a positive integer",
+    ),
     "group-config-not-text-or-dict": (
         lambda: vertex_group_from_config(5),
         PresentationError,
@@ -193,7 +198,7 @@ REJECTIONS = {
     "graph-bad-vertex-name": (lambda: SimplicialGraph(["1a"], []), PresentationError, "bad vertex name"),
     "graph-star-unknown-vertex": (lambda: PATH.graph.star("zz"), PresentationError, "unknown vertex 'zz'"),
     "presentation-groups-mismatch": (
-        lambda: GroupPresentation(SimplicialGraph(["a"], []), {"b": IntegerGroup()}),
+        lambda: GroupPresentation(SimplicialGraph(["a"], []), {"b": CyclicGroup()}),
         PresentationError,
         "one vertex group per vertex",
     ),

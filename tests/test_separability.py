@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphprod import corpus, parse_presentation
-from graphprod.presentation import FiniteTableGroup, IntegerGroup, IntegersModGroup, PresentationError, Word
+from graphprod.presentation import CyclicGroup, FiniteTableGroup, PresentationError, Word
 from graphprod.words import conjugate, element_of, multiply, reduce, retract_key, shape
 from graphprod.cyclic import is_cyclically_reduced
 from graphprod.conjugacy import are_conjugate
@@ -219,7 +219,7 @@ def test_smallest_modulus_matches_divisor_scan():
     modes = [(ALL_FINITE, None), (p_group_mode(2), 2), (p_group_mode(3), 3)]
     q, p = 10007, 1009
     for n in [*range(1, 2001), 2 * q, 6 * q, 12 * q, 2 * 65537, p * p, 4 * p * p]:
-        group = IntegersModGroup(n)
+        group = CyclicGroup(n)
         for needed in needed_sets:
             for mode, p in modes:
                 expected = smallest_modulus_by_scan(n, needed, p)
@@ -239,7 +239,7 @@ def test_smallest_modulus_of_z_and_table_vertices():
             m = 1
             while any(d % m == 0 for d in needed):
                 m = m * mode.p if mode.is_p_mode else m + 1
-            assert _smallest_modulus(IntegerGroup(), needed, mode, "a") == m, (needed, mode)
+            assert _smallest_modulus(CyclicGroup(), needed, mode, "a") == m, (needed, mode)
     table = FiniteTableGroup(["e", "t", "tt"], [[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0)
     for mode in [ALL_FINITE, p_group_mode(3)]:
         assert _smallest_modulus(table, {1, 2}, mode, "t") is None
