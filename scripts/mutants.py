@@ -162,12 +162,14 @@ MUTANTS = [
      "(rest == 1 or rest < _MR_BOUND and _is_prime(rest))"),
     # amalgam forms and conjugacy by a subgroup
     ("fold-before-skip", A,
-     "        if piece.is_identity:\n            continue\n"
-     "        if cs and _supported_in(xs[-1], h_ids):\n            x = xs.pop()\n"
-     "            xs[-1] = multiply(xs[-1], x)\n            piece = multiply(cs.pop(), piece)\n",
-     "        if cs and _supported_in(xs[-1], h_ids):\n            x = xs.pop()\n"
-     "            xs[-1] = multiply(xs[-1], x)\n            piece = multiply(cs.pop(), piece)\n"
-     "        if piece.is_identity:\n            continue\n"),
+     "        if c == one:\n            continue\n"
+     "        if cs and _supported_in(xs[-1], h_ids):\n            xs[-2:] = [multiply(xs[-2], xs[-1])]\n"
+     "            c = group.mul(cs.pop(), c)\n            if c == one:\n                continue\n",
+     "        if cs and _supported_in(xs[-1], h_ids):\n            xs[-2:] = [multiply(xs[-2], xs[-1])]\n"
+     "            c = group.mul(cs.pop(), c)\n            if c == one:\n                continue\n"
+     "        if c == one:\n            continue\n"),
+    ("apex-run-keeps-identity", A,
+     "        if c == one:\n            continue\n        if cs and", "        if cs and"),
     ("fold-without-h-side-test", A, "        if cs and _supported_in(xs[-1], h_ids):\n", "        if cs:\n"),
     ("conjugate-by-no-b-support-test", A,
      "if _supported_in(b, b_ids) and multiply(b, g) == multiply(f, b):",
@@ -180,6 +182,8 @@ MUTANTS = [
     # amalgam answers read off the consonant counts
     ("centralizer-power-one-sign", A, "            for l in (q, -q):\n", "            for l in (q,):\n"),
     ("classify-next-prefix", A, "        p = prefixes[j]\n", "        p = prefixes[(j + 1) % len(prefixes)]\n"),
+    ("sigma-kernel-no-rs-test", A, "if core_ids <= self.q_ids or core_ids <= self.r_ids | self.s_ids:",
+     "if core_ids <= self.q_ids:"),
     ("sigma-s-unshifted", A, "((vi - shift, val) for vi, val in e.key if vi >= shift)",
      "((vi, val) for vi, val in e.key if vi >= shift)"),
     # parabolic subgroups

@@ -248,7 +248,7 @@ def digest_amalgams(seed: int, feed) -> None:
     for _ in range(10):
         e = reduce(amalgam.presentation, corpus.random_word(amalgam.presentation, rng, 20))
         feed("sigma", keys(amalgam.sigma(e)))
-    report = amalgam.kernel_sample_check(20, 12, seed=rng.randrange(1 << 30))
+    report = amalgam.kernel_sample_check(corpus.random_words(amalgam.presentation, 20, 12, rng.randrange(1 << 30)))
     feed("sigma", (report.samples, report.nontrivial, keys(report.failures)))
 
 

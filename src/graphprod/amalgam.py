@@ -5,15 +5,14 @@ the remaining vertices (the A-side) with the vertex group of v (the C-side),
 glued along the full subgroup on link(v) (the H-side, which commutes with
 the C-side).  Every element then has an essentially unique alternating form
 x0 c1 x1 ... cn xn whose C-factors -- the consonants -- depend only on the
-group element.  The same machinery runs verbatim when the C-side is a whole
-vertex subset, which is what the sigma-map construction needs.
+group element.
 """
 
 from __future__ import annotations
 
-import random
+import functools
 from itertools import groupby
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .presentation import (
     GroupPresentation,
@@ -38,7 +37,6 @@ from .words import (
     reduce,
     retract_key,
 )
-from .corpus import random_word
 from .cyclic import cyclically_reduce
 from .conjugacy import are_conjugate
 
@@ -82,48 +80,45 @@ class AmalgamForm(NamedTuple):
         return len(self.consonants)
 
 
-def _general_form(pres, c_ids, h_ids, key) -> Tuple[list, list]:
+def _general_form(pres, apex, h_ids, key) -> Tuple[list, list]:
     """Alternating x/c pieces with interior x-pieces pushed out of the H-side.
 
-    Returns (xs, cs): len(xs) == len(cs) + 1, consonants nontrivial, and every
-    interior x-piece has support outside the H-side.  The consonant list
-    depends only on the group element represented by the key.
+    Returns (xs, cs): len(xs) == len(cs) + 1, each consonant a nontrivial
+    apex key, and each interior x-piece has support outside the H-side.  The
+    consonants depend only on the element the key represents.
 
-    One left-to-right pass over the runs of A- and C-syllables.  An A-run
-    multiplies into the last x-piece.  A C-run that reduces to the identity
-    is skipped, so the pieces on either side of it merge.  Any other C-run
-    first absorbs the previous consonant when the x-piece between them lies
-    in the H-side, which commutes with the C-side, and is pushed unless that
-    cancelled it.
+    One left-to-right pass over the runs of A- and apex syllables.  An A-run
+    multiplies into the last x-piece.  An apex run becomes the product of its
+    values, in order, and is skipped when that is the identity, so the pieces
+    on either side of it merge.  Any other apex run first absorbs the previous
+    consonant when the x-piece between them lies in the H-side, which commutes
+    with the apex, and is kept unless that cancelled it.
     """
+    group = pres.by_index[apex]
+    one = pres.identity_keys[apex]
     xs: List[Element] = [identity(pres)]
-    cs: List[Element] = []
-    for on_c, run in groupby(key, lambda s: s[0] in c_ids):
-        piece = _make(pres, run)
+    cs: List[int] = []
+    for on_c, run in groupby(key, lambda s: s[0] == apex):
         if not on_c:
-            xs[-1] = multiply(xs[-1], piece)
+            xs[-1] = multiply(xs[-1], _make(pres, run))
             continue
-        if piece.is_identity:
+        c = functools.reduce(group.mul, (val for _, val in run))
+        if c == one:
             continue
         if cs and _supported_in(xs[-1], h_ids):
-            x = xs.pop()
-            xs[-1] = multiply(xs[-1], x)
-            piece = multiply(cs.pop(), piece)
-        if not piece.is_identity:
-            cs.append(piece)
-            xs.append(identity(pres))
+            xs[-2:] = [multiply(xs[-2], xs[-1])]
+            c = group.mul(cs.pop(), c)
+            if c == one:
+                continue
+        cs.append(c)
+        xs.append(identity(pres))
     return xs, cs
 
 
 def _single_vertex_form(view: AmalgamView, key) -> AmalgamForm:
-    xs, cs = _general_form(view.pres, (view.apex_index,), view.h_ids, key)
-    group = view.pres.by_index[view.apex_index]
-    values = []
-    for c in cs:
-        if len(c.key) != 1 or c.key[0][0] != view.apex_index:
-            raise InvariantError("a consonant is not a single apex syllable")
-        values.append(group.decode(c.key[0][1]))
-    return AmalgamForm(tuple(xs), tuple(values))
+    xs, cs = _general_form(view.pres, view.apex_index, view.h_ids, key)
+    decode = view.pres.by_index[view.apex_index].decode
+    return AmalgamForm(tuple(xs), tuple(decode(c) for c in cs))
 
 
 def amalgam_form(view: AmalgamView, e: Element) -> AmalgamForm:
@@ -466,28 +461,25 @@ class SigmaAmalgam:
             raise InvariantError("the corrected element is not in the kernel of sigma")
         return k
 
-    def kernel_sample_check(self, count: int, radius: int, seed: int = 0) -> KernelSampleReport:
-        """Sample kernel elements and check the free-kernel necessary conditions.
+    def kernel_sample_check(self, words: Sequence[Word]) -> KernelSampleReport:
+        """Push each word into ker(sigma) and fail the samples conjugate into a factor.
 
-        Every nontrivial sample, once cyclically reduced, must keep at least
-        one consonant and must not be conjugate into either factor (its core
-        support must leave both vertex sets).
+        A nontrivial sample fails when its cyclically reduced core has its
+        support in Q or in R u S.  That also fails every core with no consonant
+        of the splitting over S (H-side R): a reduced core has one exactly when
+        it has an S-syllable, since two S-runs separated only by R-syllables
+        never multiply to 1 (R commutes with S, and a reduced word has the
+        fewest syllables: Green, thesis, 1990).
         """
         pres = self.presentation
-        rng = random.Random(seed)
         failures = []
         nontrivial = 0
-        for _ in range(count):
-            k = self.kernel_element_from(reduce(pres, random_word(pres, rng, max(1, radius))))
+        for w in words:
+            k = self.kernel_element_from(reduce(pres, w))
             if k.is_identity:
                 continue
             nontrivial += 1
-            core = cyclically_reduce(k).reduced
-            _, cs = _general_form(pres, self.s_ids, self.r_ids, core.key)
-            consonant_count = len(cs)
-            core_ids = {vi for vi, _ in core.key}
-            conjugate_into_q = core_ids <= self.q_ids
-            conjugate_into_rs = core_ids <= (self.r_ids | self.s_ids)
-            if consonant_count < 1 or conjugate_into_q or conjugate_into_rs:
+            core_ids = {vi for vi, _ in cyclically_reduce(k).reduced.key}
+            if core_ids <= self.q_ids or core_ids <= self.r_ids | self.s_ids:
                 failures.append(k)
-        return KernelSampleReport(count, nontrivial, tuple(failures))
+        return KernelSampleReport(len(words), nontrivial, tuple(failures))

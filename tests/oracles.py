@@ -23,7 +23,9 @@ element are kept as `brute_force_conjugate_by_multiply` and
 `compare_centralizer_by_multiply`.  The witness loop that formed every
 product r_i·r_j^-1 is kept as `distinctness_by_products`, the reference for
 `separability._collect_distinctness`, which reads the products' values off
-the boundary of each pair.
+the boundary of each pair.  `right_angled_is_identity` decides the word problem
+of right-angled Coxeter and Artin groups by a faithful linear action, with no
+rewriting at all.
 """
 
 import itertools
@@ -714,3 +716,48 @@ def brute_force_equal_by_tuples(pres, w1, w2, budget):
                 seen.add(nxt)
                 queue.append(nxt)
     return False, explored
+
+
+def right_angled_is_identity(pres, syllables):
+    """Whether (vertex, value) syllables multiply to 1, by Tits's linear action.
+
+    Every vertex group is `cyclic 2` (a right-angled Coxeter group) or every
+    one is `Z` (a right-angled Artin group).  A Coxeter letter s acts on the
+    dual of the Tits representation by f_s <- -f_s and f_t <- f_t + 2 f_s for
+    every t != s off link(s).  The chamber point f = (1, ..., 1) has trivial
+    stabilizer, so w = 1 exactly when w.f = f.  An Artin vertex v maps to
+    (v,0)(v,1) in the Coxeter group on V x {0,1}, where (u,0)-(v,0) is an edge
+    iff u-v is one, (u,0)-(v,1) iff u != v, and the (v,1) are pairwise
+    adjacent; the map is injective (Davis and Januszkiewicz, 2000).  A value k
+    costs 2|k| letters there.
+    """
+    graph = pres.graph
+    groups = [pres.groups[v] for v in graph.vertices]
+    if all(g.kind == "Z" for g in groups):
+        letters = [(v, i) for v in graph.vertices for i in (0, 1)]
+
+        def adjacent(a, b):
+            if a[1] != b[1]:
+                return a[0] != b[0]
+            return a[1] == 1 or a[0] in graph.link(b[0])
+
+        word = [(v, i) for v, k in syllables for _ in range(abs(k)) for i in ((0, 1) if k > 0 else (1, 0))]
+    elif all(g.kind == "mod" and g.order == 2 for g in groups):
+        letters = list(graph.vertices)
+
+        def adjacent(a, b):
+            return a in graph.link(b)
+
+        word = [v for v, k in syllables if k % 2]
+    else:
+        raise ValueError("not a right-angled Coxeter or Artin group")
+    index = {s: i for i, s in enumerate(letters)}
+    off_link = [[index[t] for t in letters if t != s and not adjacent(s, t)] for s in letters]
+    f = [1] * len(letters)
+    for s in word:
+        i = index[s]
+        fs = f[i]
+        f[i] = -fs
+        for j in off_link[i]:
+            f[j] += 2 * fs
+    return all(x == 1 for x in f)

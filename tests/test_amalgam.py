@@ -24,7 +24,7 @@ from graphprod.amalgam import (
 )
 from graphprod.selftest import check_centralizer, check_centralizer_split, check_consonants
 
-from oracles import conjugate_by_coset_criterion
+from oracles import alternating_form_by_restarts, conjugate_by_coset_criterion
 from test_nonabelian import build_s3_path, s3_config
 
 PRESENTATIONS = corpus.corpus_presentations()
@@ -296,7 +296,7 @@ def test_sigma_free_product_of_c2s():
     assert q_img.is_identity and s_img.is_identity
     k = sig.kernel_element_from(w)
     assert k == w  # already in the kernel
-    report = sig.kernel_sample_check(60, 6, seed=2)
+    report = sig.kernel_sample_check(corpus.random_words(sig.presentation, 60, 6, 2))
     assert report.ok and report.nontrivial > 0
 
 
@@ -320,8 +320,53 @@ def test_sigma_on_factor_elements():
     qb, sb = sig.sigma(b)
     qab, sab = sig.sigma(multiply(a, b))
     assert qab == multiply(qa, qb) and sab == multiply(sa, sb)
-    report = sig.kernel_sample_check(60, 6, seed=5)
+    report = sig.kernel_sample_check(corpus.random_words(sig.presentation, 60, 6, 5))
     assert report.ok
+
+
+def test_kernel_sample_check_fails_cores_conjugate_into_a_factor(monkeypatch):
+    # with the kernel correction switched off, the failures are exactly the
+    # nontrivial samples whose cyclically reduced core lies in Q or in R u S
+    vertices = [{"name": "q1", "group": "cyclic 2"}, {"name": "q2", "group": "cyclic 3"}]
+    q = parse_presentation(json.dumps({"vertices": vertices, "edges": []}))
+    sig = SigmaAmalgam(q, c2_pres("s1"), ["q1"])
+    monkeypatch.setattr(sig, "kernel_element_from", lambda w: w)
+    pres = sig.presentation
+    texts = ["1", "q2[1] s1[1] q2[2]", "q1[1] s1[1]", "q2[1] q1[1]", "q2[1] s1[1]"]
+    report = sig.kernel_sample_check([parse_word(pres, text) for text in texts])
+    assert report == (5, 4, tuple(element_of(pres, text) for text in texts[1:4]))
+
+
+def random_sigma_amalgam(rng):
+    def side(prefix):
+        names = [f"{prefix}{i}" for i in range(rng.randint(1, 4))]
+        groups = ["cyclic 2", "cyclic 3", s3_config()]
+        vertices = [{"name": v, "group": rng.choice(groups)} for v in names]
+        edges = [[u, v] for i, u in enumerate(names) for v in names[i + 1 :] if rng.random() < 0.5]
+        return parse_presentation(json.dumps({"vertices": vertices, "edges": edges}))
+
+    q = side("q")
+    return SigmaAmalgam(q, side("s"), rng.sample(q.vertices, rng.randint(0, len(q.vertices))))
+
+
+def test_sigma_cores_keep_a_consonant_exactly_when_they_have_an_s_syllable():
+    # the support test of kernel_sample_check stands in for the consonant count
+    # of the splitting over S with H-side R, which the restart oracle computes
+    rng = random.Random(37)
+    with_s = without_s = 0
+    for _ in range(100):
+        sig = random_sigma_amalgam(rng)
+        pres = sig.presentation
+        for w in corpus.random_words(pres, 10, 10, rng.randrange(1 << 30)):
+            e = reduce(pres, w)
+            for g in (e, sig.kernel_element_from(e)):
+                core = cyclically_reduce(g).reduced
+                _, cs = alternating_form_by_restarts(pres, sig.s_ids, sig.r_ids, core.key)
+                has_s = any(vi in sig.s_ids for vi, _ in core.key)
+                assert bool(cs) == has_s
+                with_s += has_s
+                without_s += not has_s
+    assert with_s > 500 and without_s > 500
 
 
 def test_sigma_rejects_infinite_factors(free_zz):

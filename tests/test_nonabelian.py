@@ -53,7 +53,13 @@ from graphprod.amalgam import (
     multiply_out,
 )
 from graphprod.parabolic import centralizer_structure_check, parabolic_closure_of_cyclic, parabolic_membership
-from graphprod.selftest import check_conjugacy, check_cyclic_reduction, check_parabolic_closure, check_ps_split
+from graphprod.selftest import (
+    check_conjugacy,
+    check_consonants,
+    check_cyclic_reduction,
+    check_parabolic_closure,
+    check_ps_split,
+)
 from graphprod.separability import (
     ALL_FINITE,
     SeparationWitness,
@@ -837,8 +843,10 @@ FORM_PRESENTATIONS = {**NORMAL_FORM_PRESENTATIONS, "s3-path": build_s3_path()}
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_alternating_forms_match_restarts(name, subset, data):
-    # the one-pass form has the pieces of the restart loop, on unreduced words;
-    # the C-side is one apex with its link, or a vertex subset with its common link
+    # one apex with its link: the one-pass form has the pieces of the restart
+    # loop, on unreduced words.  A vertex subset with its common link: on a
+    # reduced key the restart loop keeps a consonant exactly when the key has
+    # a syllable in the subset, which is the support test of kernel_sample_check
     pres = FORM_PRESENTATIONS[name]
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     if subset:
@@ -850,10 +858,16 @@ def test_alternating_forms_match_restarts(name, subset, data):
     h_ids = {pres.vertex_index(v) for v in h}
     alphabet = corpus.syllable_alphabet(pres)
     key = key_of_word(pres, Word(tuple(rng.choice(alphabet) for _ in range(data.draw(st.integers(0, 40))))))
-    xs, cs = _general_form(pres, c_ids, h_ids, key)
+    if subset:
+        reduced = _make(pres, key).key
+        _, cs = alternating_form_by_restarts(pres, c_ids, h_ids, reduced)
+        assert bool(cs) == any(vi in c_ids for vi, _ in reduced)
+        return
+    (apex,) = c_ids
+    xs, cs = _general_form(pres, apex, h_ids, key)
     expected_xs, expected_cs = alternating_form_by_restarts(pres, c_ids, h_ids, key)
     assert [x.key for x in xs] == [x.key for x in expected_xs]
-    assert [c.key for c in cs] == [c.key for c in expected_cs]
+    assert [((apex, c),) for c in cs] == [c.key for c in expected_cs]
 
 
 # Blocks of two non-adjacent vertices, pairwise joined, and a central z: the
@@ -1255,3 +1269,11 @@ def test_every_graph_product_on_two_vertices(names, edge):
         reachable = conjugacy_class_in_ball(g, 1)
         for w in conjugators:
             check_conjugacy(g, conjugate(w, g), reachable, 1)
+    if len(names) < 2 or names == ("Z1", "Z1"):
+        return  # no splitting, or no nontrivial syllable to draw
+    # the consonants at either vertex, on unreduced words whose apex runs fold and cancel
+    rng = random.Random(0)
+    for w in corpus.random_words(pres, 20, 8, seed=0):
+        variant = corpus.shuffled_variant(pres, w, rng)
+        for v in pres.vertices:
+            check_consonants(decompose_at(pres, v), w, variant)

@@ -27,6 +27,7 @@ from graphprod.amalgam import (
     decompose_at,
 )
 from graphprod.conjugacy import BruteForceConjugacy, ConjugacyVerdict, brute_force_conjugate
+from graphprod.corpus import random_words
 from graphprod.cyclic import CyclicReduction, PSDecomposition, cyclically_reduce, ps_decompose
 from graphprod.parabolic import (
     AvoidingVertex,
@@ -55,6 +56,11 @@ def view():
 
 def c2(v):
     return presentation_from_config({"vertices": [{"name": v, "group": "cyclic 2"}], "edges": []})
+
+
+def kernel_sample_report():
+    sigma = SigmaAmalgam(c2("q"), c2("s"), [])
+    return sigma.kernel_sample_check(random_words(sigma.presentation, 4, 4, 0))
 
 
 def conjugator_class():
@@ -150,7 +156,7 @@ RECORDS = {
         "kind",
     ),
     "KernelSampleReport": lambda: (
-        SigmaAmalgam(c2("q"), c2("s"), []).kernel_sample_check(4, 4, seed=0),
+        kernel_sample_report(),
         KernelSampleReport(4, 1, ()),
         "KernelSampleReport(samples=4, nontrivial=1, failures=())",
         "failures",

@@ -14,6 +14,7 @@ from graphprod.words import (
     BudgetExceededError,
     brute_force_equal,
     canonical_form,
+    conjugate,
     element_of,
     identity,
     invert,
@@ -24,6 +25,8 @@ from graphprod.words import (
     reduce,
     shape,
 )
+from graphprod.conjugacy import are_conjugate
+from graphprod.cyclic import cyclically_reduce
 from graphprod.selftest import ORACLE_BUDGET, check_equality, check_reduction
 
 from oracles import (
@@ -34,6 +37,7 @@ from oracles import (
     last_letters_by_enumeration,
     lexicographic_least_shuffle,
     parse_word_by_syllables,
+    right_angled_is_identity,
     shuffle_class,
     word_of_key,
 )
@@ -389,3 +393,62 @@ def test_translation_matches_the_per_syllable_loops():
                 parsed = parse_word_by_syllables(pres, text)
                 assert typed(parse_word(pres, text).syllables) == typed(parsed.syllables)
                 assert element_of(pres, text) == reduce(pres, parsed)
+
+
+def test_right_angled_groups_match_the_linear_oracle():
+    # keys against an oracle that does no rewriting: equal keys exactly when
+    # u v^-1 acts trivially, and every product, inverse, canonical form,
+    # cyclic reduction and conjugator acts as the element it stands for
+    rng = random.Random(23)
+    equal = unequal = 0
+    for group in ("cyclic 2", "Z"):
+        names = [f"v{i}" for i in range(6)]
+        edges = [[u, v] for i, u in enumerate(names) for v in names[i + 1 :] if rng.random() < 0.4]
+        vertices = [{"name": v, "group": group} for v in names]
+        pres = parse_presentation(json.dumps({"vertices": vertices, "edges": edges}))
+        alphabet = corpus.syllable_alphabet(pres, 2)  # Z exponents of size at most 2
+
+        def random_word(length):
+            return Word(tuple(rng.choice(alphabet) for _ in range(length)))
+
+        def pairs(x):
+            return [(s.vertex, s.value) for s in (x if isinstance(x, Word) else x.word()).syllables]
+
+        def inverse(x):
+            return [(v, -k) for v, k in reversed(pairs(x))]
+
+        def trivial(*parts):
+            return right_angled_is_identity(pres, [s for part in parts for s in part])
+
+        for length in [0, 1, 2, 3, 5, 8, 13, 30, 100, 300, 1000, 3000] * 2:
+            w = random_word(length)
+            u = reduce(pres, w)
+            assert trivial(pairs(w), inverse(u))
+            x = random_word(rng.randint(0, 20))
+            at = rng.randint(0, length)
+            padded = Word(w.syllables[:at] + x.syllables + tuple(Syllable(*s) for s in inverse(x)) + w.syllables[at:])
+            changed = list(w.syllables)
+            if changed:
+                changed[rng.randrange(length)] = rng.choice(alphabet)
+            for other in (corpus.shuffled_variant(pres, w, rng), padded, Word(tuple(changed)), random_word(length)):
+                v = reduce(pres, other)
+                same = u.key == v.key
+                assert same == trivial(pairs(u), inverse(v))
+                equal += same
+                unequal += not same
+                assert trivial(pairs(u), pairs(other), inverse(multiply(u, v)))
+            assert trivial(pairs(invert(u)), pairs(u))
+            form = canonical_form(pres, corpus.shuffled_variant(pres, u.word(), rng))
+            assert len(form) == len(u) and trivial(pairs(form), inverse(u))
+            core, conjugator = cyclically_reduce(u)
+            assert trivial(pairs(conjugator), pairs(core), inverse(conjugator), inverse(u))
+            if length > 300:
+                continue  # the rotation closure is quadratic in the length
+            f = conjugate(reduce(pres, random_word(rng.randint(0, 30))), u)
+            for target in (f, v):
+                verdict = are_conjugate(u, target)
+                assert verdict.conjugate or target is v
+                if verdict.conjugate:
+                    b = verdict.conjugator
+                    assert trivial(pairs(b), pairs(u), inverse(b), inverse(target))
+    assert equal >= 60 and unequal >= 60
