@@ -15,7 +15,7 @@ An unmutated copy runs first; if it fails, nothing is judged.  Exit status is
 an edit name is unknown.
 Each line also gives the run's wall time.
 
-    python scripts/mutants.py              # every edit: about 16 minutes on 2 vCPUs
+    python scripts/mutants.py              # every edit: about 21 minutes on 2 vCPUs
     python scripts/mutants.py NAME...      # only the named edits
 
 Not part of Tier-1.  The unmutated run is capped at RUN_SECONDS of wall time.
@@ -111,12 +111,15 @@ MUTANTS = [
     ("walk-product-not-pushed", W, "                                _push(pres, out, last)\n", ""),
     ("walk-fast-path-ignores-join", W, "fast = tail != vi and tail not in link", "fast = tail not in link"),
     ("walk-fast-path-ignores-link", W, "fast = tail != vi and tail not in link", "fast = tail != vi"),
+    # a ball key that ends on a blocker of x times x is their concatenation
+    ("blockers-ignore-link", W, "all(t != f and t not in iadj[f] for f in front)", "all(t != f for f in front)"),
+    ("blockers-ignore-join", W, "all(t != f and t not in iadj[f] for f in front)", "all(t not in iadj[f] for f in front)"),
     ("ball-stops-a-level-early", W, "grown = [] if depth < radius else None",
      "grown = [] if depth < radius - 1 else None"),
     ("residues-descending", PR, "        return range(1, self.order)\n",
      "        return range(self.order - 1, 0, -1)\n"),
     # every centralizer check is one comparison loop
-    ("compare-records-no-violation", W, "            violations.append(u)\n", "            pass\n"),
+    ("compare-records-no-violation", W, "            violations.append(Element(pres, u))\n", "            pass\n"),
     ("rotations-ignore-unresolved", A, "        if not centralizes or unresolved:\n", "        if not centralizes:\n"),
     # cyclic reduction: first and last positions, one join per step
     ("conjugator-prepended", C, "        conj.append((v, a))\n", "        conj.insert(0, (v, a))\n"),

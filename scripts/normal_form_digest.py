@@ -141,11 +141,11 @@ def digest_seed(seed: int, hashes, counts) -> None:
         conjugator = None if verdict.conjugator is None else verdict.conjugator.key
         feed("are_conjugate", (verdict.conjugate, verdict.refutation, conjugator))
     ball_vertices = rng.sample(pres.vertices, min(3, len(pres.vertices)))
-    for e in iter_ball(pres, 3, window=1, vertices=ball_vertices):
-        feed("iter_ball", e.key)
+    for key in iter_ball(pres, 3, window=1, vertices=ball_vertices):
+        feed("iter_ball", key)
     ball_vertices = rng.sample(pres.vertices, rng.randint(1, min(4, len(pres.vertices))))
-    for e in iter_ball(pres, 3, window=2, vertices=ball_vertices):
-        feed("iter_ball.subset", e.key)
+    for key in iter_ball(pres, 3, window=2, vertices=ball_vertices):
+        feed("iter_ball.subset", key)
     digest_searches(random_presentation(rng, max_vertices=4), rng, feed)
     for _ in range(5):
         x = element(12)

@@ -350,10 +350,11 @@ def centralizer_check(view: AmalgamView, g: Element, radius: int) -> Centralizer
 
         def factored(u, centralizes):
             # the apex commutes with its link, so u = uc uh on the star
-            if not _supported_in(u, star_ids):
-                return False
-            uc = retract_key(pres, u.key, apex_ids)
-            uh = retract_key(pres, u.key, view.h_ids)
+            for vi, _ in u:
+                if vi not in star_ids:
+                    return False
+            uc = retract_key(pres, u, apex_ids)
+            uh = retract_key(pres, u, view.h_ids)
             return multiply(uc, c1) == multiply(c1, uc) and multiply(uh, x1) == multiply(x1, uh)
 
         return CentralizerReport("product", None, (), *_compare_centralizer(g, radius, factored))
@@ -381,7 +382,7 @@ def centralizer_check(view: AmalgamView, g: Element, radius: int) -> Centralizer
         if not centralizes or unresolved:
             return centralizes
         for omega_inv in omega_invs:
-            base = multiply(u, omega_inv)
+            base = multiply(Element(pres, u), omega_inv)
             q, rest = divmod(sum(vi == view.apex_index for vi, _ in base.key), n)
             if rest:
                 continue

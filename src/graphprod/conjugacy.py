@@ -7,6 +7,7 @@ from typing import Iterable, NamedTuple, Optional, Set, Tuple
 from .presentation import GroupPresentation, InvariantError, PresentationError
 from .words import (
     Element,
+    _blockers,
     _check_same,
     _push,
     _supported_in,
@@ -107,18 +108,22 @@ def brute_force_conjugate(x: Element, y: Element, radius: int) -> BruteForceConj
     reported as "exhausted", which is weaker than a non-conjugacy proof.
     """
     _check_same(x, y)
-    pres, x_key = x.pres, x.key
+    pres, x_key, blocked = x.pres, x.key, _blockers(x.pres, x.key)
     for w, yw in iter_ball(pres, radius, left=y):
-        wx = list(w.key)  # w·x, as one _push of x's key onto w's
-        _push(pres, wx, x_key)
-        if tuple(wx) == yw:
-            return BruteForceConjugacy("yes", w)
+        if w and w[-1][0] in blocked:  # w·x is the concatenation
+            hit = w + x_key == yw
+        else:
+            wx = list(w)  # w·x, as one _push of x's key onto w's
+            _push(pres, wx, x_key)
+            hit = tuple(wx) == yw
+        if hit:
+            return BruteForceConjugacy("yes", Element(pres, w))
     return BruteForceConjugacy("exhausted", None)
 
 
 def conjugacy_class_in_ball(x: Element, radius: int) -> Set[Element]:
     """All conjugates of x under conjugators from the radius ball."""
-    return {conjugate(w, x) for w in iter_ball(x.pres, radius)}
+    return {conjugate(Element(x.pres, w), x) for w in iter_ball(x.pres, radius)}
 
 
 def _rotation_conjugator(g: Element, g_prime: Element) -> Optional[Element]:

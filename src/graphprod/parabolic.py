@@ -16,7 +16,6 @@ from .words import (
     _compare_centralizer,
     _make,
     _push,
-    _supported_in,
     conjugate,
     identity,
     invert,
@@ -118,10 +117,11 @@ def centralizer_structure_check(g: Element, radius: int) -> CentralizerStructure
     core_ids = {pres.vertex_index(v) for v in core}
 
     def factored(u, centralizes):
-        if not _supported_in(u, allowed_ids):
-            return False
+        for vi, _ in u:
+            if vi not in allowed_ids:
+                return False
         # halo syllables commute with core ones, so u's core syllables, in order, are its canonical retraction
-        ug, gu = [s for s in u.key if s[0] in core_ids], list(g.key)
+        ug, gu = [s for s in u if s[0] in core_ids], list(g.key)
         _push(pres, gu, ug)
         _push(pres, ug, g.key)
         return ug == gu

@@ -16,6 +16,7 @@ from typing import Callable, List
 from . import corpus
 from .presentation import Word, presentation_from_config, render_word
 from .words import (
+    Element,
     _compare_centralizer,
     _in_ball,
     _joinable_pairs,
@@ -179,7 +180,8 @@ def check_centralizer(view, g, radius: int) -> None:
         x_cum.append(multiply(x_cum[-1], piece))
     x_prod = multiply(x_cum[-1], xs[-1])
 
-    def in_cosets(b, centralizes) -> bool:
+    def in_cosets(key, centralizes) -> bool:
+        b = Element(g.pres, key)
         return conjugate(b, x_prod) == x_prod and all(
             multiply(multiply(invert(c), b), c).support() <= view.h_vertices for c in x_cum
         )
@@ -323,7 +325,7 @@ def _suite_parabolics(seed: int) -> str:
         elements = corpus.corpus_elements(pres, max_len=3)
         sample = [e for e in elements if not e.is_identity]
         rng.shuffle(sample)
-        small = list(iter_ball(pres, 2))
+        small = [Element(pres, key) for key in iter_ball(pres, 2)]
         for g in sample[:6]:
             check_parabolic_closure(g, small)
             checked += 1

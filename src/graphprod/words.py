@@ -28,8 +28,9 @@ that are canonical by construction are wrapped as `Element(pres, key)` instead:
 - a canonical key cut before a front syllable, in the rotation walk
   `cyclic._rotations`: the part before the cut (the greedy order's first
   picks), or at position 0 the part after it;
-- the children in `iter_ball` and the back peel in
-  `parabolic.parabolic_intersection`;
+- the keys that `iter_ball` yields (it builds no Element), and the back peel
+  in `parabolic.parabolic_intersection`;
+- u·x = u + x for a canonical u that ends on a vertex of `_blockers(pres, x)`;
 - the core syllables of a ball element in
   `parabolic.centralizer_structure_check` (every other one commutes with them);
 - the inputs of `separability.conjugacy_witness` and their factors,
@@ -236,6 +237,13 @@ def _front_letters(pres: GroupPresentation, key: Sequence[Tuple[int, int]], remo
     return front
 
 
+def _blockers(pres: GroupPresentation, key: Key) -> set:
+    """The vertices t with t != f and t off link(f) for every front letter f of the
+    key: a canonical word that ends on one, times the key, is their concatenation."""
+    iadj, front = pres.iadj, _front_letters(pres, key)
+    return {t for t in range(len(iadj)) if all(t != f and t not in iadj[f] for f in front)}
+
+
 def _make(pres: GroupPresentation, syllables: Iterable[Tuple[int, int]]) -> Element:
     """The element of any syllable sequence, reduced and in canonical order."""
     out: List[Tuple[int, int]] = []
@@ -415,12 +423,12 @@ def iter_ball(
     vertices: Optional[Iterable[str]] = None,
     left: Optional[Element] = None,
 ):
-    """Yield all elements of length <= radius, sorted by (length, key).
+    """Yield the key of each element of length <= radius, sorted by (length, key).
 
     Integer-vertex syllable exponents range over [-window, window]; the window
     defaults to the radius.  With a vertex subset, enumerates the ball of the
-    corresponding full subgroup.  With a left factor, yields pairs (u, the
-    key of left·u) instead, in the same order.
+    corresponding full subgroup.  With a left factor, yields pairs (u, the key
+    of left·u) instead, in the same order.  It builds no Element.
 
     Each element is generated once, from its canonical prefix (a reverse
     search).  Deleting the last syllable of a least-vertex-first key deletes a
@@ -448,20 +456,20 @@ def iter_ball(
         indices = range(len(pres.vertices))
     else:
         indices = sorted({pres.vertex_index(v) for v in vertices})
-    gens = [(vi, pres.by_index[vi].nontrivial_keys(window)) for vi in indices]
+    gens = [(vi, pres.iadj[vi], pres.by_index[vi].nontrivial_keys(window)) for vi in indices]
     if left is not None and left.pres is not pres:
         raise PresentationMismatchError("the left factor comes from another presentation")
     # (key, key of left·u), the product None when nothing is carried
     level = [((), None if left is None else left.key)]
-    yield identity(pres) if left is None else (identity(pres), left.key)
+    yield () if left is None else ((), left.key)
     for depth in range(1, radius + 1):
         grown = [] if depth < radius else None
         for key, product in level:
             tail = product[-1][0] if product else -1  # the product's last vertex, -1 if none
-            for vi, vals in gens:
-                link = pres.iadj[vi]
+            back = key[::-1]
+            for vi, link, vals in gens:
                 # a copy of _push's scan: sharing it slowed reduction, testing with _push slowed the ball
-                for ui, _ in reversed(key):
+                for ui, _ in back:
                     if ui not in link:
                         appends = ui != vi  # a vertex is not in its own link
                         break
@@ -476,7 +484,7 @@ def iter_ball(
                         last = ((vi, val),)
                         child = key + last
                         if product is None:
-                            yield Element(pres, child)
+                            yield child
                             carried = None
                         else:
                             if fast:
@@ -485,7 +493,7 @@ def iter_ball(
                                 out = list(product)
                                 _push(pres, out, last)
                                 carried = tuple(out)
-                            yield Element(pres, child), carried
+                            yield child, carried
                         if grown is not None:
                             grown.append((child, carried))
         level = grown
@@ -502,19 +510,23 @@ def _compare_centralizer(g: Element, radius: int, predicted, vertices: Optional[
     """Walk the radius ball (of the full subgroup on the vertices, if given)
     once: (size, members, violations) are its size, the elements u that
     commute with g, and those where predicted(u, centralizes) is not
-    centralizes.  Every centralizer check is this loop and its own prediction.
-    g·u comes from the walk; u·g is one `_push` of g's key onto u's."""
-    size = 0
-    members, violations = [], []
-    for u, gu in iter_ball(g.pres, radius, vertices=vertices, left=g):
+    centralizes (it gets u's key).  Every centralizer check is this loop and its
+    own prediction.  g·u comes from the walk; u·g is u + g when u ends on a
+    `_blockers` vertex of g, and otherwise one `_push` of g's key onto u's."""
+    pres, g_key, blocked = g.pres, g.key, _blockers(g.pres, g.key)
+    size, members, violations = 0, [], []
+    for u, gu in iter_ball(pres, radius, vertices=vertices, left=g):
         size += 1
-        ug = list(u.key)
-        _push(g.pres, ug, g.key)
-        centralizes = tuple(ug) == gu
+        if u and u[-1][0] in blocked:
+            centralizes = u + g_key == gu
+        else:
+            ug = list(u)
+            _push(pres, ug, g_key)
+            centralizes = tuple(ug) == gu
         if centralizes:
-            members.append(u)
+            members.append(Element(pres, u))
         if predicted(u, centralizes) != centralizes:
-            violations.append(u)
+            violations.append(Element(pres, u))
     return size, tuple(members), tuple(violations)
 
 

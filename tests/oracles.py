@@ -123,9 +123,14 @@ def ball_by_enumeration(pres, radius, window, vertices=None):
     return sorted(keys, key=lambda key: (len(key), key))
 
 
+def ball_elements(pres, radius, window=None, vertices=None):
+    """The Elements of the keys that `iter_ball` yields, in its order, lazily."""
+    return (Element(pres, key) for key in iter_ball(pres, radius, window, vertices))
+
+
 def ball_by_levels(pres, radius, window=None, vertices=None):
-    """The radius ball as `iter_ball` yields it, from a walk that stores every
-    level of Elements and carries no product.
+    """The radius ball in `iter_ball`'s order, as Elements, from a walk that
+    stores every level and carries no product.
 
     Each parent is extended by the syllables that `_push` appends, found by
     the same backward scan as `iter_ball`'s.
@@ -344,7 +349,7 @@ def conjugate_by_coset_criterion(view, b_vertices, f, g, radius):
         b0 = ambient.conjugator
     else:
         b0 = next(
-            (c for c in iter_ball(pres, radius, vertices=b_set) if multiply(c, xp) == multiply(yp, c)), None
+            (c for c in ball_elements(pres, radius, vertices=b_set) if multiply(c, xp) == multiply(yp, c)), None
         )
         if b0 is None:
             return SubgroupConjugacy("unknown", None, None)
@@ -353,7 +358,7 @@ def conjugate_by_coset_criterion(view, b_vertices, f, g, radius):
     for i in range(1, n):
         x_cum.append(multiply(x_cum[-1], gf.x_pieces[i]))
         y_cum.append(multiply(y_cum[-1], ff.x_pieces[i]))
-    for h in iter_ball(pres, radius, vertices=view.h_vertices):
+    for h in ball_elements(pres, radius, vertices=view.h_vertices):
         b = multiply(multiply(ff.x_pieces[0], h), invert(gf.x_pieces[0]))
         if not b.support() <= b_set:
             continue
@@ -422,15 +427,15 @@ def intersection_by_ball(p1, p2, radius):
     accept a parabolic smaller than the intersection.
     """
     pres = p1.pres
-    ball_elements = list(iter_ball(pres, radius))
-    in_both = [u for u in ball_elements if parabolic_membership(p1, u) and parabolic_membership(p2, u)]
+    ball = list(ball_elements(pres, radius))
+    in_both = [u for u in ball if parabolic_membership(p1, u) and parabolic_membership(p2, u)]
     common = sorted(p1.core & p2.core, key=pres.vertex_index)
     subsets = [()]
     for v in common:
         subsets += [s + (v,) for s in subsets]
     subsets.sort(key=lambda s: (-len(s), tuple(pres.vertex_index(v) for v in s)))
     for core in subsets:
-        for h in ball_elements:
+        for h in ball:
             candidate = ParabolicSubgroup(h, frozenset(core))
             if not all(
                 parabolic_membership(p1, gen) and parabolic_membership(p2, gen)
@@ -648,6 +653,7 @@ def brute_force_conjugate_by_multiply(x, y, radius):
     """`conjugacy.brute_force_conjugate` with w·x multiplied out as an Element
     for every ball element w."""
     for w, yw in iter_ball(x.pres, radius, left=y):
+        w = Element(x.pres, w)
         if multiply(w, x).key == yw:
             return BruteForceConjugacy("yes", w)
     return BruteForceConjugacy("exhausted", None)
@@ -658,12 +664,13 @@ def compare_centralizer_by_multiply(g, radius, predicted, vertices=None):
     every ball element u: (size, members, violations)."""
     size = 0
     members, violations = [], []
-    for u, gu in iter_ball(g.pres, radius, vertices=vertices, left=g):
+    for key, gu in iter_ball(g.pres, radius, vertices=vertices, left=g):
         size += 1
+        u = Element(g.pres, key)
         centralizes = multiply(u, g).key == gu
         if centralizes:
             members.append(u)
-        if predicted(u, centralizes) != centralizes:
+        if predicted(key, centralizes) != centralizes:
             violations.append(u)
     return size, tuple(members), tuple(violations)
 

@@ -50,7 +50,7 @@ from graphprod.selftest import (
     check_witness,
 )
 
-from oracles import ball_size_by_growth_series
+from oracles import ball_elements, ball_size_by_growth_series
 from test_nonabelian import SMALL_SCOPE, build_s3_path, small_graph_product
 
 DATA = Path(__file__).parent / "data"
@@ -100,8 +100,8 @@ def test_ball_sizes_match_the_growth_series():
             for vertices in itertools.combinations(pres.vertices, size):
                 for window, radius in itertools.product((1, 2), range(5)):
                     levels = [0] * (radius + 1)
-                    for e in iter_ball(pres, radius, window, vertices):
-                        levels[len(e)] += 1
+                    for key in iter_ball(pres, radius, window, vertices):
+                        levels[len(key)] += 1
                     expected = ball_size_by_growth_series(pres, radius, window, vertices)
                     assert levels == expected, (name, vertices, window, radius)
 
@@ -238,13 +238,13 @@ def test_criterion_7_parabolic_suite(corpora, canonical_buckets):
     for name, (pres, _) in corpora.items():
         rng = random.Random(37)
         elements = _element_samples(pres, canonical_buckets[name], rng, 12)
-        small_conjugators = list(iter_ball(pres, 3, window=3))
+        small_conjugators = list(ball_elements(pres, 3, window=3))
         for g in elements:
             if not g.is_identity:
                 check_parabolic_closure(g, small_conjugators)
         for core in (pres.vertices[:1], pres.vertices[:2]):
             p = full_parabolic(pres, core)
-            for u in iter_ball(pres, 4, window=4):
+            for u in ball_elements(pres, 4, window=4):
                 check_normalizer(p, u)
     print("PASS criterion 7: parabolic closures, normalizers, avoidance certificates")
 

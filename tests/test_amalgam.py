@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphprod import corpus, parse_presentation
 from graphprod.presentation import Syllable, Word, parse_word, presentation_from_config
-from graphprod.words import conjugate, element_of, identity, invert, iter_ball, multiply, reduce
+from graphprod.words import conjugate, element_of, identity, invert, multiply, reduce
 from graphprod.cyclic import cyclic_permutation_conjugators, cyclically_reduce
 from graphprod.amalgam import (
     AmalgamError,
@@ -24,7 +24,7 @@ from graphprod.amalgam import (
 )
 from graphprod.selftest import check_centralizer, check_centralizer_split, check_consonants
 
-from oracles import alternating_form_by_restarts, conjugate_by_coset_criterion
+from oracles import alternating_form_by_restarts, ball_elements, conjugate_by_coset_criterion
 from test_nonabelian import build_s3_path, s3_config
 
 PRESENTATIONS = corpus.corpus_presentations()
@@ -536,7 +536,7 @@ def test_conjugate_by_matches_coset_criterion():
         context = f"trial {trial}: {doc}, apex {view.apex}, B {sorted(b_set)}, g {g}, f {f}, radius {radius}"
         if (answer.status, expected.status) == ("no", "unknown"):
             assert answer.failed_condition == 3, context
-            ball = iter_ball(pres, 3, window=radius + 2, vertices=b_set)
+            ball = ball_elements(pres, 3, window=radius + 2, vertices=b_set)
             assert not any(multiply(b, g) == multiply(f, b) for b in ball), context
             tally["new no"] += 1
             continue

@@ -13,6 +13,8 @@ from graphprod import corpus, parse_presentation
 from graphprod import conjugacy, cyclic, words
 from graphprod.presentation import PresentationError, Word, WordError, induced_presentation, parse_word
 from graphprod.words import (
+    Element,
+    _blockers,
     _compare_centralizer,
     _in_ball,
     _make,
@@ -77,6 +79,7 @@ from oracles import (
     alternating_form_by_restarts,
     ball_by_enumeration,
     ball_by_levels,
+    ball_elements,
     brute_force_conjugate_by_multiply,
     compare_centralizer_by_multiply,
     conjugator_case_by_search,
@@ -177,7 +180,7 @@ def test_classification_on_ball_conjugators(s3_path):
             continue
         if gform.x_pieces[-1].support() <= view.h_vertices:
             continue
-        for u in iter_ball(s3_path, 2, window=2):
+        for u in ball_elements(s3_path, 2, window=2):
             f = conjugate(u, g)
             try:
                 fform = consonant_leading_form(view, f)
@@ -205,7 +208,7 @@ def test_classification_beyond_the_first_power(s3_path):
     # the radius-2 ball only reaches l <= 1, so build u = h p^-1 g^-l and
     # u = h s g^l for every prefix p, its suffix s = p^-1 g, and l = 2, 3
     view = decompose_at(s3_path, "g")
-    hs = list(iter_ball(s3_path, 2, vertices=view.h_vertices))
+    hs = list(ball_elements(s3_path, 2, vertices=view.h_vertices))
     checked = {(case, l): 0 for case in "bc" for l in (2, 3)}
     for text in ("g[r] z[1]", "g[s] z[1] g[r] z[-1]", "g[s] z[2] g[s] z[1] g[r] z[1]"):
         g = element_of(s3_path, text)
@@ -722,7 +725,7 @@ def test_clique_conjugator_is_the_product_of_its_syllables():
 @pytest.mark.parametrize("name", sorted(NORMAL_FORM_PRESENTATIONS))
 def test_ball_elements_match_greedy_least_vertex_first(name):
     pres = NORMAL_FORM_PRESENTATIONS[name]
-    for e in iter_ball(pres, 3, window=1):
+    for e in ball_elements(pres, 3, window=1):
         assert_least_vertex_first(e)
 
 
@@ -736,7 +739,7 @@ def test_ball_matches_enumeration(name, subset):
     vertices = pres.vertices[::2] * 2 if subset else None
     for radius in range(4):
         expected = ball_by_enumeration(pres, radius, window, vertices)
-        assert [e.key for e in iter_ball(pres, radius, window, vertices)] == expected
+        assert list(iter_ball(pres, radius, window, vertices)) == expected
 
 
 BALL_PRESENTATIONS = {**corpus.corpus_presentations(), "s3-path": build_s3_path()}
@@ -749,8 +752,8 @@ def test_ball_predicate_matches_ball(name, radius):
     # and the values of the syllables can fall outside
     pres = BALL_PRESENTATIONS[name]
     inside = set(iter_ball(pres, radius))
-    for e in iter_ball(pres, radius + 1, window=radius + 2):
-        assert _in_ball(e, radius) == (e in inside), e
+    for key in iter_ball(pres, radius + 1, window=radius + 2):
+        assert _in_ball(Element(pres, key), radius) == (key in inside), key
 
 
 @pytest.mark.parametrize("subset", [False, True])
@@ -761,7 +764,7 @@ def test_ball_walk_matches_stored_levels_and_carries_products(name, subset):
     pres = BALL_PRESENTATIONS[name]
     vertices = pres.vertices[::2] if subset else None
     rng = random.Random(name)
-    pool = list(iter_ball(pres, 3, window=2))
+    pool = list(ball_elements(pres, 3, window=2))
     # length 3 where there is one (edge-zz is abelian: its elements have length <= 2)
     lefts = [identity(pres)] + [rng.choice([e for e in pool if len(e) == n]) for n in (2, len(pool[-1]))]
     if name == "s3-path":
@@ -769,10 +772,10 @@ def test_ball_walk_matches_stored_levels_and_carries_products(name, subset):
     for radius in range(4):
         for window in (1, 2, 3):
             expected = ball_by_levels(pres, radius, window, vertices)
-            assert list(iter_ball(pres, radius, window, vertices)) == expected
+            assert list(iter_ball(pres, radius, window, vertices)) == [u.key for u in expected]
             for left in lefts:
                 walked = list(iter_ball(pres, radius, window, vertices, left=left))
-                assert [u for u, _ in walked] == expected
+                assert [u for u, _ in walked] == [u.key for u in expected]
                 assert [product for _, product in walked] == [multiply(left, u).key for u in expected]
 
 
@@ -780,7 +783,7 @@ def test_brute_force_conjugate_matches_the_stored_ball_loop():
     # the first w of the stored ball with w x = y w, found by whole products
     rng = random.Random(2007)
     names = sorted(BALL_PRESENTATIONS)
-    pools = {name: list(iter_ball(BALL_PRESENTATIONS[name], 2, window=2)) for name in names}
+    pools = {name: list(ball_elements(BALL_PRESENTATIONS[name], 2, window=2)) for name in names}
     found = 0
     for _ in range(200):
         name = rng.choice(names)
@@ -816,7 +819,7 @@ def test_key_comparisons_match_the_multiply_loops(name):
     # products of Elements did, in the same order
     pres = KEY_PRODUCT_PRESENTATIONS[name]
     rng = random.Random(name)
-    pool = list(iter_ball(pres, 2, window=2))
+    pool = list(ball_elements(pres, 2, window=2))
     found = violated = 0
     for _ in range(30):
         radius = rng.randint(0, 3)
@@ -833,6 +836,26 @@ def test_key_comparisons_match_the_multiply_loops(name):
         assert report == compare_centralizer_by_multiply(x, radius, predicted, vertices)
         violated += bool(report[2])
     assert found and violated
+
+
+@pytest.mark.parametrize("name", sorted(BALL_PRESENTATIONS))
+def test_blocked_tail_product_is_the_concatenation(name):
+    # a canonical u that ends on a blocker of g: u·g is u + g as it stands,
+    # and a nontrivial g has a blocker exactly when the graph has a non-edge
+    pres = BALL_PRESENTATIONS[name]
+    ball = list(iter_ball(pres, 3, window=2))
+    pool = [Element(pres, key) for key in ball if len(key) <= 2]
+    if name == "s3-path":
+        pool += [element_of(pres, text) for text in ("g[r] z[1] g[s]", "z[1] g[sr] z[-1]", "g[r2] z[2] g[sr2]")]
+    blocked = 0
+    for g in pool:
+        tails = _blockers(pres, g.key)
+        for u in ball:
+            if u and u[-1][0] in tails:
+                assert u + g.key == multiply(Element(pres, u), g).key, (u, g)
+                blocked += bool(g.key)
+    n = len(pres.vertices)
+    assert bool(blocked) == (len(pres.graph.edges) < n * (n - 1) // 2)
 
 
 FORM_PRESENTATIONS = {**NORMAL_FORM_PRESENTATIONS, "s3-path": build_s3_path()}
@@ -1260,8 +1283,8 @@ def small_graph_product(names, edge):
 )
 def test_every_graph_product_on_two_vertices(names, edge):
     pres = small_graph_product(names, edge)
-    conjugators = list(iter_ball(pres, 1))
-    for g in iter_ball(pres, 3, window=1):
+    conjugators = list(ball_elements(pres, 1))
+    for g in ball_elements(pres, 3, window=1):
         check_cyclic_reduction(g)
         check_ps_split(g)
         if not g.is_identity:

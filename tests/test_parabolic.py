@@ -12,7 +12,6 @@ from graphprod.words import (
     conjugate,
     element_of,
     identity,
-    iter_ball,
     key_of_word,
     multiply,
     reduce,
@@ -33,7 +32,7 @@ from graphprod.parabolic import (
     parabolics_equal,
 )
 from graphprod.selftest import check_normalizer, check_parabolic_closure
-from oracles import intersection_by_ball
+from oracles import ball_elements, intersection_by_ball
 
 PRESENTATIONS = corpus.corpus_presentations()
 
@@ -65,7 +64,7 @@ def test_membership_examples(path_racg):
 
 def test_normalizer_examples(path_racg):
     pb = full_parabolic(path_racg, {"b"})
-    for u in iter_ball(path_racg, 3):
+    for u in ball_elements(path_racg, 3):
         assert normalizer_membership(pb, u)
     pa = full_parabolic(path_racg, {"a"})
     assert not normalizer_membership(pa, element_of(path_racg, "c[1]"))
@@ -79,7 +78,7 @@ def test_normalizer_formula_matches_ball_action(name):
     cores = [frozenset({pres.vertices[0]}), frozenset(pres.vertices[:2])]
     for core in cores:
         p = full_parabolic(pres, core)
-        for u in iter_ball(pres, 3, window=3):
+        for u in ball_elements(pres, 3, window=3):
             check_normalizer(p, u)
 
 
@@ -149,7 +148,7 @@ def test_intersection_double_inclusion_certificate(path_racg, star_racg):
         assert r.status == "found"
         for g in parabolic_generators(r.parabolic):
             assert parabolic_membership(p1, g) and parabolic_membership(p2, g)
-        for u in iter_ball(pres, 3):
+        for u in ball_elements(pres, 3):
             if parabolic_membership(p1, u) and parabolic_membership(p2, u):
                 assert parabolic_membership(r.parabolic, u)
 
@@ -233,7 +232,7 @@ def test_intersection_against_ball_oracle():
     equal = 0
     for _ in range(60):
         pres = random_graph(rng)
-        probe = list(iter_ball(pres, 3, window=1))
+        probe = list(ball_elements(pres, 3, window=1))
         for _ in range(5):
             p1, p2 = random_parabolic(pres, rng), random_parabolic(pres, rng)
             exact = check_exact(p1, p2, probe)
@@ -265,7 +264,7 @@ def test_intersection_degenerate_graphs(kind):
     """
     pres = presentation(*DEGENERATE[kind])
     rng = random.Random(kind)
-    probe = list(iter_ball(pres, 3, window=1))
+    probe = list(ball_elements(pres, 3, window=1))
     equal = 0
     for _ in range(25):
         p1, p2 = random_parabolic(pres, rng), random_parabolic(pres, rng)
@@ -323,7 +322,7 @@ def test_closure_minimality(name):
     pres = PRESENTATIONS[name]
     rng = random.Random(3)
     elements = [reduce(pres, corpus.random_word(pres, rng, 4)) for _ in range(12)]
-    candidates = [h for h in iter_ball(pres, 3, window=3)]
+    candidates = list(ball_elements(pres, 3, window=3))
     for g in elements:
         if not g.is_identity:
             check_parabolic_closure(g, candidates)
