@@ -166,22 +166,26 @@ MUTANTS = [
     # amalgam forms and conjugacy by a subgroup
     ("fold-before-skip", A,
      "        if c == one:\n            continue\n"
-     "        if cs and _supported_in(xs[-1], h_ids):\n            xs[-2:] = [multiply(xs[-2], xs[-1])]\n"
+     "        if cs and _supported_in(xs[-1], view.h_ids):\n            _push(pres, xs[-2], xs.pop())\n"
      "            c = group.mul(cs.pop(), c)\n            if c == one:\n                continue\n",
-     "        if cs and _supported_in(xs[-1], h_ids):\n            xs[-2:] = [multiply(xs[-2], xs[-1])]\n"
+     "        if cs and _supported_in(xs[-1], view.h_ids):\n            _push(pres, xs[-2], xs.pop())\n"
      "            c = group.mul(cs.pop(), c)\n            if c == one:\n                continue\n"
      "        if c == one:\n            continue\n"),
     ("apex-run-keeps-identity", A,
      "        if c == one:\n            continue\n        if cs and", "        if cs and"),
-    ("fold-without-h-side-test", A, "        if cs and _supported_in(xs[-1], h_ids):\n", "        if cs:\n"),
+    ("fold-without-h-side-test", A, "        if cs and _supported_in(xs[-1], view.h_ids):\n", "        if cs:\n"),
+    ("prefix-drops-piece", A, "        _push(pres, acc, ((apex, c),) + piece.key)\n", "        _push(pres, acc, ((apex, c),))\n"),
     ("conjugate-by-no-b-support-test", A,
-     "if _supported_in(b, b_ids) and multiply(b, g) == multiply(f, b):",
+     "if _supported_in(b.key, b_ids) and multiply(b, g) == multiply(f, b):",
      "if multiply(b, g) == multiply(f, b):"),
     ("conjugate-by-no-conjugation-test", A,
-     "if _supported_in(b, b_ids) and multiply(b, g) == multiply(f, b):",
-     "if _supported_in(b, b_ids):"),
+     "if _supported_in(b.key, b_ids) and multiply(b, g) == multiply(f, b):",
+     "if _supported_in(b.key, b_ids):"),
     ("finite-h-no-radius-bound", A, "        radius >= len(view.h_ids)\n        and all(", "        all("),
     ("finite-h-no-adjacency-test", A, "\n        and all(view.h_ids <= pres.istar[vi] for vi in view.h_ids)\n", "\n"),
+    # each centralizer prediction first tests the support of the ball element
+    ("product-prediction-no-star-test", A, "            if not _supported_in(u, star_ids):\n                return False\n", ""),
+    ("structure-check-no-support-test", PB, "        if not _supported_in(u, allowed_ids):\n            return False\n", ""),
     # amalgam answers read off the consonant counts
     ("centralizer-power-one-sign", A, "            for l in (q, -q):\n", "            for l in (q,):\n"),
     ("classify-next-prefix", A, "        p = prefixes[j]\n", "        p = prefixes[(j + 1) % len(prefixes)]\n"),
@@ -213,6 +217,7 @@ MUTANTS = [
     ("no-light-test", PR, "            if rows[row_x[a]] != tuple(row_x[b] for b in row_a):\n",
      "            if False:\n"),
     # CLI output
+    ("amalgam-prints-keys", CLI, "str(pres.groups[args.vertex].decode(c))", "str(c)"),
     ("json-unsorted", CLI, "print(json.dumps(payload, sort_keys=True))", "print(json.dumps(payload))"),
     # a cold gp process loads only what its subcommand runs
     ("cli-imports-amalgam-eagerly", CLI, "from .words import element_of, identity, shape\n",

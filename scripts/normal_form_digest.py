@@ -220,8 +220,9 @@ def digest_searches(pres, rng: random.Random, feed) -> None:
 def digest_amalgams(seed: int, feed) -> None:
     """The amalgam_form, amalgam_form_of_word and sigma lines, one generator each."""
 
-    def form_parts(form):
-        return keys(form.x_pieces), form.consonants
+    def form_parts(view, form):
+        decode = view.pres.by_index[view.apex_index].decode
+        return keys(form.x_pieces), tuple(decode(c) for c in form.consonants)
 
     rng = random.Random(f"amalgam_form {seed}")
     pres = random_presentation(rng, max_vertices=6)
@@ -229,7 +230,7 @@ def digest_amalgams(seed: int, feed) -> None:
     for _ in range(10):
         e = reduce(pres, corpus.random_word(pres, rng, 40))
         for view in views:
-            feed("amalgam_form", form_parts(amalgam_form(view, e)))
+            feed("amalgam_form", form_parts(view, amalgam_form(view, e)))
 
     rng = random.Random(f"amalgam_form_of_word {seed}")
     pres = random_presentation(rng, max_vertices=6)
@@ -238,7 +239,7 @@ def digest_amalgams(seed: int, feed) -> None:
         w = corpus.random_word(pres, rng, 40)
         for word in (w, corpus.shuffled_variant(pres, w, rng, steps=4 * len(w))):
             for view in views:
-                feed("amalgam_form_of_word", form_parts(amalgam_form_of_word(view, word)))
+                feed("amalgam_form_of_word", form_parts(view, amalgam_form_of_word(view, word)))
 
     rng = random.Random(f"sigma {seed}")
     q_pres = random_presentation(rng, max_vertices=3, min_vertices=1, finite=True, prefix="q")

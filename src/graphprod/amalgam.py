@@ -26,6 +26,7 @@ from .words import (
     _check_same,
     _compare_centralizer,
     _make,
+    _push,
     _supported_in,
     conjugate,
     identity,
@@ -73,64 +74,58 @@ class AmalgamForm(NamedTuple):
     """x0 c1 x1 ... cn xn with A-side pieces and single-vertex consonants."""
 
     x_pieces: tuple  # n+1 Elements supported on the A-side
-    consonants: tuple  # n nontrivial values of the apex vertex group
+    consonants: tuple  # n nontrivial keys of the apex vertex group
 
     @property
     def consonant_length(self) -> int:
         return len(self.consonants)
 
 
-def _general_form(pres, apex, h_ids, key) -> Tuple[list, list]:
-    """Alternating x/c pieces with interior x-pieces pushed out of the H-side.
+def _general_form(view: AmalgamView, key) -> AmalgamForm:
+    """The alternating form of a key, interior x-pieces pushed out of the H-side.
 
-    Returns (xs, cs): len(xs) == len(cs) + 1, each consonant a nontrivial
-    apex key, and each interior x-piece has support outside the H-side.  The
-    consonants depend only on the element the key represents.
+    Each consonant is a nontrivial apex key, each interior x-piece has support
+    outside the H-side, and the consonants depend only on the element.
 
-    One left-to-right pass over the runs of A- and apex syllables.  An A-run
-    multiplies into the last x-piece.  An apex run becomes the product of its
-    values, in order, and is skipped when that is the identity, so the pieces
-    on either side of it merge.  Any other apex run first absorbs the previous
-    consonant when the x-piece between them lies in the H-side, which commutes
-    with the apex, and is kept unless that cancelled it.
+    One left-to-right pass over the runs of A- and apex syllables, each x-piece
+    a plain list.  An A-run is pushed onto the last piece.  An apex run becomes
+    the product of its values, in order, and is skipped when that is the
+    identity, so the pieces on either side of it merge.  Any other apex run
+    first absorbs the previous consonant when the piece between them lies in
+    the H-side, which commutes with the apex (that piece is pushed onto the one
+    before it), and is kept unless that cancelled it.
     """
-    group = pres.by_index[apex]
-    one = pres.identity_keys[apex]
-    xs: List[Element] = [identity(pres)]
+    pres, apex = view.pres, view.apex_index
+    group, one = pres.by_index[apex], pres.identity_keys[apex]
+    xs: List[list] = [[]]
     cs: List[int] = []
     for on_c, run in groupby(key, lambda s: s[0] == apex):
         if not on_c:
-            xs[-1] = multiply(xs[-1], _make(pres, run))
+            _push(pres, xs[-1], run)
             continue
         c = functools.reduce(group.mul, (val for _, val in run))
         if c == one:
             continue
-        if cs and _supported_in(xs[-1], h_ids):
-            xs[-2:] = [multiply(xs[-2], xs[-1])]
+        if cs and _supported_in(xs[-1], view.h_ids):
+            _push(pres, xs[-2], xs.pop())
             c = group.mul(cs.pop(), c)
             if c == one:
                 continue
         cs.append(c)
-        xs.append(identity(pres))
-    return xs, cs
-
-
-def _single_vertex_form(view: AmalgamView, key) -> AmalgamForm:
-    xs, cs = _general_form(view.pres, view.apex_index, view.h_ids, key)
-    decode = view.pres.by_index[view.apex_index].decode
-    return AmalgamForm(tuple(xs), tuple(decode(c) for c in cs))
+        xs.append([])
+    return AmalgamForm(tuple(Element(pres, tuple(x)) for x in xs), tuple(cs))
 
 
 def amalgam_form(view: AmalgamView, e: Element) -> AmalgamForm:
     """The reduced alternating form of an element at the view's apex."""
     if e.pres is not view.pres:
         raise PresentationError("element does not belong to the view's presentation")
-    return _single_vertex_form(view, e.key)
+    return _general_form(view, e.key)
 
 
 def amalgam_form_of_word(view: AmalgamView, word: Word) -> AmalgamForm:
     """Same, computed directly from an arbitrary (possibly unreduced) word."""
-    return _single_vertex_form(view, key_of_word(view.pres, word))
+    return _general_form(view, key_of_word(view.pres, word))
 
 
 def multiply_out(view: AmalgamView, form: AmalgamForm) -> Element:
@@ -147,9 +142,9 @@ def is_amalgam_cyclically_reduced(view: AmalgamView, form: AmalgamForm) -> bool:
     n = form.consonant_length
     if n == 0:
         return False
-    if not form.x_pieces[0].is_identity and not _supported_in(form.x_pieces[0], view.h_ids):
+    if not _supported_in(form.x_pieces[0].key, view.h_ids):
         return False
-    if n >= 2 and _supported_in(form.x_pieces[-1], view.h_ids):
+    if n >= 2 and _supported_in(form.x_pieces[-1].key, view.h_ids):
         return False
     return True
 
@@ -160,9 +155,7 @@ def consonant_leading_form(view: AmalgamView, e: Element) -> AmalgamForm:
     if form.consonant_length == 0:
         raise AmalgamError("element lies in the A-side: no consonant-leading form")
     x0 = form.x_pieces[0]
-    if x0.is_identity:
-        return form
-    if not _supported_in(x0, view.h_ids):
+    if not _supported_in(x0.key, view.h_ids):
         raise AmalgamError("leading piece does not commute past the first consonant")
     pieces = (identity(view.pres), multiply(x0, form.x_pieces[1])) + form.x_pieces[2:]
     return AmalgamForm(pieces, form.consonants)
@@ -170,14 +163,11 @@ def consonant_leading_form(view: AmalgamView, e: Element) -> AmalgamForm:
 
 def _prefixes(view: AmalgamView, form: AmalgamForm) -> List[Element]:
     """Cumulative products c1 x1 ... cl xl for l = 0..n of a consonant-leading form."""
-    pres = view.pres
-    group = pres.by_index[view.apex_index]
-    result = [identity(pres)]
-    acc = identity(pres)
-    for value, piece in zip(form.consonants, form.x_pieces[1:]):
-        c = Element(pres, ((view.apex_index, group.encode(value)),))
-        acc = multiply(multiply(acc, c), piece)
-        result.append(acc)
+    pres, apex = view.pres, view.apex_index
+    acc, result = [], [identity(pres)]
+    for c, piece in zip(form.consonants, form.x_pieces[1:]):
+        _push(pres, acc, ((apex, c),) + piece.key)
+        result.append(Element(pres, tuple(acc)))
     return result
 
 
@@ -207,7 +197,7 @@ def conjugator_classify(
     for form in (g_form, f_form):
         if not is_amalgam_cyclically_reduced(view, form):
             raise AmalgamError("forms must be consonant-leading and cyclically reduced")
-    if _supported_in(g_form.x_pieces[-1], view.h_ids):
+    if _supported_in(g_form.x_pieces[-1].key, view.h_ids):
         raise AmalgamError("tail piece of g must leave the H-side")
     g = multiply_out(view, g_form)
     f = multiply_out(view, f_form)
@@ -216,7 +206,7 @@ def conjugator_classify(
     u_form = amalgam_form(view, u)
     m = u_form.consonant_length
     if m == 0:
-        if not _supported_in(u, view.h_ids):
+        if not _supported_in(u.key, view.h_ids):
             raise AmalgamError("A-side conjugator outside the H-side: broken precondition")
         return ConjugatorClass("a", u, None, None)
     n = g_form.consonant_length
@@ -224,13 +214,13 @@ def conjugator_classify(
     prefixes = _prefixes(view, g_form)
     z_last = u_form.x_pieces[-1]
     found = None
-    if _supported_in(z_last, view.h_ids):
+    if _supported_in(z_last.key, view.h_ids):
         p = prefixes[j]
         found = ConjugatorClass("b", multiply(multiply(u, power(g, l)), p), p, l)
-    elif _supported_in(multiply(g_form.x_pieces[-1], invert(z_last)), view.h_ids):
+    elif _supported_in(multiply(g_form.x_pieces[-1], invert(z_last)).key, view.h_ids):
         s = multiply(invert(prefixes[n - j]), g)
         found = ConjugatorClass("c", multiply(multiply(u, power(g, -l)), invert(s)), s, l)
-    if found is None or not _supported_in(found.h, view.h_ids):
+    if found is None or not _supported_in(found.h.key, view.h_ids):
         raise AmalgamError("no conjugator case matched: this is a bug")
     return found
 
@@ -290,7 +280,7 @@ def amalgam_conjugate_by(
     y0 = ff.x_pieces[0]
     for _, y0h in iter_ball(pres, radius, vertices=view.h_vertices, left=y0):
         b = multiply(Element(pres, y0h), x0_inv)
-        if _supported_in(b, b_ids) and multiply(b, g) == multiply(f, b):
+        if _supported_in(b.key, b_ids) and multiply(b, g) == multiply(f, b):
             return SubgroupConjugacy("yes", b, None)
     # a finite clique has at most one syllable per vertex: the ball was all of it
     if (
@@ -342,17 +332,16 @@ def centralizer_check(view: AmalgamView, g: Element, radius: int) -> Centralizer
         raise AmalgamError("element is not cyclically reduced at this apex")
     n = form.consonant_length
 
-    if n == 1 and _supported_in(form.x_pieces[-1], view.h_ids):
+    if n == 1 and _supported_in(form.x_pieces[-1].key, view.h_ids):
         apex = view.apex_index
-        c1 = Element(pres, ((apex, pres.by_index[apex].encode(form.consonants[0])),))
+        c1 = Element(pres, ((apex, form.consonants[0]),))
         x1 = form.x_pieces[-1]
         star_ids, apex_ids = pres.istar[apex], (apex,)
 
         def factored(u, centralizes):
             # the apex commutes with its link, so u = uc uh on the star
-            for vi, _ in u:
-                if vi not in star_ids:
-                    return False
+            if not _supported_in(u, star_ids):
+                return False
             uc = retract_key(pres, u, apex_ids)
             uh = retract_key(pres, u, view.h_ids)
             return multiply(uc, c1) == multiply(c1, uc) and multiply(uh, x1) == multiply(x1, uh)
@@ -388,7 +377,7 @@ def centralizer_check(view: AmalgamView, g: Element, radius: int) -> Centralizer
                 continue
             for l in (q, -q):
                 h = multiply(base, power(g, -l))
-                if _supported_in(h, view.h_ids) and multiply(h, g) == multiply(g, h):
+                if _supported_in(h.key, view.h_ids) and multiply(h, g) == multiply(g, h):
                     return True
         return False
 

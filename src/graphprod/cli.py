@@ -96,7 +96,7 @@ def cmd_amalgam(pres, args) -> int:
     from .amalgam import amalgam_form, decompose_at
     form = amalgam_form(decompose_at(pres, args.vertex), element_of(pres, args.word))
     pieces = [p.render() for p in form.x_pieces]
-    consonants = [str(c) for c in form.consonants]
+    consonants = [str(pres.groups[args.vertex].decode(c)) for c in form.consonants]
     lines = [f"x0: {pieces[0]}"]
     for i, (c, piece) in enumerate(zip(consonants, pieces[1:]), 1):
         lines += [f"c{i}: {args.vertex}[{c}]", f"x{i}: {piece}"]

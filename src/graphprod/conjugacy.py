@@ -41,7 +41,7 @@ def conjugate_in_clique_subgroup(
                 u, v = pres.vertices[ui], pres.vertices[vi]
                 raise PresentationError(f"{u!r} and {v!r} are not adjacent: not a clique")
     for e in (a, b):
-        if not _supported_in(e, ids):
+        if not _supported_in(e.key, ids):
             raise PresentationError("element not supported in the clique")
     values_a = {vi: val for vi, val in a.key}
     values_b = {vi: val for vi, val in b.key}

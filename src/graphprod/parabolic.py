@@ -16,6 +16,7 @@ from .words import (
     _compare_centralizer,
     _make,
     _push,
+    _supported_in,
     conjugate,
     identity,
     invert,
@@ -117,9 +118,8 @@ def centralizer_structure_check(g: Element, radius: int) -> CentralizerStructure
     core_ids = {pres.vertex_index(v) for v in core}
 
     def factored(u, centralizes):
-        for vi, _ in u:
-            if vi not in allowed_ids:
-                return False
+        if not _supported_in(u, allowed_ids):
+            return False
         # halo syllables commute with core ones, so u's core syllables, in order, are its canonical retraction
         ug, gu = [s for s in u if s[0] in core_ids], list(g.key)
         _push(pres, gu, ug)

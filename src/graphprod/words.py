@@ -15,9 +15,10 @@ the longer word picks it, a join changes a value in place, and a cancellation
 deletes a syllable that commutes with everything after it, a maximal element
 of the trace, whose removal leaves the greedy order of the rest as it was.
 
-`_make` and `multiply` call it once per word; `iter_ball` carries its products
-and the rotation closure pushes onto the canonical part of each cut.  Keys
-that are canonical by construction are wrapped as `Element(pres, key)` instead:
+`_make` and `multiply` call it once per word; `iter_ball` carries its products,
+the rotation closure pushes onto the canonical part of each cut, and `amalgam`
+pushes runs and folded pieces onto x-pieces and each c·x onto the last prefix.
+Keys that are canonical by construction are wrapped as `Element(pres, key)`:
 - the S and P parts of `cyclic.ps_decompose` and `cyclic.commuting_factors`
   (a canonical key restricted to a union of commuting components);
 - the conjugators of `cyclic.cyclically_reduce` (its peeled syllables, in
@@ -137,9 +138,9 @@ def _check_same(a: Element, b: Element) -> None:
         raise PresentationMismatchError("elements come from different presentations")
 
 
-def _supported_in(e: Element, ids) -> bool:
-    """True iff every syllable of e lies on a vertex with index in ids."""
-    for vi, _ in e.key:
+def _supported_in(key: Sequence[Tuple[int, int]], ids) -> bool:
+    """True iff every syllable of the key lies on a vertex with index in ids."""
+    for vi, _ in key:
         if vi not in ids:
             return False
     return True

@@ -287,14 +287,13 @@ def conjugator_case_by_search(view, g_form, u):
     (case c) in the H-side wins.  Returns None when nothing matches.
     """
     pres = view.pres
-    apex = pres.by_index[view.apex_index]
 
     def in_h(x):
         return x.support() <= view.h_vertices
 
     prefixes = [identity(pres)]
-    for value, piece in zip(g_form.consonants, g_form.x_pieces[1:]):
-        c = _make(pres, [(view.apex_index, apex.encode(value))])
+    for consonant, piece in zip(g_form.consonants, g_form.x_pieces[1:]):
+        c = _make(pres, [(view.apex_index, consonant)])
         prefixes.append(multiply(multiply(prefixes[-1], c), piece))
     g = multiply(g_form.x_pieces[0], prefixes[-1])
     u_form = amalgam_form(view, u)

@@ -254,6 +254,26 @@ def test_consonants_are_apex_syllables(all_presentations):
                 apex_syllables = sum(vi == view.apex_index for vi, _ in e.key)
                 assert amalgam_form(view, e).consonant_length == apex_syllables, (apex, e.render())
 
+
+@pytest.mark.parametrize("name, apex", [("s3-path", "g"), ("triangle-mixed", "u")])
+def test_consonants_are_apex_keys(name, apex):
+    # on a table apex a key is an index, not the element's name
+    pres = build_s3_path() if name == "s3-path" else PRESENTATIONS[name]
+    view = decompose_at(pres, apex)
+    keys = pres.groups[apex].nontrivial_keys()
+    rng = random.Random(29)
+    elements = corpus.corpus_elements(pres, max_len=4)
+    elements += [reduce(pres, corpus.random_word(pres, rng, 9)) for _ in range(60)]
+    leading = 0
+    for e in elements:
+        form = amalgam_form(view, e)
+        assert all(type(c) is int and c in keys for c in form.consonants), (e.render(), form.consonants)
+        if form.consonants and form.x_pieces[0].support() <= view.h_vertices:
+            assert multiply_out(view, consonant_leading_form(view, e)) == e
+            leading += 1
+    assert leading
+
+
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_form_multiplies_back(data):

@@ -887,7 +887,7 @@ def test_alternating_forms_match_restarts(name, subset, data):
         assert bool(cs) == any(vi in c_ids for vi, _ in reduced)
         return
     (apex,) = c_ids
-    xs, cs = _general_form(pres, apex, h_ids, key)
+    xs, cs = _general_form(decompose_at(pres, pres.vertices[apex]), key)
     expected_xs, expected_cs = alternating_form_by_restarts(pres, c_ids, h_ids, key)
     assert [x.key for x in xs] == [x.key for x in expected_xs]
     assert [((apex, c),) for c in cs] == [c.key for c in expected_cs]
