@@ -84,6 +84,12 @@ MUTANTS = [
     ("closure-merge-keeps-left", W, "                    m = code((ui, groups[ui].mul(uval, wval)))\n",
      "                    m = code((ui, uval))\n"),
     ("closure-trivial-kept", W, "                trivial.add(codes[s])\n", "                pass\n"),
+    # its skips of commuting duplicates: each of these skips a state not yet seen
+    ("closure-pairs-from-move", W, "(at,) if kind == 1 else (), max(at - 1, 0)\n", "(at,) if kind == 1 else (), at\n"),
+    ("closure-merge-skips-removal", W, "(at,) if kind == 1 else (), max(at - 1, 0)\n", "(), max(at - 1, 0)\n"),
+    ("closure-merge-skips-swap-back", W, "        back = at if kind == 2 else -1\n", "        back = at if kind else -1\n"),
+    ("closure-removals-after-removal", W, "removals, first = range(at, len(state)), 0\n",
+     "removals, first = range(at + 1, len(state)), 0\n"),
     # readable syllables have one scan, which skips removed positions and stops once no vertex is left
     ("front-letters-ignores-removed", W, "        if pos in removed:\n            continue\n", ""),
     ("front-letters-ignores-start", W, "    for pos in range(start, len(key)):\n", "    for pos in range(len(key)):\n"),

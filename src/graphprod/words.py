@@ -356,6 +356,25 @@ def brute_force_equal(pres: GroupPresentation, w1: Word, w2: Word, budget: int) 
     str, one character per distinct syllable, so slicing and hashing run in C.
     On n syllables in all, a call interns at most n + budget * (n - 1) distinct
     ones; past the 1,114,112 characters of a str it raises BudgetExceededError.
+
+    Each queued state is followed by how its parent P, whose expansion first
+    queued it, made it: 3 * position + kind, kind 0 a removal (the start is a
+    removal at 0), 1 a merge, 2 a swap.  A successor is skipped when its move
+    is disjoint from P's and that move's counterpart on P comes first in P's
+    order.  P queued the counterpart's state Q before this one (Q differs, or
+    the tag would name its move), so Q was expanded first, and its move on the
+    same syllables gave the skipped state.  By induction on the expansions,
+    each skipped state is already in `seen`: the expanded states, their order,
+    the answer and the count are those of the full scan.  Skipped after
+    - a swap at i: every removal (off the pair a removal of P, which comes
+      before all pair moves; on it a removal of P itself), the pairs before
+      i - 1 and the swap back at i;
+    - a merge at i: every removal but the merged syllable's, and the pairs
+      before i - 1;
+    - a removal at k: the removals before k.  No pair is skipped, since all
+      of P's pair moves come after its removals.
+    Fewer pairs scanned intern fewer merged syllables, so the code-space error
+    can come later than under a full scan, never earlier.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -378,22 +397,29 @@ def brute_force_equal(pres: GroupPresentation, w1: Word, w2: Word, budget: int) 
 
     state = "".join(map(code, start))
     seen = {state}
-    queue = deque([state])
+    queue = deque([state, 0])  # each state, then how it was made
     explored = 0
     while queue:
-        state = queue.popleft()
+        state, (at, kind) = queue.popleft(), divmod(queue.popleft(), 3)
         explored += 1
         if explored > budget:
             raise BudgetExceededError(f"budget of {budget} states exhausted")
-        for i, c in enumerate(state):
-            if c in trivial:
-                if len(state) == 1:
-                    return True
+        if len(state) == 1 and state in trivial:
+            return True
+        if kind:
+            removals, first = (at,) if kind == 1 else (), max(at - 1, 0)
+        else:
+            removals, first = range(at, len(state)), 0
+        for i in removals:
+            if state[i] in trivial:
                 nxt = state[:i] + state[i + 1 :]
                 if nxt not in seen:
                     seen.add(nxt)
-                    queue.append(nxt)
-        for i in range(len(state) - 1):
+                    queue.extend((nxt, 3 * i))
+        back = at if kind == 2 else -1
+        for i in range(first, len(state) - 1):
+            if i == back:
+                continue
             pair = state[i : i + 2]
             try:
                 m = moves[pair]  # the merged character, the swapped pair, or "" for no move
@@ -408,7 +434,7 @@ def brute_force_equal(pres: GroupPresentation, w1: Word, w2: Word, budget: int) 
                 nxt = state[:i] + m + state[i + 2 :]
                 if nxt not in seen:
                     seen.add(nxt)
-                    queue.append(nxt)
+                    queue.extend((nxt, 3 * i + len(m)))  # a merge leaves one character, a swap two
     return False
 
 

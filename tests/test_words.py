@@ -42,7 +42,7 @@ from oracles import (
     shuffle_class,
     word_of_key,
 )
-from test_nonabelian import build_s3_path, s3_config, small_graph_product
+from test_nonabelian import build_s3_path, push_presentations, s3_config, small_graph_product
 
 PRESENTATIONS = corpus.corpus_presentations()
 
@@ -194,6 +194,7 @@ def test_string_states_search_the_tuple_closure(path_racg):
         small_graph_product(("Z3", "Z3"), True),
         small_graph_product(("Z1", "Z2"), False),
         small_graph_product(("Z1", "S3"), True),
+        push_presentations()["complete"],  # every swap applies, so commuting diamonds are deepest
     ):
         inputs += pairs_with_trivial_syllables(pres, rng, 20, 7)
     w = lambda text: parse_word(path_racg, text)
