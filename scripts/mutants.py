@@ -122,6 +122,14 @@ MUTANTS = [
     ("blockers-ignore-join", W, "all(t != f and t not in iadj[f] for f in front)", "all(t not in iadj[f] for f in front)"),
     ("ball-stops-a-level-early", W, "grown = [] if depth < radius else None",
      "grown = [] if depth < radius - 1 else None"),
+    # keep prunes the walk below an element, never the element itself
+    ("ball-keep-drops-yield", W, "                            yield child, carried\n",
+     "                            if keep is None or keep(child, carried):\n"
+     "                                yield child, carried\n"),
+    # the conjugator search extends w only inside its length window
+    ("bf-window-strict-edge", K, "return len(w) - n <= len(yw) <= reach - len(w)",
+     "return len(w) - n <= len(yw) < reach - len(w)"),
+    ("bf-window-radius-not-doubled", K, "len(x_key) + 2 * radius", "len(x_key) + radius"),
     ("residues-descending", PR, "        return range(1, self.order)\n",
      "        return range(self.order - 1, 0, -1)\n"),
     # every centralizer check is one comparison loop
@@ -192,6 +200,8 @@ MUTANTS = [
     # each centralizer prediction first tests the support of the ball element
     ("product-prediction-no-star-test", A, "            if not _supported_in(u, star_ids):\n                return False\n", ""),
     ("structure-check-no-support-test", PB, "        if not _supported_in(u, allowed_ids):\n            return False\n", ""),
+    # the structure check predicts from the verdicts its walk recorded
+    ("structure-check-records-no-verdicts", PB, "            centralizing.add(u)\n", "            pass\n"),
     # amalgam answers read off the consonant counts
     ("centralizer-power-one-sign", A, "            for l in (q, -q):\n", "            for l in (q,):\n"),
     ("classify-next-prefix", A, "        p = prefixes[j]\n", "        p = prefixes[(j + 1) % len(prefixes)]\n"),

@@ -106,10 +106,24 @@ def brute_force_conjugate(x: Element, y: Element, radius: int) -> BruteForceConj
     Integer-vertex exponents of candidate conjugators range over
     [-radius, radius].  A hit is certified; running out of candidates is
     reported as "exhausted", which is weaker than a non-conjugacy proof.
+
+    The first hit in ball order is returned without walking the whole ball.
+    Reduced words have minimal length, so |a| - |b| <= |a·b| <= |a| + |b|,
+    and a hit w·x = y·w needs |y·w| = |w·x|: x is pushed onto w only when
+    |w| - |x| <= |y·w| <= |w| + |x|.  The walk extends w to elements w·q
+    with |q| <= radius - |w|, each within |q| of |y·w|, so w is extended
+    only while |w| - |x| <= |y·w| <= |x| + 2·radius - |w|.
     """
     _check_same(x, y)
     pres, x_key, blocked = x.pres, x.key, _blockers(x.pres, x.key)
-    for w, yw in iter_ball(pres, radius, left=y):
+    n, reach = len(x_key), len(x_key) + 2 * radius
+
+    def keep(w, yw):
+        return len(w) - n <= len(yw) <= reach - len(w)
+
+    for w, yw in iter_ball(pres, radius, left=y, keep=keep):
+        if not len(w) - n <= len(yw) <= len(w) + n:
+            continue
         if w and w[-1][0] in blocked:  # w·x is the concatenation
             hit = w + x_key == yw
         else:

@@ -15,7 +15,6 @@ from .words import (
     _check_same,
     _compare_centralizer,
     _make,
-    _push,
     _supported_in,
     conjugate,
     identity,
@@ -108,6 +107,12 @@ def centralizer_structure_check(g: Element, radius: int) -> CentralizerStructure
     <g>.  Every centralizing ball element must be supported in A union
     link(A) with its A-retraction centralizing g; the factorization direction
     back is automatic and checked as well.
+
+    The prediction reads the walk's own verdicts.  Halo syllables commute
+    with core ones, so u's core syllables, in order, are its canonical
+    retraction.  If u has a halo syllable, the retraction is shorter, with
+    u's values, so the walk (in (length, key) order) has already recorded
+    whether it centralizes g; otherwise u is its own retraction.
     """
     if not is_cyclically_reduced(g):
         raise PresentationError("element must be cyclically reduced; conjugate first")
@@ -116,15 +121,17 @@ def centralizer_structure_check(g: Element, radius: int) -> CentralizerStructure
     halo = link_of(pres.graph, core)
     allowed_ids = {pres.vertex_index(v) for v in core | halo}
     core_ids = {pres.vertex_index(v) for v in core}
+    centralizing = set()  # the walked keys supported in A that commute with g
 
     def factored(u, centralizes):
         if not _supported_in(u, allowed_ids):
             return False
-        # halo syllables commute with core ones, so u's core syllables, in order, are its canonical retraction
-        ug, gu = [s for s in u if s[0] in core_ids], list(g.key)
-        _push(pres, gu, ug)
-        _push(pres, ug, g.key)
-        return ug == gu
+        retraction = tuple(s for s in u if s[0] in core_ids)
+        if len(retraction) < len(u):
+            return retraction in centralizing
+        if centralizes:
+            centralizing.add(u)
+        return centralizes
 
     return CentralizerStructureReport(core, halo, *_compare_centralizer(g, radius, factored))
 

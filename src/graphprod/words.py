@@ -449,6 +449,7 @@ def iter_ball(
     window: Optional[int] = None,
     vertices: Optional[Iterable[str]] = None,
     left: Optional[Element] = None,
+    keep=None,
 ):
     """Yield the key of each element of length <= radius, sorted by (length, key).
 
@@ -456,6 +457,11 @@ def iter_ball(
     defaults to the radius.  With a vertex subset, enumerates the ball of the
     corresponding full subgroup.  With a left factor, yields pairs (u, the key
     of left·u) instead, in the same order.  It builds no Element.
+
+    keep(u, product) prunes the walk: product is the key of left·u, or None
+    without a left factor.  An element u that keep rejects is still yielded,
+    but never extended, so the walk yields exactly the ball elements whose
+    proper prefixes (the empty key included) all pass keep.
 
     Each element is generated once, from its canonical prefix (a reverse
     search).  Deleting the last syllable of a least-vertex-first key deletes a
@@ -487,8 +493,9 @@ def iter_ball(
     if left is not None and left.pres is not pres:
         raise PresentationMismatchError("the left factor comes from another presentation")
     # (key, key of left·u), the product None when nothing is carried
-    level = [((), None if left is None else left.key)]
-    yield () if left is None else ((), left.key)
+    root = ((), None if left is None else left.key)
+    yield () if left is None else root
+    level = [root] if keep is None or keep(*root) else []
     for depth in range(1, radius + 1):
         grown = [] if depth < radius else None
         for key, product in level:
@@ -521,7 +528,7 @@ def iter_ball(
                                 _push(pres, out, last)
                                 carried = tuple(out)
                             yield child, carried
-                        if grown is not None:
+                        if grown is not None and (keep is None or keep(child, carried)):
                             grown.append((child, carried))
         level = grown
 

@@ -20,7 +20,10 @@ translated every position of a word, which the per-call dicts of
 `brute_force_equal_by_tuples`, the reference for `words.brute_force_equal`
 on string states.  The ball comparisons that multiplied Elements per ball
 element are kept as `brute_force_conjugate_by_multiply` and
-`compare_centralizer_by_multiply`.  The witness loop that formed every
+`compare_centralizer_by_multiply`; the first walks the whole ball, with no
+pruning.  The structure check's prediction that multiplied each ball
+element's core retraction with g both ways is kept as
+`centralizer_structure_check_by_pushes`.  The witness loop that formed every
 product r_i·r_j^-1 is kept as `distinctness_by_products`, the reference for
 `separability._collect_distinctness`, which reads the products' values off
 the boundary of each pair.  `right_angled_is_identity` decides the word problem
@@ -36,8 +39,13 @@ from functools import lru_cache
 from graphprod.amalgam import AmalgamError, ConjugatorClass, SubgroupConjugacy, amalgam_form
 from graphprod.conjugacy import BruteForceConjugacy, are_conjugate
 from graphprod.cyclic import commuting_factors, cyclic_permutation_conjugators, cyclically_reduce, ps_decompose
-from graphprod.parabolic import ParabolicSubgroup, parabolic_generators, parabolic_membership
-from graphprod.presentation import _TOKEN_RE, Syllable, Word, WordError, induced_presentation
+from graphprod.parabolic import (
+    CentralizerStructureReport,
+    ParabolicSubgroup,
+    parabolic_generators,
+    parabolic_membership,
+)
+from graphprod.presentation import _TOKEN_RE, Syllable, Word, WordError, induced_presentation, link_of
 from graphprod.separability import _collect_shape_constraints
 from graphprod.words import (
     BudgetExceededError,
@@ -672,6 +680,26 @@ def compare_centralizer_by_multiply(g, radius, predicted, vertices=None):
         if predicted(key, centralizes) != centralizes:
             violations.append(u)
     return size, tuple(members), tuple(violations)
+
+
+def centralizer_structure_check_by_pushes(g, radius):
+    """`parabolic.centralizer_structure_check` with each prediction pushed
+    out: u's core syllables, its retraction, are multiplied with g both ways,
+    where the library reads the verdict that its walk recorded for the
+    retraction."""
+    pres = g.pres
+    core = g.support()
+    halo = link_of(pres.graph, core)
+    allowed_ids = {pres.vertex_index(v) for v in core | halo}
+    core_ids = {pres.vertex_index(v) for v in core}
+
+    def factored(u, centralizes):
+        if any(vi not in allowed_ids for vi, _ in u):
+            return False
+        retraction = Element(pres, tuple(s for s in u if s[0] in core_ids))
+        return multiply(retraction, g) == multiply(g, retraction)
+
+    return CentralizerStructureReport(core, halo, *compare_centralizer_by_multiply(g, radius, factored))
 
 
 def single_step_rewrites(pres, key):

@@ -769,14 +769,27 @@ def test_ball_walk_matches_stored_levels_and_carries_products(name, subset):
     lefts = [identity(pres)] + [rng.choice([e for e in pool if len(e) == n]) for n in (2, len(pool[-1]))]
     if name == "s3-path":
         lefts.append(element_of(pres, "g[r] z[1] g[s]"))
+    # a pruning rule that reads both of its arguments
+    keep = lambda u, product: sum(val for _, val in u + (product or ())) % 3 != 1
+    pruned = 0
     for radius in range(4):
         for window in (1, 2, 3):
             expected = ball_by_levels(pres, radius, window, vertices)
             assert list(iter_ball(pres, radius, window, vertices)) == [u.key for u in expected]
+            # with keep: the stored ball's elements whose proper prefixes all pass it
+            kept = [u.key for u in expected if all(keep(u.key[:i], None) for i in range(len(u)))]
+            assert list(iter_ball(pres, radius, window, vertices, keep=keep)) == kept
+            pruned += len(expected) - len(kept)
             for left in lefts:
                 walked = list(iter_ball(pres, radius, window, vertices, left=left))
                 assert [u for u, _ in walked] == [u.key for u in expected]
                 assert [product for _, product in walked] == [multiply(left, u).key for u in expected]
+                prefix = lambda u, i: (u.key[:i], multiply(left, Element(pres, u.key[:i])).key)
+                kept = [u for u in expected if all(keep(*prefix(u, i)) for i in range(len(u)))]
+                walked = list(iter_ball(pres, radius, window, vertices, left=left, keep=keep))
+                assert walked == [(u.key, multiply(left, u).key) for u in kept]
+                pruned += len(expected) - len(kept)
+    assert pruned
 
 
 def test_brute_force_conjugate_matches_the_stored_ball_loop():
@@ -814,7 +827,7 @@ KEY_PRODUCT_PRESENTATIONS = {**BALL_PRESENTATIONS, "pentagon": build_pentagon(ra
 
 
 @pytest.mark.parametrize("name", sorted(KEY_PRODUCT_PRESENTATIONS))
-def test_key_comparisons_match_the_multiply_loops(name):
+def test_key_comparisons_match_the_multiply_loops(name, monkeypatch):
     # products of keys find the conjugators, members and violations that
     # products of Elements did, in the same order
     pres = KEY_PRODUCT_PRESENTATIONS[name]
@@ -836,6 +849,66 @@ def test_key_comparisons_match_the_multiply_loops(name):
         assert report == compare_centralizer_by_multiply(x, radius, predicted, vertices)
         violated += bool(report[2])
     assert found and violated
+
+    # radius 3-4: the search prunes its walk by word length and still finds the
+    # first conjugator of the whole ball, which the oracle walks unpruned
+    walked = []  # (|w|, |y·w|) of each element the pruned walk yields
+
+    def recording(*args, **kwargs):
+        for w, yw in iter_ball(*args, **kwargs):
+            walked.append((len(w), len(yw)))
+            yield w, yw
+
+    monkeypatch.setattr(conjugacy, "iter_ball", recording)
+    alphabet = corpus.syllable_alphabet(pres)
+    balls = {radius: {key: i for i, key in enumerate(iter_ball(pres, radius))} for radius in (3, 4)}
+    edges, pruned = set(), 0
+    for _ in range(16):
+        radius = rng.randint(3, 4)
+        x = rng.choice(pool)
+        if rng.random() < 0.5:
+            y = conjugate(reduce(pres, corpus.random_word(pres, rng, radius + 1)), x)
+        else:
+            y = reduce(pres, Word(tuple(rng.choice(alphabet) for _ in range(rng.randint(6, 10)))))
+        del walked[:]
+        verdict = brute_force_conjugate(x, y, radius)
+        assert verdict == brute_force_conjugate_by_multiply(x, y, radius)
+        ball = balls[radius]
+        pruned += len(walked) < (ball[verdict.conjugator.key] + 1 if verdict.found else len(ball))
+        n = len(x)
+        for m, length in walked:
+            if length == m - n:
+                edges.add("low")  # on the lower edge of both windows
+            if length == m + n:
+                edges.add("push")  # the upper edge of the window that pushes x
+            if m < radius and length == n + 2 * radius - m:
+                edges.add("keep")  # the upper edge of the window that extends w
+    complete = len(pres.graph.edges) == len(pres.vertices) * (len(pres.vertices) - 1) // 2
+    # an abelian y·w has at most one syllable per vertex, far below the keep edge
+    assert edges == ({"low", "push"} if complete else {"low", "push", "keep"})
+    # in Z × Z only an element of length 2 can fall out of the window, and it has no children
+    assert pruned or name == "edge-zz"
+
+
+def test_brute_force_walk_count_is_pinned(monkeypatch):
+    # a count gate, with no timing: on the pentagon at radius 4, x = p0·p2
+    # against w·x'·w^-1 (|w| = 3, x' = p0·p2^2 off x's class) walks 417 of the
+    # ball's 9,061 elements before it reports "exhausted"
+    pres = KEY_PRODUCT_PRESENTATIONS["pentagon"]
+    count = 0
+
+    def counting(*args, **kwargs):
+        nonlocal count
+        for item in iter_ball(*args, **kwargs):
+            count += 1
+            yield item
+
+    monkeypatch.setattr(conjugacy, "iter_ball", counting)
+    x = element_of(pres, "p0[1] p2[1]")
+    y = element_of(pres, "p1[1] p3[2] p4[1] p0[1] p2[2] p4[-1] p3[-2] p1[-1]")
+    assert brute_force_conjugate(x, y, 4).status == "exhausted"
+    assert count == 417
+    assert sum(1 for _ in iter_ball(pres, 4)) == 9061
 
 
 @pytest.mark.parametrize("name", sorted(BALL_PRESENTATIONS))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphprod import corpus, parse_presentation
-from graphprod.presentation import PresentationError, Word
+from graphprod.presentation import PresentationError, Word, presentation_from_config
 from graphprod.words import (
     conjugate,
     element_of,
@@ -32,7 +32,7 @@ from graphprod.parabolic import (
     parabolics_equal,
 )
 from graphprod.selftest import check_normalizer, check_parabolic_closure
-from oracles import ball_elements, intersection_by_ball
+from oracles import ball_elements, centralizer_structure_check_by_pushes, intersection_by_ball
 
 PRESENTATIONS = corpus.corpus_presentations()
 
@@ -106,6 +106,49 @@ def test_centralizer_structure_random(name):
     for _ in range(8):
         g = cyclically_reduce(reduce(pres, corpus.random_word(pres, rng, 4))).reduced
         assert centralizer_structure_check(g, 3).ok
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_structure_check_matches_the_pushed_predictions(name):
+    # the verdicts the walk records for retractions are the predictions that
+    # multiplied each retraction with g: the same reports, field by field
+    pres = PRESENTATIONS[name]
+    rng = random.Random(name)
+    for _ in range(8):
+        g = cyclically_reduce(reduce(pres, corpus.random_word(pres, rng, 4))).reduced
+        radius = rng.randint(0, 3)
+        assert centralizer_structure_check(g, radius) == centralizer_structure_check_by_pushes(g, radius)
+
+
+PENTAGON = parse_presentation(
+    json.dumps(
+        {
+            "vertices": [{"name": f"p{i}", "group": "Z" if i == 3 else "cyclic 3"} for i in range(5)],
+            "edges": [[f"p{i}", f"p{(i + 1) % 5}"] for i in range(5)],
+        }
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "pres, text, radius, failing",
+    [(presentation_from_config(corpus.STAR_RACG), "l1[1]", 4, False), (PENTAGON, "p0[1] p2[1]", 3, True)],
+    ids=["star-leaf", "pentagon"],
+)
+def test_structure_check_reads_halo_verdicts(pres, text, radius, failing):
+    # a nonempty halo: ball elements in the core and the halo that carry halo
+    # syllables take the recorded verdicts of their shorter retractions.  On
+    # the star every retraction (a power of the leaf) centralizes; on the
+    # pentagon the core is {p0, p2}, the halo {p1}, and p1·p0 does not
+    g = element_of(pres, text)
+    report = centralizer_structure_check(g, radius)
+    assert report.ok and report.halo
+    assert report == centralizer_structure_check_by_pushes(g, radius)
+    allowed = report.core | report.halo
+    with_halo = [u for u in ball_elements(pres, radius) if u.support() <= allowed and u.support() & report.halo]
+    members = set(report.centralizer)
+    assert any(u in members for u in with_halo)
+    assert any(u not in members for u in with_halo) == failing
 
 
 def test_maximal_full_avoiding_examples(path_racg, free_zz):
