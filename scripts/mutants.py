@@ -15,7 +15,7 @@ An unmutated copy runs first; if it fails, nothing is judged.  Exit status is
 an edit name is unknown.
 Each line also gives the run's wall time.
 
-    python scripts/mutants.py              # every edit: about 21 minutes on 2 vCPUs
+    python scripts/mutants.py              # every edit: about 23 minutes on 2 vCPUs
     python scripts/mutants.py NAME...      # only the named edits
 
 Not part of Tier-1.  The unmutated run is capped at RUN_SECONDS of wall time.
