@@ -134,6 +134,10 @@ MUTANTS = [
      "        return range(self.order - 1, 0, -1)\n"),
     # every centralizer check is one comparison loop
     ("compare-records-no-violation", W, "            violations.append(Element(pres, u))\n", "            pass\n"),
+    # the length count refutes u·g = g·u only where every push of g^-1 must cancel or join
+    ("count-refutes-below-window", W, "refuted = n and d >= n - 1", "refuted = n and d >= n - 2"),
+    ("count-refutes-join", W, "refuted = d == n and val != last_val", "refuted = val != last_val"),
+    ("count-disabled", W, "refuted = n and d >= n - 1", "refuted = False"),
     ("rotations-ignore-unresolved", A, "        if not centralizes or unresolved:\n", "        if not centralizes:\n"),
     # cyclic reduction: first and last positions, one join per step
     ("conjugator-prepended", C, "        conj.append((v, a))\n", "        conj.insert(0, (v, a))\n"),

@@ -545,18 +545,45 @@ def _compare_centralizer(g: Element, radius: int, predicted, vertices: Optional[
     once: (size, members, violations) are its size, the elements u that
     commute with g, and those where predicted(u, centralizes) is not
     centralizes (it gets u's key).  Every centralizer check is this loop and its
-    own prediction.  g·u comes from the walk; u·g is u + g when u ends on a
-    `_blockers` vertex of g, and otherwise one `_push` of g's key onto u's."""
+    own prediction.  g·u comes from the walk, and each u is decided in one of
+    three ways:
+
+    - u ends on a `_blockers` vertex of g: u·g is u + g as it stands.
+    - A length count refutes u·g = g·u.  If they are equal, then (g·u)·g⁻¹ = u,
+      and pushing the n = |g| syllables of g⁻¹ onto g·u one at a time, the last
+      syllable (v, a) of g's key first, changes the length by +1, 0 or -1 each
+      time; the pushes add up to -d, where d = |g·u| - |u| <= n.  At d = n
+      every push cancels, so the first needs a back-readable syllable of g·u
+      (one whose followers all lie on its vertex's link) equal to (v, a); at
+      d = n - 1 one push joins and the rest cancel, so the first cannot
+      insert, and g·u needs a back-readable syllable on v.  Finding it is
+      `_push`'s backward scan, read only; g = 1 has no last syllable.
+    - Otherwise u·g is one `_push` of g's key onto u's."""
     pres, g_key, blocked = g.pres, g.key, _blockers(g.pres, g.key)
+    n = len(g_key)
+    last_vi, last_val = g_key[-1] if n else (-1, None)
+    last_link = pres.iadj[last_vi] if n else ()
     size, members, violations = 0, [], []
     for u, gu in iter_ball(pres, radius, vertices=vertices, left=g):
         size += 1
         if u and u[-1][0] in blocked:
             centralizes = u + g_key == gu
         else:
-            ug = list(u)
-            _push(pres, ug, g_key)
-            centralizes = tuple(ug) == gu
+            d = len(gu) - len(u)
+            refuted = n and d >= n - 1
+            if refuted:  # unless g·u has a fitting back-readable syllable on last_vi
+                for vi, val in reversed(gu):
+                    if vi == last_vi:
+                        refuted = d == n and val != last_val
+                        break
+                    if vi not in last_link:
+                        break
+            if refuted:
+                centralizes = False
+            else:
+                ug = list(u)
+                _push(pres, ug, g_key)
+                centralizes = tuple(ug) == gu
         if centralizes:
             members.append(Element(pres, u))
         if predicted(u, centralizes) != centralizes:

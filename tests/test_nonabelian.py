@@ -826,6 +826,37 @@ def build_pentagon(rng):
 KEY_PRODUCT_PRESENTATIONS = {**BALL_PRESENTATIONS, "pentagon": build_pentagon(random.Random(24))}
 
 
+def compare_centralizer_with_branches(g, radius, predicted, vertices, monkeypatch):
+    """`_compare_centralizer`'s report, checked against the multiply loop, and
+    the branches that decided its elements: "blocked" (u + g as it stands),
+    "refuted-n" and "refuted-n-1" (by the length count, at d = |g·u| - |u|
+    equal to n = |g| and to n - 1), and "pushed" (pushed although d >= n - 1)."""
+    pushed = set()  # the keys u whose u·g was pushed
+
+    def recording(pres, out, syllables):
+        if syllables is g.key:  # the walk's own pushes carry one new syllable
+            pushed.add(tuple(out))
+        push(pres, out, syllables)
+
+    push = words._push
+    with monkeypatch.context() as patch:
+        patch.setattr(words, "_push", recording)
+        report = _compare_centralizer(g, radius, predicted, vertices)
+    assert report == compare_centralizer_by_multiply(g, radius, predicted, vertices)
+    blocked, n, branches = _blockers(g.pres, g.key), len(g), set()
+    for u, gu in iter_ball(g.pres, radius, vertices=vertices, left=g):
+        d = len(gu) - len(u)
+        if u and u[-1][0] in blocked:
+            assert u not in pushed
+            branches.add("blocked")
+        elif u not in pushed:
+            assert n and d >= n - 1, u  # the count refutes nothing below its window
+            branches.add("refuted-n" if d == n else "refuted-n-1")
+        elif n and d >= n - 1:
+            branches.add("pushed")
+    return report, branches
+
+
 @pytest.mark.parametrize("name", sorted(KEY_PRODUCT_PRESENTATIONS))
 def test_key_comparisons_match_the_multiply_loops(name, monkeypatch):
     # products of keys find the conjugators, members and violations that
@@ -834,6 +865,7 @@ def test_key_comparisons_match_the_multiply_loops(name, monkeypatch):
     rng = random.Random(name)
     pool = list(ball_elements(pres, 2, window=2))
     found = violated = 0
+    branches = set()
     for _ in range(30):
         radius = rng.randint(0, 3)
         x = rng.choice(pool)
@@ -845,10 +877,26 @@ def test_key_comparisons_match_the_multiply_loops(name, monkeypatch):
         # wrong on every element of one length, so some violations are members and some are not
         length = rng.randint(0, radius)
         predicted = lambda u, centralizes: centralizes != (len(u) == length)
-        report = _compare_centralizer(x, radius, predicted, vertices)
-        assert report == compare_centralizer_by_multiply(x, radius, predicted, vertices)
+        report, reached = compare_centralizer_with_branches(x, radius, predicted, vertices, monkeypatch)
+        if x.key:  # g = 1 blocks every nontrivial u
+            branches |= reached
         violated += bool(report[2])
     assert found and violated
+    complete = len(pres.graph.edges) == len(pres.vertices) * (len(pres.vertices) - 1) // 2
+    if complete:  # an abelian g has no blocker, and the count refutes only what fails to commute
+        assert branches == {"pushed"}
+    elif all(group.order == 2 for group in pres.by_index):  # the parity of |w| is a homomorphism: d = n mod 2
+        assert branches == {"blocked", "refuted-n", "pushed"}
+    else:
+        assert branches == {"blocked", "refuted-n", "refuted-n-1", "pushed"}
+    if name == "pentagon":
+        # the benchmark's shapes at radius 4: an apex syllable times one off
+        # its star, and a cyclically reduced g of 3 syllables
+        for text in ("p0[1] p2[1]", "p1[2] p3[1]", "p0[1] p2[2] p4[1]"):
+            g = element_of(pres, text)
+            predicted = lambda u, centralizes: centralizes != (len(u) == 3)
+            report, reached = compare_centralizer_with_branches(g, 4, predicted, None, monkeypatch)
+            assert report[0] == 9061 and reached == {"blocked", "refuted-n", "refuted-n-1", "pushed"}
 
     # radius 3-4: the search prunes its walk by word length and still finds the
     # first conjugator of the whole ball, which the oracle walks unpruned
@@ -909,6 +957,27 @@ def test_brute_force_walk_count_is_pinned(monkeypatch):
     assert brute_force_conjugate(x, y, 4).status == "exhausted"
     assert count == 417
     assert sum(1 for _ in iter_ball(pres, 4)) == 9061
+
+
+def test_centralizer_push_count_is_pinned(monkeypatch):
+    # a count gate, with no timing: the pentagon structure check of the
+    # cyclically reduced g = p0·p2^2·p4 at radius 4 pushes u·g for 1,815 of the
+    # ball's 9,061 elements; the length count refutes 2,936 of the 4,751 that
+    # end on no blocker of g
+    pres = KEY_PRODUCT_PRESENTATIONS["pentagon"]
+    g = element_of(pres, "p0[1] p2[2] p4[1]")
+    count = 0
+
+    def counting(pres, out, syllables):
+        nonlocal count
+        count += syllables is g.key  # the walk's own pushes carry one new syllable
+        push(pres, out, syllables)
+
+    push = words._push
+    monkeypatch.setattr(words, "_push", counting)
+    report = centralizer_structure_check(g, 4)
+    assert report.ok and report.ball_size == 9061 and len(report.centralizer) == 3
+    assert count == 1815
 
 
 @pytest.mark.parametrize("name", sorted(BALL_PRESENTATIONS))
