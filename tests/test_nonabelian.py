@@ -831,14 +831,13 @@ def compare_centralizer_with_branches(g, radius, predicted, vertices, monkeypatc
     the branches that decided its elements: "blocked" (u + g as it stands),
     "refuted-n" and "refuted-n-1" (by the length count, at d = |g·u| - |u|
     equal to n = |g| and to n - 1), and "pushed" (pushed although d >= n - 1)."""
-    pushed = set()  # the keys u whose u·g was pushed
+    pushed, push = set(), words._push  # the keys u whose u·g was pushed
 
     def recording(pres, out, syllables):
         if syllables is g.key:  # the walk's own pushes carry one new syllable
             pushed.add(tuple(out))
         push(pres, out, syllables)
 
-    push = words._push
     with monkeypatch.context() as patch:
         patch.setattr(words, "_push", recording)
         report = _compare_centralizer(g, radius, predicted, vertices)
@@ -885,7 +884,7 @@ def test_key_comparisons_match_the_multiply_loops(name, monkeypatch):
     complete = len(pres.graph.edges) == len(pres.vertices) * (len(pres.vertices) - 1) // 2
     if complete:  # an abelian g has no blocker, and the count refutes only what fails to commute
         assert branches == {"pushed"}
-    elif all(group.order == 2 for group in pres.by_index):  # the parity of |w| is a homomorphism: d = n mod 2
+    elif all(group.order == 2 for group in pres.by_index):  # the parity of |w| is a homomorphism: d ≡ n mod 2
         assert branches == {"blocked", "refuted-n", "pushed"}
     else:
         assert branches == {"blocked", "refuted-n", "refuted-n-1", "pushed"}
@@ -966,14 +965,13 @@ def test_centralizer_push_count_is_pinned(monkeypatch):
     # end on no blocker of g
     pres = KEY_PRODUCT_PRESENTATIONS["pentagon"]
     g = element_of(pres, "p0[1] p2[2] p4[1]")
-    count = 0
+    count, push = 0, words._push
 
     def counting(pres, out, syllables):
         nonlocal count
         count += syllables is g.key  # the walk's own pushes carry one new syllable
         push(pres, out, syllables)
 
-    push = words._push
     monkeypatch.setattr(words, "_push", counting)
     report = centralizer_structure_check(g, 4)
     assert report.ok and report.ball_size == 9061 and len(report.centralizer) == 3
