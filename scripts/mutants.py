@@ -202,10 +202,10 @@ MUTANTS = [
     ("finite-h-no-radius-bound", A, "        radius >= len(view.h_ids)\n        and all(", "        all("),
     ("finite-h-no-adjacency-test", A, "\n        and all(view.h_ids <= pres.istar[vi] for vi in view.h_ids)\n", "\n"),
     # each centralizer prediction first tests the support of the ball element
-    ("product-prediction-no-star-test", A, "            if not _supported_in(u, star_ids):\n                return False\n", ""),
-    ("structure-check-no-support-test", PB, "        if not _supported_in(u, allowed_ids):\n            return False\n", ""),
-    # the structure check predicts from the verdicts its walk recorded
-    ("structure-check-records-no-verdicts", PB, "            centralizing.add(u)\n", "            pass\n"),
+    ("product-prediction-no-star-test", A, "            return centralizes and _supported_in(u, star_ids)\n",
+     "            return centralizes\n"),
+    ("structure-check-no-support-test", PB, "        return centralizes and _supported_in(u, allowed_ids)\n",
+     "        return centralizes\n"),
     # amalgam answers read off the consonant counts
     ("centralizer-power-one-sign", A, "            for l in (q, -q):\n", "            for l in (q,):\n"),
     ("classify-next-prefix", A, "        p = prefixes[j]\n", "        p = prefixes[(j + 1) % len(prefixes)]\n"),

@@ -105,14 +105,12 @@ def centralizer_structure_check(g: Element, radius: int) -> CentralizerStructure
 
     Requires g cyclically reduced, so that G_A is the parabolic closure of
     <g>.  Every centralizing ball element must be supported in A union
-    link(A) with its A-retraction centralizing g; the factorization direction
-    back is automatic and checked as well.
+    link(A); the factorization C_{G_A}(g) * G_link(A) then follows.
 
-    The prediction reads the walk's own verdicts.  Halo syllables commute
-    with core ones, so u's core syllables, in order, are its canonical
-    retraction.  If u has a halo syllable, the retraction is shorter, with
-    u's values, so the walk (in (length, key) order) has already recorded
-    whether it centralizes g; otherwise u is its own retraction.
+    The halo is adjacent to every core vertex, so the full subgroup on A
+    union link(A) is the direct product G_A x G_link(A), and there u commutes
+    with g exactly when its A-part does.  The walk decides that, so the
+    formula asserts only that centralizers lie in A union link(A).
     """
     if not is_cyclically_reduced(g):
         raise PresentationError("element must be cyclically reduced; conjugate first")
@@ -120,18 +118,9 @@ def centralizer_structure_check(g: Element, radius: int) -> CentralizerStructure
     core = g.support()
     halo = link_of(pres.graph, core)
     allowed_ids = {pres.vertex_index(v) for v in core | halo}
-    core_ids = {pres.vertex_index(v) for v in core}
-    centralizing = set()  # the walked keys supported in A that commute with g
 
     def factored(u, centralizes):
-        if not _supported_in(u, allowed_ids):
-            return False
-        retraction = tuple(s for s in u if s[0] in core_ids)
-        if len(retraction) < len(u):
-            return retraction in centralizing
-        if centralizes:
-            centralizing.add(u)
-        return centralizes
+        return centralizes and _supported_in(u, allowed_ids)
 
     return CentralizerStructureReport(core, halo, *_compare_centralizer(g, radius, factored))
 

@@ -48,6 +48,7 @@ from .parabolic import (
 from .separability import (
     ALL_FINITE,
     SeparationWitness,
+    _is_p_power,
     apply_quotient,
     conjugacy_witness,
     p_group_mode,
@@ -233,9 +234,7 @@ def check_witness(w: SeparationWitness) -> None:
     if w.family.mode.is_p_mode:
         p = w.family.mode.p
         for m in w.family.moduli.values():
-            while m is not None and m % p == 0:
-                m //= p
-            _ensure(m in (None, 1), f"modulus not a power of {p}", *w.inputs)
+            _ensure(m is None or _is_p_power(m, p), f"modulus not a power of {p}", *w.inputs)
 
 
 def _suite_normal_forms(seed: int) -> str:

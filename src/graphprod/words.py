@@ -32,8 +32,6 @@ Keys that are canonical by construction are wrapped as `Element(pres, key)`:
 - the keys that `iter_ball` yields (it builds no Element), and the back peel
   in `parabolic.parabolic_intersection`;
 - u·x = u + x for a canonical u that ends on a vertex of `_blockers(pres, x)`;
-- the core syllables of a ball element in
-  `parabolic.centralizer_structure_check` (every other one commutes with them);
 - the inputs of `separability.conjugacy_witness` and their factors,
   renumbered onto the presentation induced on their joint support (it keeps
   the vertex order and the edges among the kept vertices).

@@ -23,7 +23,10 @@ element are kept as `brute_force_conjugate_by_multiply` and
 `compare_centralizer_by_multiply`; the first walks the whole ball, with no
 pruning.  The structure check's prediction that multiplied each ball
 element's core retraction with g both ways is kept as
-`centralizer_structure_check_by_pushes`.  The witness loop that formed every
+`centralizer_structure_check_by_pushes`, and the product-branch prediction of
+`amalgam.centralizer_check` that multiplied each star element's apex and
+H-side retractions with g's factors both ways is kept as
+`centralizer_product_prediction_by_multiply`.  The witness loop that formed every
 product r_i·r_j^-1 is kept as `distinctness_by_products`, the reference for
 `separability._collect_distinctness`, which reads the products' values off
 the boundary of each pair.  `right_angled_is_identity` decides the word problem
@@ -36,7 +39,14 @@ import math
 from collections import deque
 from functools import lru_cache
 
-from graphprod.amalgam import AmalgamError, ConjugatorClass, SubgroupConjugacy, amalgam_form
+from graphprod.amalgam import (
+    AmalgamError,
+    CentralizerReport,
+    ConjugatorClass,
+    SubgroupConjugacy,
+    amalgam_form,
+    consonant_leading_form,
+)
 from graphprod.conjugacy import BruteForceConjugacy, are_conjugate
 from graphprod.cyclic import commuting_factors, cyclic_permutation_conjugators, cyclically_reduce, ps_decompose
 from graphprod.parabolic import (
@@ -700,6 +710,30 @@ def centralizer_structure_check_by_pushes(g, radius):
         return multiply(retraction, g) == multiply(g, retraction)
 
     return CentralizerStructureReport(core, halo, *compare_centralizer_by_multiply(g, radius, factored))
+
+
+def centralizer_product_prediction_by_multiply(view, g, radius):
+    """`amalgam.centralizer_check` on its product branch (one consonant, the
+    tail in the H-side) with each prediction multiplied out: a star element's
+    apex and H-side retractions are multiplied with c1 and x1 both ways, where
+    the library reads the verdict of its walk."""
+    pres = view.pres
+    form = consonant_leading_form(view, g)
+    assert form.consonant_length == 1 and all(vi in view.h_ids for vi, _ in form.x_pieces[-1].key)
+    apex = view.apex_index
+    c1 = Element(pres, ((apex, form.consonants[0]),))
+    x1 = form.x_pieces[-1]
+    star_ids, apex_ids = pres.istar[apex], (apex,)
+
+    def factored(u, centralizes):
+        # the apex commutes with its link, so u = uc uh on the star
+        if any(vi not in star_ids for vi, _ in u):
+            return False
+        uc = retract_key(pres, u, apex_ids)
+        uh = retract_key(pres, u, view.h_ids)
+        return multiply(uc, c1) == multiply(c1, uc) and multiply(uh, x1) == multiply(x1, uh)
+
+    return CentralizerReport("product", None, (), *compare_centralizer_by_multiply(g, radius, factored))
 
 
 def single_step_rewrites(pres, key):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphprod import corpus, parse_presentation
-from graphprod.presentation import Syllable, Word, parse_word, presentation_from_config
+from graphprod.presentation import Syllable, Word, parse_word, presentation_from_config, render_word
 from graphprod.words import conjugate, element_of, identity, invert, multiply, reduce
 from graphprod.cyclic import cyclic_permutation_conjugators, cyclically_reduce
 from graphprod.amalgam import (
@@ -24,8 +24,14 @@ from graphprod.amalgam import (
 )
 from graphprod.selftest import check_centralizer, check_centralizer_split, check_consonants
 
-from oracles import alternating_form_by_restarts, ball_elements, conjugate_by_coset_criterion
+from oracles import (
+    alternating_form_by_restarts,
+    ball_elements,
+    centralizer_product_prediction_by_multiply,
+    conjugate_by_coset_criterion,
+)
 from test_nonabelian import build_s3_path, s3_config
+from test_parabolic import PENTAGON
 
 PRESENTATIONS = corpus.corpus_presentations()
 
@@ -224,6 +230,34 @@ def test_centralizer_check_c3_variants():
                 continue
             report = centralizer_check(view, g, 3)
             assert report.ok, f"violations for {text}: {report.violations}"
+
+
+def product_branch_cases():
+    # every apex of the corpus with g = one apex syllable, alone or times one
+    # syllable of its link, plus the pentagon's at radius 4
+    presentations = {**PRESENTATIONS, "path-c3-end": presentation_from_config(corpus.PATH_C3_END)}
+    presentations["path-c3-mid"] = presentation_from_config(corpus.PATH_C3_MID)
+    for name, pres in sorted(presentations.items()):
+        first = {}
+        for s in corpus.syllable_alphabet(pres):
+            first.setdefault(s.vertex, s)
+        for apex in pres.vertices:
+            for x in [None, *sorted(pres.graph.link(apex))]:
+                word = Word((first[apex],) if x is None else (first[apex], first[x]))
+                yield pytest.param(pres, apex, word, 3, id=f"{name}-{render_word(pres, word)}")
+    for text in ("p0[1]", "p0[2] p1[1]"):
+        yield pytest.param(PENTAGON, "p0", parse_word(PENTAGON, text), 4, id=f"pentagon-{text}")
+
+
+@pytest.mark.parametrize("pres, apex, word, radius", product_branch_cases())
+def test_product_branch_matches_the_multiplied_predictions(pres, apex, word, radius):
+    # on the star G_apex x G_H the walk's verdicts are the predictions that
+    # multiplied each factor with g's: the same reports, field by field
+    view = decompose_at(pres, apex)
+    g = reduce(pres, word)
+    report = centralizer_check(view, g, radius)
+    assert report.kind == "product" and report.ok
+    assert report == centralizer_product_prediction_by_multiply(view, g, radius)
 
 
 def test_i_formula_on_ball(path_racg):

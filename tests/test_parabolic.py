@@ -6,7 +6,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphprod import corpus, parse_presentation
+from graphprod import amalgam, corpus, parabolic, parse_presentation
+from graphprod.amalgam import centralizer_check, decompose_at
 from graphprod.presentation import PresentationError, Word, presentation_from_config
 from graphprod.words import (
     conjugate,
@@ -110,8 +111,8 @@ def test_centralizer_structure_random(name):
 
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
 def test_structure_check_matches_the_pushed_predictions(name):
-    # the verdicts the walk records for retractions are the predictions that
-    # multiplied each retraction with g: the same reports, field by field
+    # on G_A x G_link(A) the walk's verdicts are the predictions that
+    # multiplied each A-retraction with g: the same reports, field by field
     pres = PRESENTATIONS[name]
     rng = random.Random(name)
     for _ in range(8):
@@ -136,10 +137,10 @@ PENTAGON = parse_presentation(
     ids=["star-leaf", "pentagon"],
 )
 def test_structure_check_reads_halo_verdicts(pres, text, radius, failing):
-    # a nonempty halo: ball elements in the core and the halo that carry halo
-    # syllables take the recorded verdicts of their shorter retractions.  On
-    # the star every retraction (a power of the leaf) centralizes; on the
-    # pentagon the core is {p0, p2}, the halo {p1}, and p1·p0 does not
+    # a nonempty halo: the walk decides the ball elements in the core and the
+    # halo that carry halo syllables, as their retractions would.  On the star
+    # every retraction (a power of the leaf) centralizes; on the pentagon the
+    # core is {p0, p2}, the halo {p1}, and p1·p0 does not
     g = element_of(pres, text)
     report = centralizer_structure_check(g, radius)
     assert report.ok and report.halo
@@ -149,6 +150,25 @@ def test_structure_check_reads_halo_verdicts(pres, text, radius, failing):
     members = set(report.centralizer)
     assert any(u in members for u in with_halo)
     assert any(u not in members for u in with_halo) == failing
+
+
+def test_split_predictions_refuse_keys_off_their_vertex_sets(monkeypatch):
+    # each split prediction is a containment test, so a key off its vertex set
+    # is a violation even where the walk says it centralizes.  For g = p0 on
+    # the pentagon, p2 lies off {p0} u link(p0), the star of the apex p0
+    off = ((PENTAGON.vertex_index("p2"), 1),)
+    g = element_of(PENTAGON, "p0[1]")
+    verdicts = []
+
+    def stub(g, radius, predicted, vertices=None):
+        verdicts.append(predicted(off, True))
+        return 0, (), ()
+
+    monkeypatch.setattr(parabolic, "_compare_centralizer", stub)
+    centralizer_structure_check(g, 1)
+    monkeypatch.setattr(amalgam, "_compare_centralizer", stub)
+    assert centralizer_check(decompose_at(PENTAGON, "p0"), g, 1).kind == "product"
+    assert verdicts == [False, False]
 
 
 def test_maximal_full_avoiding_examples(path_racg, free_zz):
